@@ -8,6 +8,13 @@ import (
 	"github.com/fastvg/fastvg/internal/virtualgate"
 )
 
+// verticalSlopePx is the pixel slope published for a steep branch whose
+// x-on-y fit is exactly vertical (slope 0). Its true slope is infinite,
+// which no JSON reply or journal record can carry; this one moves the line
+// by a micro-pixel over a thousand rows, so it stands for vertical
+// (a12 ≈ 1e-9) while staying finite.
+const verticalSlopePx = -1e9
+
 // refineSlopes replaces the anchored-fit slopes with robust per-branch
 // Theil–Sen estimates over the filtered transition points.
 //
@@ -45,10 +52,8 @@ func refineSlopes(res *Result, win csd.Window, cfg Config) {
 	if err1 != nil || err2 != nil {
 		return
 	}
-	var steepPx float64
-	if d1 == 0 {
-		steepPx = math.Inf(-1)
-	} else {
+	steepPx := verticalSlopePx
+	if d1 != 0 {
 		steepPx = 1 / d1
 	}
 	shallowPx := d2

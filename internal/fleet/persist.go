@@ -12,11 +12,13 @@ package fleet
 //
 // What restore reproduces is the manager's decision state, not the noise
 // realisation: a restored pair is rebuilt from its spec with the virtual
-// clock advanced to the persisted fleet time, so its drift processes resume
-// at the right epoch, but call-count-driven noise (white noise RNG streams)
-// restarts its sequence. Every scheduling decision — which pair is stale,
-// which is cooling down, what the budget window has spent — is restored
-// exactly.
+// clock advanced to the persisted fleet time, so its time-driven processes
+// resume at the restored epoch: drift at its phase, charge jumps at their
+// seeded arrivals, and telegraph fluctuators (the 1/f bath, RTN) from their
+// stationary law, redrawn by the first sample across the gap. White noise,
+// driven by call count rather than time, restarts its RNG stream. Every
+// scheduling decision — which pair is stale, which is cooling down, what
+// the budget window has spent — is restored exactly.
 
 import (
 	"encoding/json"

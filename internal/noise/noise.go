@@ -21,6 +21,13 @@ import (
 // current (most recently advanced) state rather than rewinding. This suits
 // the instruments in this repository, which memoise measurements and never
 // re-measure a configuration.
+//
+// A realisation is a deterministic function of the seed and the sequence of
+// query times. Telegraph fluctuators cross a long idle gap in one step by
+// redrawing from their stationary law (see Fluctuator.Sample), so two
+// schedules that visit the same late time through different gaps see
+// different, equally distributed, realisations; the instruments here query
+// on a deterministic virtual clock, so a given workload is reproducible.
 type Process interface {
 	Sample(t float64) float64
 }
@@ -48,6 +55,12 @@ func (w *White) Sample(float64) float64 {
 // Fluctuator is a symmetric random-telegraph (two-level) fluctuator with
 // amplitude ±Amp/2 and mean switching rate Rate (switches per second in
 // virtual time). Switch times are exponentially distributed.
+//
+// Short steps walk the switches one by one; a query more than 32 expected
+// switches past the pending switch instead restarts the process from its
+// stationary law, so a query costs O(1) however long the idle gap it
+// crosses. The realisation therefore depends on the query schedule as well
+// as the seed (see Process).
 type Fluctuator struct {
 	Amp  float64
 	Rate float64
@@ -57,16 +70,33 @@ type Fluctuator struct {
 	nextSwitch float64
 }
 
+// gapSwitches is the number of expected switches past the pending one
+// beyond which Sample restarts the fluctuator instead of walking the gap.
+// The state's correlation with its value before the gap is then below
+// e^(-2·gapSwitches) ≈ 1.6e-28, far under float64 resolution, so the
+// restart is exact in law. One 50 ms probe step spans at most 2.5 expected
+// switches at the fastest preset rate (50 Hz), so probe-rate sampling
+// keeps the per-switch walk.
+const gapSwitches = 32
+
 // NewFluctuator returns a fluctuator with a random initial state.
 func NewFluctuator(amp, rate float64, seed uint64) *Fluctuator {
 	f := &Fluctuator{Amp: amp, Rate: rate, rng: xrand.New(seed)}
-	if f.rng.Float64() < 0.5 {
-		f.state = amp / 2
-	} else {
-		f.state = -amp / 2
-	}
-	f.nextSwitch = f.dwell()
+	f.restart(0)
 	return f
+}
+
+// restart draws the state from the stationary law, a fair coin, and
+// schedules the next switch one exponential dwell after t. The process is
+// memoryless, so this is the law of the fluctuator at any time long after
+// its last observation.
+func (f *Fluctuator) restart(t float64) {
+	if f.rng.Float64() < 0.5 {
+		f.state = f.Amp / 2
+	} else {
+		f.state = -f.Amp / 2
+	}
+	f.nextSwitch = t + f.dwell()
 }
 
 func (f *Fluctuator) dwell() float64 {
@@ -77,8 +107,14 @@ func (f *Fluctuator) dwell() float64 {
 }
 
 // Sample returns the fluctuator state at virtual time t, advancing through
-// any switches that occurred since the previous query.
+// any switches that occurred since the previous query, or restarting from
+// the stationary law when t lies more than gapSwitches expected switches
+// past the pending switch.
 func (f *Fluctuator) Sample(t float64) float64 {
+	if f.Rate > 0 && (t-f.nextSwitch)*f.Rate > gapSwitches {
+		f.restart(t)
+		return f.state
+	}
 	for t >= f.nextSwitch {
 		f.state = -f.state
 		f.nextSwitch += f.dwell()

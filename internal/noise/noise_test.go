@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"github.com/fastvg/fastvg/internal/xrand"
 )
 
 func TestWhiteMoments(t *testing.T) {
@@ -78,6 +80,129 @@ func TestFluctuatorMonotonicBackQuery(t *testing.T) {
 	v2 := f.Sample(1)
 	if v1 != v2 {
 		t.Fatalf("backwards query changed state: %v -> %v", v1, v2)
+	}
+}
+
+// walkFluctuator is the per-switch telegraph walk with no long-gap
+// crossing: the reference that probe-rate sampling must reproduce exactly.
+type walkFluctuator struct {
+	rate, state, next float64
+	rng               *xrand.Rand
+}
+
+func newWalkFluctuator(amp, rate float64, seed uint64) *walkFluctuator {
+	w := &walkFluctuator{rate: rate, rng: xrand.New(seed)}
+	if w.rng.Float64() < 0.5 {
+		w.state = amp / 2
+	} else {
+		w.state = -amp / 2
+	}
+	w.next = w.dwell()
+	return w
+}
+
+func (w *walkFluctuator) dwell() float64 {
+	if w.rate <= 0 {
+		return 1e300
+	}
+	return w.rng.ExpFloat64() / w.rate
+}
+
+func (w *walkFluctuator) sample(t float64) float64 {
+	for t >= w.next {
+		w.state = -w.state
+		w.next += w.dwell()
+	}
+	return w.state
+}
+
+// TestFluctuatorProbeRateMatchesWalk: at 50 ms probe steps no query spans
+// enough switches to take the long-gap path, so every rate the presets
+// (pink 0.01–50 Hz, RTN 0.1–0.2 Hz) and the qflow suite (pink 0.005–20 Hz,
+// RTN 0.35–0.6 Hz) use reproduces the per-switch walk bit for bit, RNG
+// stream included.
+func TestFluctuatorProbeRateMatchesWalk(t *testing.T) {
+	rates := []float64{0.1, 0.2, 0.35, 0.6}
+	for _, b := range []*PinkBath{
+		NewPinkBath(1, 12, 0.01, 50, 1), // Params defaults
+		NewPinkBath(1, 14, 0.005, 20, 1),
+	} {
+		for _, f := range b.fluctuators {
+			rates = append(rates, f.Rate)
+		}
+	}
+	for _, rate := range rates {
+		for seed := uint64(1); seed <= 4; seed++ {
+			f := NewFluctuator(1, rate, seed)
+			ref := newWalkFluctuator(1, rate, seed)
+			for i := 0; i <= 4000; i++ {
+				ti := float64(i) * 0.05
+				if got, want := f.Sample(ti), ref.sample(ti); got != want || f.nextSwitch != ref.next {
+					t.Fatalf("rate %v seed %d t=%v: state %v next %v, walk %v next %v",
+						rate, seed, ti, got, f.nextSwitch, want, ref.next)
+				}
+			}
+		}
+	}
+}
+
+// TestFluctuatorLongGapIsStationary: after a gap of many expected switches
+// the state is a fair coin, independent of its pre-gap value, and the wait
+// for the next switch is exponential with mean 1/Rate — checked within 3σ
+// over many seeds, at the fastest pink and the slowest RTN rate.
+func TestFluctuatorLongGapIsStationary(t *testing.T) {
+	const seeds = 4000
+	for _, rate := range []float64{50, 0.1} {
+		gap := 100 / rate
+		step := 1e-3 / rate
+		var up, same int
+		var wait float64
+		for seed := uint64(0); seed < seeds; seed++ {
+			f := NewFluctuator(2, rate, xrand.DeriveSeed(77, int(seed)))
+			t0 := 1 / rate
+			pre := f.Sample(t0)
+			t1 := t0 + gap
+			if (t1-f.nextSwitch)*rate <= gapSwitches {
+				t.Fatalf("rate %v seed %d: gap ends within %d switches of the pending one", rate, seed, gapSwitches)
+			}
+			post := f.Sample(t1)
+			if post == 1 {
+				up++
+			}
+			if post == pre {
+				same++
+			}
+			ti := t1
+			for f.Sample(ti) == post {
+				ti += step
+			}
+			wait += ti - t1
+		}
+		sigma := math.Sqrt(0.25 / seeds)
+		if p := float64(up) / seeds; math.Abs(p-0.5) > 3*sigma {
+			t.Errorf("rate %v: P(+Amp/2 after gap) = %.4f, want 0.5 ± %.4f", rate, p, 3*sigma)
+		}
+		if p := float64(same) / seeds; math.Abs(p-0.5) > 3*sigma {
+			t.Errorf("rate %v: P(state kept across gap) = %.4f, want 0.5 ± %.4f", rate, p, 3*sigma)
+		}
+		// The walk overshoots each switch by at most one step (mean step/2).
+		mean, want := wait/seeds, 1/rate+step/2
+		if tol := 3 / rate / math.Sqrt(seeds); math.Abs(mean-want) > tol {
+			t.Errorf("rate %v: mean wait for next switch %v, want %v ± %v", rate, mean, want, tol)
+		}
+	}
+}
+
+// BenchmarkFluctuatorIdleGap crosses one 900 s idle gap (the fleet's
+// spot-check interval) at 50 Hz per op: 45,000 expected switches that the
+// long-gap path replaces with one restart.
+func BenchmarkFluctuatorIdleGap(b *testing.B) {
+	f := NewFluctuator(1, 50, 1)
+	ti := 0.0
+	b.ReportAllocs()
+	for b.Loop() {
+		ti += 900
+		f.Sample(ti)
 	}
 }
 

@@ -79,7 +79,7 @@ func (s *Service) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		if !decode(w, r, &req) {
+		if !Decode(w, r, &req) {
 			return
 		}
 		jv, err := s.Submit(r.Context(), req)
@@ -87,28 +87,28 @@ func (s *Service) Handler() http.Handler {
 			failErr(w, err)
 			return
 		}
-		reply(w, http.StatusAccepted, jv)
+		Reply(w, http.StatusAccepted, jv)
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, http.StatusOK, map[string]any{"jobs": s.Jobs()})
+		Reply(w, http.StatusOK, map[string]any{"jobs": s.Jobs()})
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		jv, ok := s.Job(r.PathValue("id"))
 		if !ok {
-			fail(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+			Fail(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 			return
 		}
-		reply(w, http.StatusOK, jv)
+		Reply(w, http.StatusOK, jv)
 	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if !s.Cancel(r.PathValue("id")) {
-			fail(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+			Fail(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 			return
 		}
-		reply(w, http.StatusOK, map[string]any{"cancelled": true})
+		Reply(w, http.StatusOK, map[string]any{"cancelled": true})
 	})
 
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
@@ -116,7 +116,7 @@ func (s *Service) Handler() http.Handler {
 			Requests []Request `json:"requests"`
 			Table1   bool      `json:"table1"`
 		}
-		if !decode(w, r, &body) {
+		if !Decode(w, r, &body) {
 			return
 		}
 		reqs := body.Requests
@@ -124,55 +124,55 @@ func (s *Service) Handler() http.Handler {
 			reqs = append(reqs, Table1Requests()...)
 		}
 		if len(reqs) == 0 {
-			fail(w, http.StatusBadRequest, errors.New("empty batch: set requests or table1"))
+			Fail(w, http.StatusBadRequest, errors.New("empty batch: set requests or table1"))
 			return
 		}
 		items := s.Batch(r.Context(), reqs)
-		reply(w, http.StatusOK, map[string]any{"items": items})
+		Reply(w, http.StatusOK, map[string]any{"items": items})
 	})
 
 	mux.HandleFunc("GET /v1/benchmarks", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, http.StatusOK, map[string]any{"benchmarks": s.BenchmarkList()})
+		Reply(w, http.StatusOK, map[string]any{"benchmarks": s.BenchmarkList()})
 	})
 
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var body struct {
 			Spec device.DoubleDotSpec `json:"spec"`
 		}
-		if !decode(w, r, &body) {
+		if !Decode(w, r, &body) {
 			return
 		}
 		sess, err := s.reg.OpenSim(body.Spec)
 		if err != nil {
-			fail(w, http.StatusBadRequest, err)
+			Fail(w, http.StatusBadRequest, err)
 			return
 		}
-		reply(w, http.StatusCreated, sess.Info())
+		Reply(w, http.StatusCreated, sess.Info())
 	})
 
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, http.StatusOK, map[string]any{"sessions": s.reg.Sessions()})
+		Reply(w, http.StatusOK, map[string]any{"sessions": s.reg.Sessions()})
 	})
 
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if !s.reg.CloseSession(r.PathValue("id")) {
-			fail(w, http.StatusNotFound, fmt.Errorf("unknown session %q", r.PathValue("id")))
+			Fail(w, http.StatusNotFound, fmt.Errorf("unknown session %q", r.PathValue("id")))
 			return
 		}
-		reply(w, http.StatusOK, map[string]any{"closed": true})
+		Reply(w, http.StatusOK, map[string]any{"closed": true})
 	})
 
 	mux.HandleFunc("GET /v1/surrogate", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, http.StatusOK, map[string]any{"twins": s.Surrogates()})
+		Reply(w, http.StatusOK, map[string]any{"twins": s.Surrogates()})
 	})
 
 	mux.HandleFunc("POST /v1/surrogate/train", func(w http.ResponseWriter, r *http.Request) {
 		fed, err := s.TrainSurrogates()
 		if err != nil {
-			fail(w, http.StatusBadRequest, err)
+			Fail(w, http.StatusBadRequest, err)
 			return
 		}
-		reply(w, http.StatusOK, map[string]any{"trained": fed})
+		Reply(w, http.StatusOK, map[string]any{"trained": fed})
 	})
 
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
@@ -192,33 +192,33 @@ func (s *Service) Handler() http.Handler {
 		if len(st.MethodProbes) > 0 {
 			body["methodProbes"] = st.MethodProbes
 		}
-		reply(w, http.StatusOK, body)
+		Reply(w, http.StatusOK, body)
 	})
 
 	mux.HandleFunc("POST /v1/fleet/devices", func(w http.ResponseWriter, r *http.Request) {
 		var cfg fleet.DeviceConfig
-		if !decode(w, r, &cfg) {
+		if !Decode(w, r, &cfg) {
 			return
 		}
 		dv, err := s.fleet.Register(cfg)
 		if err != nil {
-			fail(w, http.StatusBadRequest, err)
+			Fail(w, http.StatusBadRequest, err)
 			return
 		}
-		reply(w, http.StatusCreated, dv)
+		Reply(w, http.StatusCreated, dv)
 	})
 
 	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, http.StatusOK, s.fleet.Status())
+		Reply(w, http.StatusOK, s.fleet.Status())
 	})
 
 	mux.HandleFunc("GET /v1/fleet/devices/{id}", func(w http.ResponseWriter, r *http.Request) {
 		dv, ok := s.fleet.Device(r.PathValue("id"))
 		if !ok {
-			fail(w, http.StatusNotFound, fmt.Errorf("unknown fleet device %q", r.PathValue("id")))
+			Fail(w, http.StatusNotFound, fmt.Errorf("unknown fleet device %q", r.PathValue("id")))
 			return
 		}
-		reply(w, http.StatusOK, dv)
+		Reply(w, http.StatusOK, dv)
 	})
 
 	// History serves the bounded in-memory ring (Policy.HistoryCap, default
@@ -230,28 +230,28 @@ func (s *Service) Handler() http.Handler {
 		var ok bool
 		if r.URL.Query().Get("journal") != "" {
 			if evs, ok = s.fleet.JournalHistory(id); !ok {
-				fail(w, http.StatusBadRequest, errors.New("no journal attached: start the service with a data dir"))
+				Fail(w, http.StatusBadRequest, errors.New("no journal attached: start the service with a data dir"))
 				return
 			}
 			if _, known := s.fleet.Device(id); !known {
-				fail(w, http.StatusNotFound, fmt.Errorf("unknown fleet device %q", id))
+				Fail(w, http.StatusNotFound, fmt.Errorf("unknown fleet device %q", id))
 				return
 			}
 		} else if evs, ok = s.fleet.History(id); !ok {
-			fail(w, http.StatusNotFound, fmt.Errorf("unknown fleet device %q", id))
+			Fail(w, http.StatusNotFound, fmt.Errorf("unknown fleet device %q", id))
 			return
 		}
 		if lim := r.URL.Query().Get("limit"); lim != "" {
 			n, err := strconv.Atoi(lim)
 			if err != nil || n < 0 {
-				fail(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", lim))
+				Fail(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", lim))
 				return
 			}
 			if n < len(evs) {
 				evs = evs[len(evs)-n:]
 			}
 		}
-		reply(w, http.StatusOK, map[string]any{"events": evs})
+		Reply(w, http.StatusOK, map[string]any{"events": evs})
 	})
 
 	// ?pair=N forces a single adjacent pair of a chain device (partial
@@ -262,7 +262,7 @@ func (s *Service) Handler() http.Handler {
 		if p := r.URL.Query().Get("pair"); p != "" {
 			var pair int
 			if pair, err = strconv.Atoi(p); err != nil {
-				fail(w, http.StatusBadRequest, fmt.Errorf("bad pair %q", p))
+				Fail(w, http.StatusBadRequest, fmt.Errorf("bad pair %q", p))
 				return
 			}
 			ev, err = s.fleet.ForceRecalibratePair(r.Context(), r.PathValue("id"), pair)
@@ -274,10 +274,10 @@ func (s *Service) Handler() http.Handler {
 			if errors.Is(err, fleet.ErrUnknownDevice) {
 				code = http.StatusNotFound
 			}
-			fail(w, code, err)
+			Fail(w, code, err)
 			return
 		}
-		reply(w, http.StatusOK, ev)
+		Reply(w, http.StatusOK, ev)
 	})
 
 	mux.HandleFunc("POST /v1/fleet/tick", func(w http.ResponseWriter, r *http.Request) {
@@ -285,21 +285,21 @@ func (s *Service) Handler() http.Handler {
 			AdvanceS float64 `json:"advanceS"` // virtual seconds per tick
 			Ticks    int     `json:"ticks"`    // default 1
 		}
-		if !decode(w, r, &body) {
+		if !Decode(w, r, &body) {
 			return
 		}
 		if body.Ticks <= 0 {
 			body.Ticks = 1
 		}
 		if body.Ticks > 100000 {
-			fail(w, http.StatusBadRequest, errors.New("ticks out of range"))
+			Fail(w, http.StatusBadRequest, errors.New("ticks out of range"))
 			return
 		}
 		reports := make([]fleet.TickReport, 0, body.Ticks)
 		for i := 0; i < body.Ticks; i++ {
 			rep, err := s.fleet.Tick(r.Context(), body.AdvanceS)
 			if err != nil {
-				fail(w, http.StatusBadRequest, err)
+				Fail(w, http.StatusBadRequest, err)
 				return
 			}
 			reports = append(reports, rep)
@@ -308,7 +308,7 @@ func (s *Service) Handler() http.Handler {
 		// same virtual instant the fleet just reached, so replaying a
 		// tick schedule replays the alert sequence exactly.
 		s.ScrapeNow(s.fleet.Now())
-		reply(w, http.StatusOK, map[string]any{"now": s.fleet.Now(), "reports": reports})
+		Reply(w, http.StatusOK, map[string]any{"now": s.fleet.Now(), "reports": reports})
 	})
 
 	// The observability surface: instant/range queries over the scraped
@@ -324,7 +324,7 @@ func (s *Service) Handler() http.Handler {
 		if v := qs.Get("window"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil {
-				fail(w, http.StatusBadRequest, fmt.Errorf("bad window %q", v))
+				Fail(w, http.StatusBadRequest, fmt.Errorf("bad window %q", v))
 				return
 			}
 			q.WindowS = f
@@ -332,26 +332,26 @@ func (s *Service) Handler() http.Handler {
 		if v := qs.Get("q"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil {
-				fail(w, http.StatusBadRequest, fmt.Errorf("bad q %q", v))
+				Fail(w, http.StatusBadRequest, fmt.Errorf("bad q %q", v))
 				return
 			}
 			q.Q = f
 		}
 		res, err := s.obs.db.Query(q)
 		if err != nil {
-			fail(w, http.StatusBadRequest, err)
+			Fail(w, http.StatusBadRequest, err)
 			return
 		}
-		reply(w, http.StatusOK, res)
+		Reply(w, http.StatusOK, res)
 	})
 
 	mux.HandleFunc("GET /v1/alerts", func(w http.ResponseWriter, r *http.Request) {
 		eng := s.AlertEngine()
 		if eng == nil {
-			fail(w, http.StatusNotFound, errors.New("alerts disabled"))
+			Fail(w, http.StatusNotFound, errors.New("alerts disabled"))
 			return
 		}
-		reply(w, http.StatusOK, map[string]any{
+		Reply(w, http.StatusOK, map[string]any{
 			"alerts":  eng.Statuses(),
 			"firing":  eng.Firing(),
 			"history": eng.History(64),
@@ -368,16 +368,16 @@ func (s *Service) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/spans", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, http.StatusOK, map[string]any{"hashes": s.SpanHashes()})
+		Reply(w, http.StatusOK, map[string]any{"hashes": s.SpanHashes()})
 	})
 
 	mux.HandleFunc("GET /v1/spans/{hash}", func(w http.ResponseWriter, r *http.Request) {
 		sp, ok := s.SpanTree(r.PathValue("hash"))
 		if !ok {
-			fail(w, http.StatusNotFound, fmt.Errorf("no span tree for %q", r.PathValue("hash")))
+			Fail(w, http.StatusNotFound, fmt.Errorf("no span tree for %q", r.PathValue("hash")))
 			return
 		}
-		reply(w, http.StatusOK, sp)
+		Reply(w, http.StatusOK, sp)
 	})
 
 	mux.Handle("GET /metrics", telemetry.Handler(s.metrics.reg))
@@ -388,11 +388,11 @@ func (s *Service) Handler() http.Handler {
 		if h.Draining {
 			code = http.StatusServiceUnavailable
 		}
-		reply(w, code, h)
+		Reply(w, code, h)
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, http.StatusOK, map[string]any{"ok": true})
+		Reply(w, http.StatusOK, map[string]any{"ok": true})
 	})
 
 	// Request-ID middleware: adopt the caller's X-Request-ID (or mint a
@@ -408,26 +408,41 @@ func (s *Service) Handler() http.Handler {
 	})
 }
 
-// decode parses a JSON body, rejecting unknown fields so client typos
-// surface as 400s instead of silently-defaulted jobs.
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// Decode, Reply and Fail are the JSON dialect of the HTTP API, shared by
+// the shard router so clients cannot tell one process from many.
+
+// Decode parses a JSON body into v, rejecting unknown fields so client
+// typos surface as 400s instead of silently-defaulted jobs. On failure it
+// has already answered 400 and returns false.
+func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		Fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
 }
 
-func reply(w http.ResponseWriter, code int, v any) {
+// Reply answers code with v as JSON. v is encoded before the status is
+// written, so a value JSON cannot carry (a non-finite float, say) answers
+// 500 with an error body instead of code with an empty one.
+func Reply(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		// A map of one string always encodes.
+		body, _ = json.Marshal(map[string]string{"error": fmt.Sprintf("encoding reply: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client has gone; there is no one to tell.
+	_, _ = w.Write(append(body, '\n'))
 }
 
-func fail(w http.ResponseWriter, code int, err error) {
-	reply(w, code, map[string]any{"error": err.Error()})
+// Fail answers code with {"error": err}.
+func Fail(w http.ResponseWriter, code int, err error) {
+	Reply(w, code, map[string]any{"error": err.Error()})
 }
 
 // failErr maps service errors onto status codes: overload sheds with 429
@@ -435,8 +450,8 @@ func fail(w http.ResponseWriter, code int, err error) {
 func failErr(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrOverloaded) {
 		w.Header().Set("Retry-After", "1")
-		fail(w, http.StatusTooManyRequests, err)
+		Fail(w, http.StatusTooManyRequests, err)
 		return
 	}
-	fail(w, http.StatusBadRequest, err)
+	Fail(w, http.StatusBadRequest, err)
 }

@@ -384,3 +384,18 @@ func TestAPIHealthzAndClose(t *testing.T) {
 		t.Errorf("post-Close Run err = %v, want sched.ErrClosed", err)
 	}
 }
+
+// TestAPIUnencodableReplyIs500: an answer JSON cannot carry — here a query
+// result echoing a non-finite window — is a 500 with an error body, not
+// the intended 200 with an empty one.
+func TestAPIUnencodableReplyIs500(t *testing.T) {
+	_, srv := newTestServer(t)
+	var body struct {
+		Error string `json:"error"`
+	}
+	doJSON(t, "GET", srv.URL+"/v1/query?fn=last&series=vgx_service_cache_entries&window=inf",
+		nil, http.StatusInternalServerError, &body)
+	if body.Error == "" {
+		t.Fatal("500 reply carries no error message")
+	}
+}

@@ -62,7 +62,7 @@ func (c *Cluster) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req service.Request
-		if !decode(w, r, &req) {
+		if !service.Decode(w, r, &req) {
 			return
 		}
 		jv, err := c.Submit(r.Context(), req)
@@ -70,28 +70,28 @@ func (c *Cluster) Handler() http.Handler {
 			failErr(w, err)
 			return
 		}
-		reply(w, http.StatusAccepted, jv)
+		service.Reply(w, http.StatusAccepted, jv)
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, http.StatusOK, map[string]any{"jobs": c.Jobs()})
+		service.Reply(w, http.StatusOK, map[string]any{"jobs": c.Jobs()})
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		jv, ok := c.Job(r.PathValue("id"))
 		if !ok {
-			fail(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+			service.Fail(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 			return
 		}
-		reply(w, http.StatusOK, jv)
+		service.Reply(w, http.StatusOK, jv)
 	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if !c.Cancel(r.PathValue("id")) {
-			fail(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+			service.Fail(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 			return
 		}
-		reply(w, http.StatusOK, map[string]any{"cancelled": true})
+		service.Reply(w, http.StatusOK, map[string]any{"cancelled": true})
 	})
 
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
@@ -99,7 +99,7 @@ func (c *Cluster) Handler() http.Handler {
 			Requests []service.Request `json:"requests"`
 			Table1   bool              `json:"table1"`
 		}
-		if !decode(w, r, &body) {
+		if !service.Decode(w, r, &body) {
 			return
 		}
 		reqs := body.Requests
@@ -107,58 +107,58 @@ func (c *Cluster) Handler() http.Handler {
 			reqs = append(reqs, service.Table1Requests()...)
 		}
 		if len(reqs) == 0 {
-			fail(w, http.StatusBadRequest, errors.New("empty batch: set requests or table1"))
+			service.Fail(w, http.StatusBadRequest, errors.New("empty batch: set requests or table1"))
 			return
 		}
-		reply(w, http.StatusOK, map[string]any{"items": c.Batch(r.Context(), reqs)})
+		service.Reply(w, http.StatusOK, map[string]any{"items": c.Batch(r.Context(), reqs)})
 	})
 
 	mux.HandleFunc("GET /v1/benchmarks", func(w http.ResponseWriter, r *http.Request) {
 		// The suite is identical on every shard; ask any live one.
 		svc, ok := c.anyShard()
 		if !ok {
-			fail(w, http.StatusServiceUnavailable, ErrShardDown)
+			service.Fail(w, http.StatusServiceUnavailable, ErrShardDown)
 			return
 		}
-		reply(w, http.StatusOK, map[string]any{"benchmarks": svc.BenchmarkList()})
+		service.Reply(w, http.StatusOK, map[string]any{"benchmarks": svc.BenchmarkList()})
 	})
 
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var body struct {
 			Spec device.DoubleDotSpec `json:"spec"`
 		}
-		if !decode(w, r, &body) {
+		if !service.Decode(w, r, &body) {
 			return
 		}
 		info, err := c.OpenSim(body.Spec)
 		if err != nil {
 			if errors.Is(err, ErrShardDown) {
-				fail(w, http.StatusServiceUnavailable, err)
+				service.Fail(w, http.StatusServiceUnavailable, err)
 				return
 			}
-			fail(w, http.StatusBadRequest, err)
+			service.Fail(w, http.StatusBadRequest, err)
 			return
 		}
-		reply(w, http.StatusCreated, info)
+		service.Reply(w, http.StatusCreated, info)
 	})
 
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, http.StatusOK, map[string]any{"sessions": c.Sessions()})
+		service.Reply(w, http.StatusOK, map[string]any{"sessions": c.Sessions()})
 	})
 
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if !c.CloseSession(r.PathValue("id")) {
-			fail(w, http.StatusNotFound, fmt.Errorf("unknown session %q", r.PathValue("id")))
+			service.Fail(w, http.StatusNotFound, fmt.Errorf("unknown session %q", r.PathValue("id")))
 			return
 		}
-		reply(w, http.StatusOK, map[string]any{"closed": true})
+		service.Reply(w, http.StatusOK, map[string]any{"closed": true})
 	})
 
 	mux.HandleFunc("GET /v1/surrogate", func(w http.ResponseWriter, r *http.Request) {
 		var twins []service.SurrogateInfo
 		c.each(func(_ int, svc *service.Service) { twins = append(twins, svc.Surrogates()...) })
 		sort.Slice(twins, func(i, j int) bool { return twins[i].Key < twins[j].Key })
-		reply(w, http.StatusOK, map[string]any{"twins": twins})
+		service.Reply(w, http.StatusOK, map[string]any{"twins": twins})
 	})
 
 	mux.HandleFunc("POST /v1/surrogate/train", func(w http.ResponseWriter, r *http.Request) {
@@ -175,23 +175,23 @@ func (c *Cluster) Handler() http.Handler {
 			}
 		})
 		if firstErr != nil {
-			fail(w, http.StatusBadRequest, firstErr)
+			service.Fail(w, http.StatusBadRequest, firstErr)
 			return
 		}
-		reply(w, http.StatusOK, map[string]any{"trained": trained})
+		service.Reply(w, http.StatusOK, map[string]any{"trained": trained})
 	})
 
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, http.StatusOK, c.statsBody())
+		service.Reply(w, http.StatusOK, c.statsBody())
 	})
 
 	mux.HandleFunc("POST /v1/fleet/devices", func(w http.ResponseWriter, r *http.Request) {
 		var cfg fleet.DeviceConfig
-		if !decode(w, r, &cfg) {
+		if !service.Decode(w, r, &cfg) {
 			return
 		}
 		if cfg.ID == "" && len(c.nodes) > 1 {
-			fail(w, http.StatusBadRequest, errors.New(
+			service.Fail(w, http.StatusBadRequest, errors.New(
 				"sharded fleet registration needs an explicit device id: auto-minted ids cannot be routed"))
 			return
 		}
@@ -201,19 +201,19 @@ func (c *Cluster) Handler() http.Handler {
 		}
 		svc, _, err := c.shard(idx)
 		if err != nil {
-			fail(w, http.StatusServiceUnavailable, err)
+			service.Fail(w, http.StatusServiceUnavailable, err)
 			return
 		}
 		dv, err := svc.Fleet().Register(cfg)
 		if err != nil {
-			fail(w, http.StatusBadRequest, err)
+			service.Fail(w, http.StatusBadRequest, err)
 			return
 		}
-		reply(w, http.StatusCreated, dv)
+		service.Reply(w, http.StatusCreated, dv)
 	})
 
 	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, http.StatusOK, c.fleetStatus())
+		service.Reply(w, http.StatusOK, c.fleetStatus())
 	})
 
 	// Per-device fleet calls are proxied whole to the owning shard so its
@@ -231,14 +231,14 @@ func (c *Cluster) Handler() http.Handler {
 			AdvanceS float64 `json:"advanceS"`
 			Ticks    int     `json:"ticks"`
 		}
-		if !decode(w, r, &body) {
+		if !service.Decode(w, r, &body) {
 			return
 		}
 		if body.Ticks <= 0 {
 			body.Ticks = 1
 		}
 		if body.Ticks > 100000 {
-			fail(w, http.StatusBadRequest, errors.New("ticks out of range"))
+			service.Fail(w, http.StatusBadRequest, errors.New("ticks out of range"))
 			return
 		}
 		// Every shard's virtual clock advances by the same schedule, so
@@ -272,7 +272,7 @@ func (c *Cluster) Handler() http.Handler {
 		})
 		wg.Wait()
 		if err, _ := tickErr.Load().(error); err != nil {
-			fail(w, http.StatusBadRequest, err)
+			service.Fail(w, http.StatusBadRequest, err)
 			return
 		}
 		var now float64
@@ -286,7 +286,7 @@ func (c *Cluster) Handler() http.Handler {
 			}
 			shards = append(shards, st)
 		}
-		reply(w, http.StatusOK, map[string]any{"now": now, "shards": shards})
+		service.Reply(w, http.StatusOK, map[string]any{"now": now, "shards": shards})
 	})
 
 	mux.HandleFunc("GET /v1/query", func(w http.ResponseWriter, r *http.Request) {
@@ -294,7 +294,7 @@ func (c *Cluster) Handler() http.Handler {
 		if v := qs.Get("shard"); v != "" {
 			i, err := strconv.Atoi(v)
 			if err != nil {
-				fail(w, http.StatusBadRequest, fmt.Errorf("bad shard %q", v))
+				service.Fail(w, http.StatusBadRequest, fmt.Errorf("bad shard %q", v))
 				return
 			}
 			c.proxy(i, w, r)
@@ -304,7 +304,7 @@ func (c *Cluster) Handler() http.Handler {
 		if v := qs.Get("window"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil {
-				fail(w, http.StatusBadRequest, fmt.Errorf("bad window %q", v))
+				service.Fail(w, http.StatusBadRequest, fmt.Errorf("bad window %q", v))
 				return
 			}
 			q.WindowS = f
@@ -312,17 +312,17 @@ func (c *Cluster) Handler() http.Handler {
 		if v := qs.Get("q"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil {
-				fail(w, http.StatusBadRequest, fmt.Errorf("bad q %q", v))
+				service.Fail(w, http.StatusBadRequest, fmt.Errorf("bad q %q", v))
 				return
 			}
 			q.Q = f
 		}
 		res, err := c.query(q)
 		if err != nil {
-			fail(w, http.StatusBadRequest, err)
+			service.Fail(w, http.StatusBadRequest, err)
 			return
 		}
-		reply(w, http.StatusOK, res)
+		service.Reply(w, http.StatusOK, res)
 	})
 
 	mux.HandleFunc("GET /v1/alerts", func(w http.ResponseWriter, r *http.Request) {
@@ -356,11 +356,11 @@ func (c *Cluster) Handler() http.Handler {
 			}
 		})
 		if !seen {
-			fail(w, http.StatusNotFound, errors.New("alerts disabled"))
+			service.Fail(w, http.StatusNotFound, errors.New("alerts disabled"))
 			return
 		}
 		sort.Slice(history, func(i, j int) bool { return history[i].AtS < history[j].AtS })
-		reply(w, http.StatusOK, map[string]any{
+		service.Reply(w, http.StatusOK, map[string]any{
 			"alerts": alerts, "firing": firing, "history": history,
 		})
 	})
@@ -370,7 +370,7 @@ func (c *Cluster) Handler() http.Handler {
 		if v := r.URL.Query().Get("shard"); v != "" {
 			i, err := strconv.Atoi(v)
 			if err != nil {
-				fail(w, http.StatusBadRequest, fmt.Errorf("bad shard %q", v))
+				service.Fail(w, http.StatusBadRequest, fmt.Errorf("bad shard %q", v))
 				return
 			}
 			idx = i
@@ -390,7 +390,7 @@ func (c *Cluster) Handler() http.Handler {
 			hashes = append(hashes, h)
 		}
 		sort.Strings(hashes)
-		reply(w, http.StatusOK, map[string]any{"hashes": hashes})
+		service.Reply(w, http.StatusOK, map[string]any{"hashes": hashes})
 	})
 
 	mux.HandleFunc("GET /v1/spans/{hash}", func(w http.ResponseWriter, r *http.Request) {
@@ -405,16 +405,16 @@ func (c *Cluster) Handler() http.Handler {
 			}
 		})
 		if sp == nil {
-			fail(w, http.StatusNotFound, fmt.Errorf("no span tree for %q", hash))
+			service.Fail(w, http.StatusNotFound, fmt.Errorf("no span tree for %q", hash))
 			return
 		}
-		reply(w, http.StatusOK, sp)
+		service.Reply(w, http.StatusOK, sp)
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		body, err := c.mergedMetrics()
 		if err != nil {
-			fail(w, http.StatusInternalServerError, err)
+			service.Fail(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -427,11 +427,11 @@ func (c *Cluster) Handler() http.Handler {
 		if !h.OK || h.Draining {
 			code = http.StatusServiceUnavailable
 		}
-		reply(w, code, h)
+		service.Reply(w, code, h)
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, http.StatusOK, map[string]any{"ok": true})
+		service.Reply(w, http.StatusOK, map[string]any{"ok": true})
 	})
 
 	// Same request-ID contract as a single shard: adopt or mint, echo,
@@ -473,6 +473,22 @@ func (rec *recorder) Header() http.Header         { return rec.header }
 func (rec *recorder) WriteHeader(code int)        { rec.code = code }
 func (rec *recorder) Write(b []byte) (int, error) { return rec.buf.Write(b) }
 
+// failErr maps errors crossing the front door onto status codes. A
+// shard's overload shed must leave the router exactly as it left the
+// shard — 429 with a Retry-After hint, never mangled into a 5xx — and a
+// killed shard is the router's own 503.
+func failErr(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, service.ErrOverloaded):
+		w.Header().Set("Retry-After", "1")
+		service.Fail(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, ErrShardDown):
+		service.Fail(w, http.StatusServiceUnavailable, err)
+	default:
+		service.Fail(w, http.StatusBadRequest, err)
+	}
+}
+
 // proxy dispatches the request to shard i's own handler and copies the
 // response back — status, body and headers, so a shard's 429 stays a 429
 // with its Retry-After, never a router-made 502.
@@ -483,7 +499,7 @@ func (c *Cluster) proxy(i int, w http.ResponseWriter, r *http.Request) {
 		if !errors.Is(err, ErrShardDown) {
 			code = http.StatusBadRequest
 		}
-		fail(w, code, err)
+		service.Fail(w, code, err)
 		return
 	}
 	c.mRouted.With(strconv.Itoa(i)).Inc()
