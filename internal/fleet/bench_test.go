@@ -3,9 +3,11 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/fastvg/fastvg/internal/sched"
+	"github.com/fastvg/fastvg/internal/store"
 	"github.com/fastvg/fastvg/internal/surrogate"
 	"github.com/fastvg/fastvg/internal/xrand"
 )
@@ -207,4 +209,52 @@ func BenchmarkChainPartialRecal(b *testing.B) {
 	if partialProbes > 0 {
 		b.ReportMetric(float64(fullProbes)/float64(partialProbes), "full/partial")
 	}
+}
+
+// BenchmarkFleetJournalEvent prices the journal write behind one fleet
+// event: a calibrated double dot whose history ring holds HistoryCap events
+// persists its state and one new event into a store in b.TempDir(), as a
+// tick's barrier does. CompactEvery is out of reach, so no compaction is
+// amortised in. Beyond ns/op and allocs/op it reports the journal bytes one
+// event appends. The end-to-end fleet-loop benchmark reports the median
+// tick, which journals nothing; this is where the per-event cost shows.
+func BenchmarkFleetJournalEvent(b *testing.B) {
+	st, err := store.Open(b.TempDir(), store.Options{CompactEvery: math.MaxInt})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	m := New(sched.New(1), Policy{})
+	if err := m.AttachStore(st); err != nil {
+		b.Fatal(err)
+	}
+	spec, err := ProfileSpec(ProfileWandering, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Register(DeviceConfig{ID: "dev", Spec: spec}); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Tick(context.Background(), 300); err != nil { // calibrates
+		b.Fatal(err)
+	}
+	d := m.devices["dev"]
+	ev := d.history[len(d.history)-1]
+	for len(d.history) < m.pol.HistoryCap {
+		d.pushEvent(m.pol, ev)
+	}
+	before := st.Stats().LogBytes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.mu.Lock()
+		d.pushEvent(m.pol, ev)
+		err := m.persistDevice(d, []Event{ev})
+		d.mu.Unlock()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(st.Stats().LogBytes-before)/float64(b.N), "journal-B/op")
 }

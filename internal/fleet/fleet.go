@@ -125,10 +125,13 @@ type Policy struct {
 	RecalReserve int `json:"recalReserve,omitempty"`
 	// HistoryCap bounds each device's retained in-memory calibration
 	// history ring (what History and the /v1/fleet history endpoint serve);
-	// default 128 events. The bound only trims what is held in memory: with
-	// a journal attached the full event log is persisted as audit records
-	// (bounded by the store's much larger AuditCap) and is served by
-	// JournalHistory.
+	// default 128 events. With a journal attached the ring's durable copy
+	// is the audit log: every event is persisted as an audit record, served
+	// in full by JournalHistory, and a restart keeps the newest
+	// min(HistoryCap, retained) of a device's events. The store's AuditCap
+	// (default 65,536 records) is shared by all devices, so a device whose
+	// events aged out of it restores a shorter ring — at equal event rates
+	// that takes more than ~512 devices.
 	HistoryCap int `json:"historyCap,omitempty"`
 }
 
@@ -539,10 +542,10 @@ func (m *Manager) Register(cfg DeviceConfig) (DeviceView, error) {
 	if m.journal != nil {
 		data, err := json.Marshal(d.persistSnapshot())
 		if err == nil {
-			err = m.journal.Put(store.KindFleetDevice, d.id, data)
-		}
-		if err == nil {
-			err = m.journal.Put(store.KindFleetClock, "", m.clockSnapshotLocked())
+			err = m.journal.PutBatch(
+				store.Record{Kind: store.KindFleetDevice, Key: d.id, Data: data},
+				store.Record{Kind: store.KindFleetClock, Data: m.clockSnapshotLocked()},
+			)
 		}
 		if err != nil {
 			return DeviceView{}, err
@@ -910,30 +913,44 @@ func (m *Manager) Tick(ctx context.Context, dt float64) (TickReport, error) {
 
 // settlePhase applies one phase's outcomes at its barrier, in the given
 // (deterministic) unit order: report labels and probe totals, history
-// pushes, fleet-wide counter bumps and journal writes. The first journal
-// error is returned after every unit is settled — accounting must never be
-// lost to a persistence fault.
+// pushes, fleet-wide counter bumps and journal writes. Each run of units of
+// one device journals the device once, batched with all of the run's
+// events, so its state is never durable ahead of an event that produced
+// it. The first journal error is returned after every unit is settled —
+// accounting must never be lost to a persistence fault.
 func (m *Manager) settlePhase(units []unit, labels *[]string, probes, saved *int) error {
 	var firstErr error
-	for _, u := range units {
-		u.d.mu.Lock()
-		*labels = append(*labels, u.label())
-		*probes += u.pc.phaseProbes
-		*saved += u.pc.phaseSaved
-		if u.pc.phaseHasEv {
-			ev := u.pc.phaseEv
-			u.d.pushEvent(m.pol, ev)
-			m.bumpEvent(ev)
-			if err := m.persistDeviceEvent(u.d, ev); err != nil && firstErr == nil {
-				firstErr = err
+	keep := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	for i := 0; i < len(units); {
+		d := units[i].d
+		d.mu.Lock()
+		var evs []Event
+		var dirty []*pairCal
+		for ; i < len(units) && units[i].d == d; i++ {
+			pc := units[i].pc
+			*labels = append(*labels, units[i].label())
+			*probes += pc.phaseProbes
+			*saved += pc.phaseSaved
+			if pc.phaseHasEv {
+				d.pushEvent(m.pol, pc.phaseEv)
+				m.bumpEvent(pc.phaseEv)
+				evs = append(evs, pc.phaseEv)
+			}
+			if pc.phaseModelDirty {
+				dirty = append(dirty, pc)
 			}
 		}
-		if u.pc.phaseModelDirty {
-			if err := m.saveModel(u.d, u.pc); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if len(evs) > 0 {
+			keep(m.persistDevice(d, evs))
 		}
-		u.d.mu.Unlock()
+		for _, pc := range dirty {
+			keep(m.saveModel(d, pc))
+		}
+		d.mu.Unlock()
 	}
 	return firstErr
 }
@@ -1128,20 +1145,6 @@ func (m *Manager) checkPair(ctx context.Context, d *dev, pc *pairCal, now float6
 	pc.phaseEv = Event{T: now, Kind: "check", Pair: pc.idx, Staleness: pc.score, Probes: probes, ProbesSaved: pc.phaseSaved, OK: pc.score < m.pol.StaleThreshold}
 	pc.phaseHasEv = true
 	return nil
-}
-
-// persistDeviceEvent journals a device's updated state and the event that
-// produced it; callers hold d.mu. A nil journal is a no-op; a journal error
-// is an infrastructure fault that aborts the tick, like an instrument
-// fault.
-func (m *Manager) persistDeviceEvent(d *dev, ev Event) error {
-	if m.journalStore() == nil {
-		return nil
-	}
-	if err := m.saveDevice(d); err != nil {
-		return err
-	}
-	return m.saveEvent(d.id, ev)
 }
 
 // scoreResult turns a verify outcome into a staleness score; callers hold

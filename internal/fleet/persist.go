@@ -1,7 +1,7 @@
 package fleet
 
 // Durable fleet state. The manager persists through internal/store: one
-// KindFleetDevice record per device (the full per-pair calibration state,
+// KindFleetDevice record per device (its per-pair calibration state,
 // superseded on every event), one KindFleetClock record (virtual clock,
 // budget window and fleet-wide counters), and an append-only KindFleetEvent
 // audit record per calibration-history event. AttachStore restores all of
@@ -9,6 +9,14 @@ package fleet
 // evidence survives a daemon bounce instead of forcing every device — or
 // every pair of a chain whose neighbours were fresh — through full
 // re-extraction.
+//
+// Each settled phase journals a device's new state and the events that
+// produced it as one store batch, so a kill at any byte restores both or
+// neither. The device record does not carry the history ring: the audit
+// log is its durable copy, and restore rebuilds each ring from the newest
+// HistoryCap audit records under the device's ID. Records written before
+// that (which carry a "history" field) restore their ring from the field.
+// Register journals a new device together with the clock, in one batch.
 //
 // What restore reproduces is the manager's decision state, not the noise
 // realisation: a restored pair is rebuilt from its spec with the virtual
@@ -23,6 +31,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,15 +80,10 @@ type persistedDevice struct {
 	Spec   device.DoubleDotSpec `json:"spec"`
 	Chain  *device.ChainSpec    `json:"chain,omitempty"`
 
-	Pairs   []persistedPair `json:"pairs"`
-	History []Event         `json:"history,omitempty"`
-}
-
-// legacyDevice is the pre-chain journal form: one device, one implicit
-// pair, calibration state flat on the device record. Journals written
-// before per-pair staleness decode through it (migrated on the next save).
-type legacyDevice struct {
-	persistedPair
+	Pairs []persistedPair `json:"pairs"`
+	// History is read, never written: records from before the audit log
+	// became the ring's durable copy carry the ring here, and restore
+	// prefers it over the audit log for them.
 	History []Event `json:"history,omitempty"`
 }
 
@@ -141,10 +145,7 @@ func (p persistedPair) restore(pc *pairCal) {
 
 // persistSnapshot renders the device's journal record; callers hold d.mu.
 func (d *dev) persistSnapshot() persistedDevice {
-	pd := persistedDevice{
-		ID: d.id, Weight: d.weight, Spec: d.spec, Chain: d.chain,
-		History: append([]Event(nil), d.history...),
-	}
+	pd := persistedDevice{ID: d.id, Weight: d.weight, Spec: d.spec, Chain: d.chain}
 	for _, pc := range d.pairs {
 		pd.Pairs = append(pd.Pairs, pc.persistSnapshot())
 	}
@@ -152,7 +153,8 @@ func (d *dev) persistSnapshot() persistedDevice {
 }
 
 // restore builds a dev from its journal record, with every pair's
-// instrument clock advanced to the fleet's restored virtual time.
+// instrument clock advanced to the fleet's restored virtual time. The
+// history ring is the record's own only for records that carry one.
 func (p persistedDevice) restore(now float64) (*dev, error) {
 	cfg := DeviceConfig{ID: p.ID, Weight: p.Weight, Spec: p.Spec, Chain: p.Chain}
 	pairs, err := buildPairs(&cfg)
@@ -176,10 +178,11 @@ func (p persistedDevice) restore(now float64) (*dev, error) {
 
 // AttachStore restores the manager's state from st — the virtual clock,
 // budget window, fleet-wide counters, and every persisted device with its
-// per-pair staleness scores, cooldown timestamps and history ring — and
-// then keeps st as the journal: every subsequent calibration event is
-// persisted as it happens. Call before the first Tick; restored devices
-// must not collide with ones already registered.
+// per-pair staleness scores and cooldown timestamps, and its history ring
+// rebuilt from the audit log — and then keeps st as the journal: every
+// subsequent calibration event is persisted as it happens. Call before the
+// first Tick; restored devices must not collide with ones already
+// registered.
 func (m *Manager) AttachStore(st *store.Store) error {
 	m.tickMu.Lock()
 	defer m.tickMu.Unlock()
@@ -208,6 +211,7 @@ func (m *Manager) AttachStore(st *store.Store) error {
 		m.skippedBudget = pc.SkippedBudget
 		m.worstStaleness = pc.WorstStaleness
 	}
+	ringless := make(map[string]*dev) // restored devices whose record has no ring
 	for _, rec := range st.Records(store.KindFleetDevice) {
 		var pd persistedDevice
 		if err := json.Unmarshal(rec.Data, &pd); err != nil {
@@ -215,13 +219,14 @@ func (m *Manager) AttachStore(st *store.Store) error {
 		}
 		if len(pd.Pairs) == 0 && pd.Chain == nil {
 			// A pre-chain flat record: its calibration state is the single
-			// implicit pair of a double-dot device.
-			var old legacyDevice
+			// implicit pair of a double-dot device, flat on the record
+			// (migrated on the next save). Its ring decoded into History.
+			var old persistedPair
 			if err := json.Unmarshal(rec.Data, &old); err != nil {
 				return fmt.Errorf("fleet: legacy device record %q: %w", rec.Key, err)
 			}
 			old.Pair = 0
-			pd.Pairs = []persistedPair{old.persistedPair}
+			pd.Pairs = []persistedPair{old}
 		}
 		if _, dup := m.devices[pd.ID]; dup {
 			return fmt.Errorf("fleet: restored device %q collides with a registered one", pd.ID)
@@ -230,18 +235,48 @@ func (m *Manager) AttachStore(st *store.Store) error {
 		if err != nil {
 			return err
 		}
-		// The journal keeps the full event log; the restored in-memory ring
-		// re-applies the current cap.
-		if over := len(d.history) - m.pol.HistoryCap; over > 0 {
+		if pd.History == nil {
+			ringless[pd.ID] = d
+		} else if over := len(d.history) - m.pol.HistoryCap; over > 0 {
+			// The record held the ring under an older cap; re-apply this one.
 			d.history = append([]Event(nil), d.history[over:]...)
 		}
 		m.devices[pd.ID] = d
 		m.order = append(m.order, pd.ID)
 	}
+	m.restoreRings(st, ringless)
 	sort.Strings(m.order)
 	m.restoreModels(st)
 	m.journal = st
 	return nil
+}
+
+// restoreRings rebuilds the history ring of each device in devs from the
+// audit log: the newest HistoryCap events journaled under its ID, oldest
+// first — the tail of what JournalHistory serves. It walks the log newest
+// first and decodes only the events the rings keep. Callers hold m.mu.
+func (m *Manager) restoreRings(st *store.Store, devs map[string]*dev) {
+	open := len(devs)
+	if open == 0 {
+		return
+	}
+	recs := st.Records(store.KindFleetEvent)
+	for i := len(recs) - 1; i >= 0 && open > 0; i-- {
+		d, ok := devs[recs[i].Key]
+		if !ok || len(d.history) >= m.pol.HistoryCap {
+			continue
+		}
+		var ev Event
+		if err := json.Unmarshal(recs[i].Data, &ev); err != nil {
+			continue // JournalHistory skips it too
+		}
+		if d.history = append(d.history, ev); len(d.history) == m.pol.HistoryCap {
+			open--
+		}
+	}
+	for _, d := range devs {
+		slices.Reverse(d.history)
+	}
 }
 
 // restoreModels reattaches persisted surrogate twins ("fleet/<id>/<pair>"
@@ -282,8 +317,11 @@ func (m *Manager) journalStore() *store.Store {
 	return m.journal
 }
 
-// saveDevice persists a device's current state; callers hold d.mu.
-func (m *Manager) saveDevice(d *dev) error {
+// persistDevice journals a device's current state together with the
+// events that produced it, as one store batch, so a crash restores both or
+// neither; callers hold d.mu. A nil journal is a no-op; a journal error is
+// an infrastructure fault that aborts the tick, like an instrument fault.
+func (m *Manager) persistDevice(d *dev, evs []Event) error {
 	st := m.journalStore()
 	if st == nil {
 		return nil
@@ -292,24 +330,16 @@ func (m *Manager) saveDevice(d *dev) error {
 	if err != nil {
 		return fmt.Errorf("fleet: %w", err)
 	}
-	if err := st.Put(store.KindFleetDevice, d.id, data); err != nil {
-		return err
+	recs := make([]store.Record, 1, 1+len(evs))
+	recs[0] = store.Record{Kind: store.KindFleetDevice, Key: d.id, Data: data}
+	for _, ev := range evs {
+		data, err := json.Marshal(ev)
+		if err != nil {
+			return fmt.Errorf("fleet: %w", err)
+		}
+		recs = append(recs, store.Record{Kind: store.KindFleetEvent, Key: d.id, Data: data})
 	}
-	return nil
-}
-
-// saveEvent appends one calibration event to the journal's audit log;
-// callers hold d.mu.
-func (m *Manager) saveEvent(id string, ev Event) error {
-	st := m.journalStore()
-	if st == nil {
-		return nil
-	}
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
-	return st.Put(store.KindFleetEvent, id, data)
+	return st.PutBatch(recs...)
 }
 
 // clockSnapshotLocked marshals the fleet-wide clock and counters; callers

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"github.com/fastvg/fastvg/internal/sched"
@@ -225,5 +226,86 @@ func TestLegacyDeviceRecordMigration(t *testing.T) {
 	// The restored manager keeps running (and re-persists in the new form).
 	if _, err := m.Tick(context.Background(), 300); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParentFormatRecordRestoresRingFromField: device records written
+// before the audit log became the ring's durable copy carry the ring in a
+// "history" field beside "pairs". AttachStore restores the ring from that
+// field, even where the audit log lags it (a kill between the record and
+// its event), trimmed to HistoryCap; once the device journals again its
+// record drops the field and the next restore reads the audit log.
+func TestParentFormatRecordRestoresRingFromField(t *testing.T) {
+	src := New(sched.New(1), Policy{CheckInterval: 1800})
+	if _, err := src.Register(wanderingSpec(t, 2)); err != nil {
+		t.Fatal(err)
+	}
+	runTicks(t, src, 13, 300) // initial calibration, then a spot-check
+	d := src.devices["wander"]
+	if len(d.history) < 2 {
+		t.Fatalf("want at least 2 events to persist, got %d", len(d.history))
+	}
+	old := d.persistSnapshot()
+	old.History = append([]Event(nil), d.history...)
+	rec, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := src.clockSnapshotLocked()
+
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(store.KindFleetClock, "", clock); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(store.KindFleetDevice, "wander", rec); err != nil {
+		t.Fatal(err)
+	}
+	// The audit log misses the newest event, as after a kill between the
+	// parent format's two appends.
+	for _, ev := range old.History[:len(old.History)-1] {
+		data, _ := json.Marshal(ev)
+		if err := st.Put(store.KindFleetEvent, "wander", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	capped := len(old.History) - 1
+	m := New(sched.New(1), Policy{CheckInterval: 1800, HistoryCap: capped})
+	if err := m.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+	ring, _ := m.History("wander")
+	if !slices.Equal(ring, old.History[1:]) {
+		t.Fatalf("ring = %+v, want the field's newest %d events %+v", ring, capped, old.History[1:])
+	}
+	if dv, _ := m.Device("wander"); dv.Staleness != old.History[len(old.History)-1].Staleness {
+		t.Fatalf("restored staleness %v, want the newest event's %v", dv.Staleness, old.History[len(old.History)-1].Staleness)
+	}
+
+	// Journaling again rewrites the record without the ring.
+	if _, err := m.ForceRecalibrate(context.Background(), "wander"); err != nil {
+		t.Fatal(err)
+	}
+	data, _ := st.Get(store.KindFleetDevice, "wander")
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["history"]; ok {
+		t.Fatal("re-journaled device record still carries its ring")
+	}
+	m2 := New(sched.New(1), Policy{CheckInterval: 1800, HistoryCap: capped})
+	if err := m2.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	jh, _ := m2.JournalHistory("wander")
+	ring2, _ := m2.History("wander")
+	if !slices.Equal(ring2, jh[len(jh)-capped:]) {
+		t.Fatalf("ring after migration = %+v, want the audit log's newest %d of %+v", ring2, capped, jh)
 	}
 }

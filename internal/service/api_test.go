@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -385,17 +386,34 @@ func TestAPIHealthzAndClose(t *testing.T) {
 	}
 }
 
-// TestAPIUnencodableReplyIs500: an answer JSON cannot carry — here a query
-// result echoing a non-finite window — is a 500 with an error body, not
-// the intended 200 with an empty one.
+// TestAPIUnencodableReplyIs500: a reply JSON cannot carry — here a NaN —
+// is a 500 with an error body, not the intended status with an empty one.
 func TestAPIUnencodableReplyIs500(t *testing.T) {
-	_, srv := newTestServer(t)
+	w := httptest.NewRecorder()
+	Reply(w, http.StatusOK, map[string]float64{"value": math.NaN()})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("NaN reply: %d %q, want 500", w.Code, w.Body.String())
+	}
 	var body struct {
 		Error string `json:"error"`
 	}
-	doJSON(t, "GET", srv.URL+"/v1/query?fn=last&series=vgx_service_cache_entries&window=inf",
-		nil, http.StatusInternalServerError, &body)
-	if body.Error == "" {
-		t.Fatal("500 reply carries no error message")
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body.Error == "" {
+		t.Fatalf("500 body %q is not a JSON error (%v)", w.Body.String(), err)
+	}
+}
+
+// TestAPIQueryRejectsNonFinite: strconv.ParseFloat accepts "inf" and
+// "nan", but a query result echoes its window and quantile, so non-finite
+// ones are a 400 with an error body.
+func TestAPIQueryRejectsNonFinite(t *testing.T) {
+	_, srv := newTestServer(t)
+	for _, q := range []string{"fn=last&series=vgx_service_cache_entries&window=inf", "fn=last&series=vgx_service_cache_entries&q=nan"} {
+		var body struct {
+			Error string `json:"error"`
+		}
+		doJSON(t, "GET", srv.URL+"/v1/query?"+q, nil, http.StatusBadRequest, &body)
+		if body.Error == "" {
+			t.Fatalf("%s: 400 reply carries no error message", q)
+		}
 	}
 }

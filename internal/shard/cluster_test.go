@@ -545,21 +545,23 @@ func TestMergedMetricsAndQuery(t *testing.T) {
 	}
 }
 
-// TestRouterUnencodableReplyIs500: the router answers through the shard's
-// encoder, so a merged query result echoing a non-finite window is a 500
-// with an error body, not an empty 200.
-func TestRouterUnencodableReplyIs500(t *testing.T) {
+// TestRouterQueryRejectsNonFinite: a merged query result echoes its
+// window and quantile, so the router answers a non-finite one with a 400
+// and an error body, like a shard does.
+func TestRouterQueryRejectsNonFinite(t *testing.T) {
 	c := newTestCluster(t, Config{Shards: 2, Base: service.Config{Workers: 1, ScrapeInterval: -1}})
-	r := httptest.NewRequest("GET", "/v1/query?fn=last&series=vgx_service_cache_entries&window=inf", nil)
-	w := httptest.NewRecorder()
-	c.Handler().ServeHTTP(w, r)
-	if w.Code != http.StatusInternalServerError {
-		t.Fatalf("/v1/query?window=inf: %d %q, want 500", w.Code, w.Body.String())
-	}
-	var body struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body.Error == "" {
-		t.Fatalf("500 body %q is not a JSON error (%v)", w.Body.String(), err)
+	for _, q := range []string{"fn=last&series=vgx_service_cache_entries&window=inf", "fn=last&series=vgx_service_cache_entries&q=nan"} {
+		r := httptest.NewRequest("GET", "/v1/query?"+q, nil)
+		w := httptest.NewRecorder()
+		c.Handler().ServeHTTP(w, r)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("/v1/query?%s: %d %q, want 400", q, w.Code, w.Body.String())
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body.Error == "" {
+			t.Fatalf("400 body %q is not a JSON error (%v)", w.Body.String(), err)
+		}
 	}
 }

@@ -600,6 +600,9 @@ func (c *Cluster) fleetStatus() fleet.Status {
 // answers: each shard's series gain a {shard="i"} label, AtS is the
 // newest evaluation instant. fn=range dumps merge the same way.
 func (c *Cluster) query(q tsdb.Query) (tsdb.Result, error) {
+	if err := q.Validate(); err != nil {
+		return tsdb.Result{}, err // even with no live shard to reject it
+	}
 	out := tsdb.Result{Fn: q.Fn, Series: q.Series, WindowS: q.WindowS, Q: q.Q}
 	var firstErr error
 	c.each(func(i int, svc *service.Service) {

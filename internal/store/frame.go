@@ -11,10 +11,13 @@
 //
 // Both start with a 4-byte magic and a little-endian uint32 format version,
 // followed by frames of [uint32 length | uint32 CRC-32C | payload]. A record
-// payload is [1 byte kind | uvarint key length | key | data]. Recovery
+// payload is [1 byte kind | uvarint key length | key | data]; a batch
+// (Store.PutBatch) is one such record whose data holds several
+// length-prefixed record payloads under the frame's single CRC. Recovery
 // truncates a torn tail — a partial or CRC-failing trailing frame, the
 // signature of a crash mid-append — instead of failing, so a restarted
-// daemon always loads the longest clean prefix.
+// daemon always loads the longest clean prefix, and a batch loads whole or
+// not at all.
 package store
 
 import (
@@ -85,6 +88,14 @@ func AppendFrame(buf, payload []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
 	return append(buf, payload...)
+}
+
+// sealFrame completes a frame encoded in place — a frameHeaderLen
+// placeholder followed by the payload — by filling in its header.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
 }
 
 // NextFrame decodes the first frame of b, returning its payload and the
@@ -172,4 +183,40 @@ func decodeRecordPayload(p []byte) (Record, error) {
 	}
 	body := p[1+n:]
 	return Record{Kind: kind, Key: string(body[:keyLen]), Data: body[keyLen:]}, nil
+}
+
+// appendBatchPayload encodes recs as one kindBatch record payload: an
+// empty key, then each member as a uvarint length and its record payload.
+func appendBatchPayload(buf []byte, recs []Record) []byte {
+	buf = append(buf, byte(kindBatch), 0)
+	var tmp [binary.MaxVarintLen64]byte
+	for _, rec := range recs {
+		n := 1 + binary.PutUvarint(tmp[:], uint64(len(rec.Key))) + len(rec.Key) + len(rec.Data)
+		buf = binary.AppendUvarint(buf, uint64(n))
+		buf = appendRecordPayload(buf, rec)
+	}
+	return buf
+}
+
+// decodeBatch splits a kindBatch record's data into its members. A member
+// that does not decode, or one of the store's internal kinds, makes the
+// whole batch corrupt. The returned records alias data.
+func decodeBatch(data []byte) ([]Record, error) {
+	var recs []Record
+	for len(data) > 0 {
+		n, k := binary.Uvarint(data)
+		if k <= 0 || n > uint64(len(data)-k) {
+			return nil, fmt.Errorf("%w: batch member length", ErrTorn)
+		}
+		rec, err := decodeRecordPayload(data[k : k+int(n)])
+		if err != nil {
+			return nil, err
+		}
+		if rec.Kind.internal() {
+			return nil, fmt.Errorf("%w: batch member of internal kind %d", ErrTorn, rec.Kind)
+		}
+		recs = append(recs, rec)
+		data = data[k+int(n):]
+	}
+	return recs, nil
 }

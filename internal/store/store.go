@@ -36,14 +36,23 @@ const kindEpoch Kind = 0
 // are tombstoned in the source so exactly one shard owns each key.
 const kindTombstone Kind = 255
 
+// kindBatch is the store's internal group marker: the frame data is the
+// member records written by one PutBatch, each a uvarint length followed
+// by a record payload, all under the frame's one CRC. Open applies a
+// batch's members all together or not at all; compaction writes them as
+// ordinary records, so batches live only in the log.
+const kindBatch Kind = 254
+
 // The record kinds the repository persists.
 const (
 	// KindCacheEntry is one extraction-service result-cache entry; the key
 	// is the canonical request hash, the data a service cacheRecord (the
 	// normalized request plus its result).
 	KindCacheEntry Kind = 1
-	// KindFleetDevice is one fleet device's full calibration state, keyed by
-	// device ID.
+	// KindFleetDevice is one fleet device's per-pair calibration state,
+	// keyed by device ID. Its history ring is not in it: the ring restores
+	// from the device's newest KindFleetEvent records, which the fleet
+	// journals in the same batch as the state they produced.
 	KindFleetDevice Kind = 2
 	// KindFleetClock is the fleet manager's clock, budget window and
 	// fleet-wide counters; the key is empty.
@@ -78,6 +87,10 @@ const (
 // instead of superseding by key.
 func (k Kind) Audit() bool { return k == KindFleetEvent || k == KindAlertEvent }
 
+// internal reports whether k is one of the store's own frame kinds, which
+// callers cannot write as records.
+func (k Kind) internal() bool { return k == kindEpoch || k == kindBatch || k == kindTombstone }
+
 // Record is one journal entry.
 type Record struct {
 	Kind Kind
@@ -88,7 +101,8 @@ type Record struct {
 // Options tunes a Store; the zero value is production-reasonable.
 type Options struct {
 	// CompactEvery is the number of appended records between automatic
-	// compactions (snapshot rewrite + log truncation); default 4096.
+	// compactions (snapshot rewrite + log truncation); default 4096. Each
+	// member of a batch counts as one record.
 	CompactEvery int
 	// AuditCap bounds the retained records of each audit kind; default 65536.
 	AuditCap int
@@ -129,9 +143,10 @@ type kindState struct {
 }
 
 // Store is a durable record journal. All methods are safe for concurrent
-// use. Appends go straight to the log file (one write syscall per record, no
-// user-space buffering), so a killed process loses at most the record being
-// written when it died — and recovery truncates that torn tail.
+// use. Appends go straight to the log file (one write syscall per Put,
+// Delete or PutBatch, no user-space buffering), so a killed process loses
+// at most the append being written when it died — one record, or one
+// whole batch — and recovery truncates that torn tail.
 type Store struct {
 	dir string
 	opt Options
@@ -216,7 +231,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := s.loadFile(s.logPath(), true); err != nil {
 		return nil, err
 	}
-	s.stats.LoadedRecords = s.liveCount()
+	s.stats.LoadedRecords = s.liveLocked()
 
 	f, err := os.OpenFile(s.logPath(), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -297,18 +312,29 @@ func (s *Store) loadFile(path string, isLog bool) error {
 			break
 		}
 		rec, err := decodeRecordPayload(payload)
+		var members []Record
+		if err == nil && rec.Kind == kindBatch {
+			members, err = decodeBatch(rec.Data)
+		}
 		if err != nil {
-			// A frame that passed its CRC but does not decode is corruption,
-			// not a torn append; treat it like a torn tail all the same so a
-			// restart never fails on it.
+			// A frame that passed its CRC but does not decode — a record, or
+			// any member of a batch — is corruption, not a torn append; treat
+			// it like a torn tail all the same so a restart never fails on
+			// it, and a batch never half-applies.
 			torn = int64(len(rest))
 			break
 		}
-		if rec.Kind == kindEpoch {
+		switch rec.Kind {
+		case kindEpoch:
 			if e, n := binary.Uvarint(rec.Data); n > 0 && good == int64(fileHeaderLen) {
 				fileEpoch = e
 			}
-		} else {
+		case kindBatch:
+			for _, m := range members {
+				m.Data = append([]byte(nil), m.Data...)
+				recs = append(recs, m)
+			}
+		default:
 			rec.Data = append([]byte(nil), rec.Data...)
 			recs = append(recs, rec)
 		}
@@ -447,62 +473,73 @@ func (s *Store) Delete(kind Kind, key string) error {
 	if !present {
 		return nil
 	}
-	data := append([]byte{byte(kind)}, key...)
-	rec := Record{Kind: kindTombstone, Data: data}
-	s.buf = s.buf[:0]
-	s.buf = AppendFrame(s.buf, appendRecordPayload(nil, rec))
-	if _, err := s.log.Write(s.buf); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.logSize += int64(len(s.buf))
-	s.applyDelete(kind, key)
-	s.stats.Appends++
-	s.pending++
-	if s.met != nil {
-		s.met.Appends.Inc()
-		s.met.LogBytes.Set(float64(s.logSize))
-		s.met.Records.Set(float64(s.liveLocked()))
-	}
-	if s.pending >= s.opt.CompactEvery {
-		return s.compactLocked()
-	}
-	return nil
-}
-
-func (s *Store) liveCount() int {
-	n := 0
-	for _, ks := range s.kinds {
-		n += len(ks.entries) - ks.dead
-	}
-	return n
+	return s.appendLocked(Record{Kind: kindTombstone, Data: append([]byte{byte(kind)}, key...)})
 }
 
 // Put appends one record to the journal and merges it into the in-memory
 // state. The data is copied. Every CompactEvery appends the store compacts
 // automatically.
 func (s *Store) Put(kind Kind, key string, data []byte) error {
+	return s.PutBatch(Record{Kind: kind, Key: key, Data: data})
+}
+
+// PutBatch appends recs to the journal as one frame — one CRC, one write —
+// and merges them into the in-memory state in order. Open replays a batch
+// all or nothing, so a crash mid-write loses every member, never some.
+// Each member counts as one append toward Stats.Appends and CompactEvery,
+// and compaction rewrites the members as ordinary records. The data is
+// copied; an empty batch writes nothing.
+func (s *Store) PutBatch(recs ...Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	own := make([]Record, len(recs))
+	for i, rec := range recs {
+		if rec.Kind.internal() {
+			return fmt.Errorf("store: kind %d is reserved", rec.Kind)
+		}
+		own[i] = Record{Kind: rec.Kind, Key: rec.Key, Data: append([]byte(nil), rec.Data...)}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errors.New("store: closed")
 	}
+	return s.appendLocked(own...)
+}
+
+// appendLocked writes recs to the log as one frame — a plain record frame
+// for one record, a kindBatch frame for several — then merges them into
+// the in-memory state. recs must not alias caller memory. Caller holds mu
+// on an open store.
+func (s *Store) appendLocked(recs ...Record) error {
 	var start time.Time
 	if s.met != nil {
 		start = time.Now()
 	}
-	rec := Record{Kind: kind, Key: key, Data: append([]byte(nil), data...)}
-	s.buf = s.buf[:0]
-	s.buf = AppendFrame(s.buf, appendRecordPayload(nil, rec))
+	// Encode the payload in place behind a header placeholder, then seal.
+	s.buf = append(s.buf[:0], make([]byte, frameHeaderLen)...)
+	if len(recs) == 1 {
+		s.buf = appendRecordPayload(s.buf, recs[0])
+	} else {
+		s.buf = appendBatchPayload(s.buf, recs)
+	}
+	if n := len(s.buf) - frameHeaderLen; n > MaxFramePayload {
+		return fmt.Errorf("store: %d-byte frame exceeds the %d-byte limit", n, MaxFramePayload)
+	}
+	sealFrame(s.buf)
 	if _, err := s.log.Write(s.buf); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.logSize += int64(len(s.buf))
-	s.apply(rec)
-	s.stats.Appends++
-	s.pending++
+	for _, rec := range recs {
+		s.apply(rec)
+	}
+	s.stats.Appends += int64(len(recs))
+	s.pending += len(recs)
 	if s.met != nil {
 		s.met.AppendSeconds.Observe(time.Since(start).Seconds())
-		s.met.Appends.Inc()
+		s.met.Appends.Add(int64(len(recs)))
 		s.met.LogBytes.Set(float64(s.logSize))
 		s.met.Records.Set(float64(s.liveLocked()))
 	}
@@ -674,7 +711,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Records = s.liveCount()
+	st.Records = s.liveLocked()
 	st.LogBytes = s.logSize
 	return st
 }

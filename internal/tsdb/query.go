@@ -89,21 +89,36 @@ type Result struct {
 	Range   []SeriesDump  `json:"range,omitempty"`
 }
 
-// Query evaluates q against the database. An unknown function or empty
-// selector is an error; a selector matching nothing returns an empty
-// result (the series may simply not have been scraped yet).
-func (db *DB) Query(q Query) (*Result, error) {
+// Validate rejects a query no database can answer: an empty selector, an
+// unknown function, a negative window, or a NaN or infinite window or
+// quantile. Q is checked whatever the function, because every result
+// echoes it and JSON cannot carry a non-finite number.
+func (q Query) Validate() error {
 	if q.Series == "" {
-		return nil, fmt.Errorf("tsdb: query needs a series selector")
+		return fmt.Errorf("tsdb: query needs a series selector")
+	}
+	if math.IsNaN(q.WindowS) || math.IsInf(q.WindowS, 0) {
+		return fmt.Errorf("tsdb: non-finite window %v", q.WindowS)
 	}
 	if q.WindowS < 0 {
-		return nil, fmt.Errorf("tsdb: negative window %v", q.WindowS)
+		return fmt.Errorf("tsdb: negative window %v", q.WindowS)
+	}
+	if math.IsNaN(q.Q) || math.IsInf(q.Q, 0) {
+		return fmt.Errorf("tsdb: non-finite quantile %v", q.Q)
 	}
 	switch q.Fn {
-	case FnLast, FnAvg, FnMin, FnMax, FnSum, FnRate, FnRange:
-	case FnQuantile:
-	default:
-		return nil, fmt.Errorf("tsdb: unknown query fn %q", q.Fn)
+	case FnLast, FnAvg, FnMin, FnMax, FnSum, FnRate, FnRange, FnQuantile:
+		return nil
+	}
+	return fmt.Errorf("tsdb: unknown query fn %q", q.Fn)
+}
+
+// Query evaluates q against the database. A query Validate rejects is an
+// error; a selector matching nothing returns an empty result (the series
+// may simply not have been scraped yet).
+func (db *DB) Query(q Query) (*Result, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
 	}
 
 	db.mu.Lock()

@@ -137,6 +137,27 @@ func TestQueryFunctions(t *testing.T) {
 	}
 }
 
+// A NaN or infinite window or quantile is rejected for every function:
+// every result echoes both, and JSON has no spelling for them.
+func TestQueryRejectsNonFinite(t *testing.T) {
+	reg, _, _, _ := testRegistry()
+	db := New(reg, Options{Capacity: 16})
+	db.Scrape(10)
+	for _, fn := range []string{FnLast, FnAvg, FnMin, FnMax, FnSum, FnRate, FnQuantile, FnRange} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, err := db.Query(Query{Fn: fn, Series: "vgx_test_seconds", WindowS: bad}); err == nil {
+				t.Errorf("fn=%s window=%v accepted", fn, bad)
+			}
+			if _, err := db.Query(Query{Fn: fn, Series: "vgx_test_seconds", Q: bad}); err == nil {
+				t.Errorf("fn=%s q=%v accepted", fn, bad)
+			}
+		}
+		if _, err := db.Query(Query{Fn: fn, Series: "vgx_test_seconds", WindowS: 60, Q: 0.5}); err != nil {
+			t.Errorf("fn=%s finite query rejected: %v", fn, err)
+		}
+	}
+}
+
 func TestQueryLabelledSelector(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cv := reg.CounterVec("vgx_test_kinds_total", "k", "kind")
