@@ -8,6 +8,7 @@ package fitting
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -42,41 +43,119 @@ func LinearFit(pts []Vec2) (a, b float64, err error) {
 // TheilSen returns a robust (intercept, slope) estimate: the median of all
 // pairwise slopes and the median of the per-point intercepts. It tolerates
 // up to ~29% outliers, which is what the sweeps' erroneous points demand.
+// One buffer, sized up front, holds the slopes and then the intercepts;
+// both medians are taken in place by selection.
 func TheilSen(pts []Vec2) (a, b float64, err error) {
-	if len(pts) < 2 {
+	n := len(pts)
+	if n < 2 {
 		return 0, 0, errors.New("fitting: need at least 2 points")
 	}
-	var slopes []float64
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
+	buf := make([]float64, max(n*(n-1)/2, n))
+	m := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
 			dx := pts[j].X - pts[i].X
 			if dx == 0 {
 				continue
 			}
-			slopes = append(slopes, (pts[j].Y-pts[i].Y)/dx)
+			buf[m] = (pts[j].Y - pts[i].Y) / dx
+			m++
 		}
 	}
-	if len(slopes) == 0 {
+	if m == 0 {
 		return 0, 0, errors.New("fitting: all points share one x value")
 	}
-	b = median(slopes)
-	inters := make([]float64, len(pts))
+	b = medianInPlace(buf[:m])
+	inters := buf[:n]
 	for i, p := range pts {
 		inters[i] = p.Y - b*p.X
 	}
-	a = median(inters)
+	a = medianInPlace(inters)
 	return a, b, nil
 }
 
+// median returns the median of xs without reordering it.
 func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	return medianInPlace(append([]float64(nil), xs...))
+}
+
+// medianInPlace returns the median of s in sort.Float64s order (NaN
+// first), reordering s: the middle value, or the mean of the two middle
+// values for even lengths, exactly as picking them from the sorted slice
+// would give (up to the sign of a zero, which a sort leaves to its swap
+// order too).
+func medianInPlace(s []float64) float64 {
 	n := len(s)
+	k := n / 2
+	selectKth(s, k, 2*bits.Len(uint(n)))
 	if n%2 == 1 {
-		return s[n/2]
+		return s[k]
+	}
+	// s[:k] holds the k smallest values; the largest of them is the lower
+	// middle.
+	lo := s[0]
+	for _, x := range s[1:k] {
+		if less(lo, x) {
+			lo = x
+		}
 	}
 	// Averaged as halves so two huge same-sign middles cannot overflow.
-	return 0.5*s[n/2-1] + 0.5*s[n/2]
+	return 0.5*lo + 0.5*s[k]
+}
+
+// less is sort.Float64s's order: ascending, with NaN before every number.
+func less(x, y float64) bool { return x < y || (x != x && y == y) }
+
+// selectKth reorders s so that s[k] holds the value sort.Float64s would
+// put there, no value before it orders after it and none after it orders
+// before it. It runs Hoare partition rounds around a median-of-three pivot
+// and, so that an adversarial input cannot make it quadratic, sorts what
+// is left once the given number of rounds is spent.
+func selectKth(s []float64, k, rounds int) {
+	lo, hi := 0, len(s)-1
+	for ; hi > lo; rounds-- {
+		if rounds <= 0 {
+			sort.Float64s(s[lo : hi+1])
+			return
+		}
+		// Median of three at lo, mid, hi; the pivot value lands at mid and
+		// the outer two act as sentinels for the scans.
+		mid := lo + (hi-lo)/2
+		if less(s[mid], s[lo]) {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if less(s[hi], s[mid]) {
+			s[hi], s[mid] = s[mid], s[hi]
+			if less(s[mid], s[lo]) {
+				s[mid], s[lo] = s[lo], s[mid]
+			}
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for less(s[i], pivot) {
+				i++
+			}
+			for less(pivot, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo:j+1] orders at or before the pivot, s[i:hi+1] at or after
+		// it, and anything between equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // ParamLine is a line in point-direction form, robust to vertical slopes.

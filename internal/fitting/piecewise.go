@@ -31,7 +31,8 @@ func segSlope(a, b Vec2) float64 {
 // segments. Using geometric distance (rather than vertical residuals) keeps
 // the fit well-conditioned on the near-vertical steep segment.
 func (p Polyline2) Dist(q Vec2) float64 {
-	return math.Min(segDist(q, p.A, p.K), segDist(q, p.B, p.K))
+	// The builtin min has math.Min's NaN and signed-zero rules, inlined.
+	return min(segDist(q, p.A, p.K), segDist(q, p.B, p.K))
 }
 
 // segDist is the distance from q to segment ab.
@@ -81,9 +82,15 @@ func FitKnee(points []Vec2, a, b, init Vec2) (FitKneeResult, error) {
 	if err != nil {
 		xLM = x0
 	}
+	// The same sum as dot(resid(x), resid(x)), without the residual vector.
 	obj := func(x []float64) float64 {
-		r := resid(x)
-		return dot(r, r)
+		model := Polyline2{A: a, K: Vec2{x[0], x[1]}, B: b}
+		var s float64
+		for _, p := range points {
+			d := model.Dist(p)
+			s += d * d
+		}
+		return s
 	}
 	xNM, _, err := NelderMead(obj, xLM, NMOptions{Step: 2})
 	if err != nil {

@@ -93,3 +93,27 @@ func BenchmarkInfoGainCurve(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInfoGainExtract is the scheduler's per-layer cost: one cold
+// extraction on the default 100×100 double-dot window under standard noise.
+// The window is acquired once up front, so the timed loop runs the
+// posterior math (seeding, candidate scoring, updates, refinement) and
+// none of the probe physics.
+func BenchmarkInfoGainExtract(b *testing.B) {
+	inst, win, _ := buildDefault(b, noise.PresetStandard(), 1)
+	g, err := csd.Acquire(inst, win)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := csd.GridSource{G: g}
+	var probes int
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := Extract(src, win, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		probes = res.SeedProbes + res.ActiveProbes
+	}
+	b.ReportMetric(float64(probes), "probes")
+}

@@ -3,6 +3,7 @@ package infogain
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/fastvg/fastvg/internal/csd"
@@ -251,5 +252,22 @@ func TestObserveRefineAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("observe step allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestNewSchedulerBoundsHistory: the probe history is sized by the window,
+// not the budget — active probes never revisit a cell — so a huge
+// MaxProbes costs no more memory than the window allows.
+func TestNewSchedulerBoundsHistory(t *testing.T) {
+	_, win, _ := buildDefault(t, noise.Params{}, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewScheduler(win, Config{MaxProbes: 1 << 40})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("NewScheduler with MaxProbes 1<<40 allocated %d bytes, want < 1 MiB", got)
+	}
+	if want := win.Cols*win.Rows + 128; cap(s.steep.hu) != want || cap(s.shallow.hb) != want {
+		t.Fatalf("history capacity %d/%d, want %d", cap(s.steep.hu), cap(s.shallow.hb), want)
 	}
 }

@@ -15,11 +15,13 @@ import (
 //
 // Weights are stored off-fastest: w[(jb·Nslope+js)·Noff + jo]. Because the
 // predicted label at fixed (slope, bend) is monotone in the offset, a
-// probe splits each (bend, slope) row of the grid at one index — found by
-// binary search over the sorted offsets — and per-row prefix sums make
-// both the Bernoulli update and the expected-variance scoring O(rows·log
-// Noff) instead of O(H) per candidate. All buffers are allocated once in
-// init; the probe hot path allocates nothing.
+// probe splits each (bend, slope) row of the grid at one index. The offset
+// grid is a uniform linspace, so that index is read off the grid spacing
+// and then corrected against the stored offsets (searchGrid, fixIndex),
+// which keeps it equal to a binary search at O(1) per row. Per-row prefix
+// sums then make the expected-variance scoring O(rows) instead of O(H) per
+// candidate. All buffers are allocated once in init; the probe hot path
+// allocates nothing.
 type posterior struct {
 	name  string
 	xIsU  bool // cell(u,v) = (u,v) when true (shallow line), (v,u) otherwise
@@ -46,6 +48,7 @@ type posterior struct {
 	seedN      int // samples recorded in scanV/scanC
 
 	offs, slopes, bends []float64
+	offInv              float64   // 1/spacing of offs, 0 for a one-point grid
 	w                   []float64 // hypothesis weights, normalised to 1
 	pw                  []float64 // per-row prefix sums of w: pw[row*(noff+1)+k]
 	rowW, rowWo, rowWoo []float64 // per-row Σw, Σw·off, Σw·off²
@@ -108,7 +111,10 @@ func (p *posterior) init(cfg *Config, uLim, vLim int) {
 	p.rowWoo = make([]float64, p.nrows)
 	p.rowSlope = make([]float64, p.nrows)
 	p.base = make([]float64, p.nrows)
-	cap := cfg.MaxProbes + 128
+	// Active probes never revisit a cell, so a line records at most one
+	// seed scan (≤ 64 samples) plus one probe per window cell: sizing by the
+	// window keeps a huge MaxProbes from pre-allocating gigabytes.
+	cap := min(max(cfg.MaxProbes, 0), uLim*vLim) + 128
 	p.hu = make([]int32, 0, cap)
 	p.hv = make([]int32, 0, cap)
 	p.hb = make([]bool, 0, cap)
@@ -148,6 +154,10 @@ func (p *posterior) setGrids(offLo, offHi, sLo, sHi, bLo, bHi float64) {
 	bLo = math.Max(bLo, bendMin)
 	bHi = math.Min(bHi, bendMax)
 	linspace(p.offs, offLo, offHi)
+	p.offInv = 0
+	if p.noff > 1 {
+		p.offInv = float64(p.noff-1) / (offHi - offLo)
+	}
 	linspace(p.slopes, sLo, sHi)
 	linspace(p.bends, bLo, bHi)
 	for jb := range p.bends {
@@ -167,6 +177,31 @@ func linspace(dst []float64, lo, hi float64) {
 	for i := range dst {
 		dst[i] = lo + float64(i)*step
 	}
+}
+
+// searchGrid returns sort.SearchFloat64s(xs, x) — the first index whose
+// value is ≥ x, or len(xs) when none is (NaN included) — for an ascending
+// grid laid out by linspace with inv = 1/spacing (0 for one point). The
+// spacing gives the guess and fixIndex makes it exact; a guess from an
+// infinite or NaN x converts to an arbitrary int, which fixIndex clamps.
+func searchGrid(xs []float64, inv, x float64) int {
+	return fixIndex(xs, int((x-xs[0])*inv)+1, x)
+}
+
+// fixIndex moves a guess k to sort.SearchFloat64s(xs, x) for ascending xs:
+// it clamps k to [0, len(xs)], then steps it to the exact boundary against
+// the stored values. Any guess gives the exact answer; a good one (off by
+// at most one, as the grid spacing gives) costs two comparisons.
+func fixIndex(xs []float64, k int, x float64) int {
+	n := len(xs)
+	k = max(0, min(k, n))
+	for k > 0 && xs[k-1] >= x {
+		k--
+	}
+	for k < n && !(xs[k] >= x) {
+		k++
+	}
+	return k
 }
 
 func (p *posterior) resetUniform() {
@@ -208,12 +243,12 @@ func (p *posterior) observe(u, v int, bright bool) {
 
 // apply multiplies in one probe's Bernoulli likelihood without
 // renormalising. A hypothesis predicts bright iff v < off + base, i.e.
-// iff off > v − base, so each row splits at one binary-searched index.
+// iff off > v − base, so each row splits at one index.
 func (p *posterior) apply(u, v int, bright bool) {
 	p.fillBase(u)
 	hit, miss := 1-p.eps, p.eps
 	for row := 0; row < p.nrows; row++ {
-		k := sort.SearchFloat64s(p.offs, float64(v)-p.base[row])
+		k := searchGrid(p.offs, p.offInv, float64(v)-p.base[row])
 		ws := p.w[row*p.noff : (row+1)*p.noff]
 		// offs[:k] predict dark, offs[k:] predict bright.
 		darkF, brightF := hit, miss
@@ -246,15 +281,15 @@ func (p *posterior) rebuild() {
 	p.mBend, p.mBend2 = 0, 0
 	for row := 0; row < p.nrows; row++ {
 		ws := p.w[row*p.noff : (row+1)*p.noff]
-		ps := p.pw[row*(p.noff+1):]
+		ps := p.pw[row*(p.noff+1) : (row+1)*(p.noff+1)]
 		ps[0] = 0
 		var rw, rwo, rwoo float64
 		for i, x := range ws {
 			x *= inv
 			ws[i] = x
-			ps[i+1] = ps[i] + x
-			o := p.offs[i]
 			rw += x
+			ps[i+1] = rw // the running row sum is the prefix sum
+			o := p.offs[i]
 			rwo += x * o
 			rwoo += x * o * o
 		}
@@ -400,6 +435,8 @@ func (p *posterior) bestCandidate(s *Scheduler) (bu, bv int, gain float64, ok bo
 	// other line falls toward it.
 	uMax := clampInt(int(0.85*other.meanOff()), 2, p.uLim-1)
 
+	var vs [len(candSigma)]int
+	var scores [len(candSigma)]float64
 	bestScore := math.Inf(-1)
 	lastU := -1
 	for _, f := range candFracs {
@@ -423,6 +460,7 @@ func (p *posterior) bestCandidate(s *Scheduler) (bu, bv int, gain float64, ok bo
 		if max := float64(p.vLim) / 3; sigma > max {
 			sigma = max
 		}
+		n := 0
 		lastV := -1
 		for _, k := range candSigma {
 			v := clampInt(int(math.Round(mean+k*sigma)), 0, p.vLim-1)
@@ -430,12 +468,15 @@ func (p *posterior) bestCandidate(s *Scheduler) (bu, bv int, gain float64, ok bo
 				continue
 			}
 			lastV = v
-			x, y := p.cell(u, v)
-			if s.wasProbed(x, y) {
-				continue
+			if x, y := p.cell(u, v); !s.wasProbed(x, y) {
+				vs[n] = v
+				n++
 			}
-			if sc := p.score(v); sc > bestScore {
-				bestScore, bu, bv, ok = sc, u, v, true
+		}
+		p.scoreLine(vs[:n], scores[:n])
+		for i, sc := range scores[:n] {
+			if sc > bestScore {
+				bestScore, bu, bv, ok = sc, u, vs[i], true
 			}
 		}
 	}
@@ -448,28 +489,46 @@ func (p *posterior) bestCandidate(s *Scheduler) (bu, bv int, gain float64, ok bo
 	return bu, bv, gain, ok
 }
 
-// score computes, for a candidate at the scan line whose bases are already
-// in p.base, the quantity Nb²/Zb + Nd²/Zd — equivalent (up to the fixed
-// total second moment) to the negated expected posterior variance of the
-// matrix entry after observing the probe's binary outcome. Larger is
-// better: the best probe is the one whose answer best splits the
-// hypothesis set.
-func (p *posterior) score(v int) float64 {
-	var wd, sd float64 // dark-predicted mass and slope moment
-	for row := 0; row < p.nrows; row++ {
-		k := sort.SearchFloat64s(p.offs, float64(v)-p.base[row])
-		m := p.pw[row*(p.noff+1)+k]
-		wd += m
-		sd += m * p.rowSlope[row]
+// scoreLine scores candidates vs (at most len(candSigma)) on the scan line
+// whose bases are already in p.base into out. A candidate's score is
+// Nb²/Zb + Nd²/Zd — equivalent (up to the fixed total second moment) to
+// the negated expected posterior variance of the matrix entry after
+// observing the probe's binary outcome. Larger is better: the best probe
+// is the one whose answer best splits the hypothesis set. One pass over
+// the rows serves every candidate; each candidate's sums still accumulate
+// in row order.
+func (p *posterior) scoreLine(vs []int, out []float64) {
+	var wd, sd [len(candSigma)]float64 // dark-predicted mass and slope moment
+	// fv holds the candidates' crossings as floats and tv their positions
+	// in offset-grid steps, so a row's split guess for candidate i is
+	// tv[i] − tb with one subtraction; fixIndex makes it exact.
+	var fv, tv [len(candSigma)]float64
+	offs, inv := p.offs, p.offInv
+	for i, v := range vs {
+		fv[i] = float64(v)
+		tv[i] = (fv[i]-offs[0])*inv + 1
 	}
-	wb := 1 - wd
-	sb := p.mSlope - sd
+	stride := p.noff + 1
+	for row := 0; row < p.nrows; row++ {
+		base, slope := p.base[row], p.rowSlope[row]
+		tb := base * inv
+		pw := p.pw[row*stride : (row+1)*stride]
+		for i := range vs {
+			m := pw[fixIndex(offs, int(tv[i]-tb), fv[i]-base)]
+			wd[i] += m
+			sd[i] += m * slope
+		}
+	}
 	hit, miss := 1-p.eps, p.eps
-	zb := hit*wb + miss*wd
-	zd := hit*wd + miss*wb
-	nb := hit*sb + miss*sd
-	nd := hit*sd + miss*sb
-	return nb*nb/zb + nd*nd/zd
+	for i := range vs {
+		wb := 1 - wd[i]
+		sb := p.mSlope - sd[i]
+		zb := hit*wb + miss*wd[i]
+		zd := hit*wd[i] + miss*wb
+		nb := hit*sb + miss*sd[i]
+		nd := hit*sd[i] + miss*sb
+		out[i] = nb*nb/zb + nd*nd/zd
+	}
 }
 
 // estimate summarises the line's posterior.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/fastvg/fastvg/internal/chainx"
@@ -161,5 +162,65 @@ func TestStatsMethodProbes(t *testing.T) {
 	}
 	if body.MethodProbes["infogain"] != mp["infogain"] {
 		t.Errorf("/v1/stats methodProbes = %v, want %v", body.MethodProbes, mp)
+	}
+}
+
+// badInfoGainRequests carry an infoGain block outside its documented
+// ranges, on an infogain job and on a chain job whose ladder runs the rung.
+var badInfoGainRequests = []string{
+	`{"kind":"infogain","sim":{"seed":7},"infoGain":{"maxProbes":-1}}`,
+	`{"kind":"infogain","sim":{"seed":7},"infoGain":{"minProbes":-3}}`,
+	`{"kind":"infogain","sim":{"seed":7},"infoGain":{"targetCI":-0.01}}`,
+	`{"kind":"infogain","sim":{"seed":7},"infoGain":{"noiseEps":-0.1}}`,
+	`{"kind":"infogain","sim":{"seed":7},"infoGain":{"noiseEps":0.5}}`,
+	`{"kind":"chain","chainSim":{"dots":3,"seed":2},"chain":{"methods":["infogain","fast"]},"infoGain":{"maxProbes":-5}}`,
+}
+
+// hugeBudgetBatch once made vgxd pre-allocate a terabyte of probe history
+// and die with "fatal error: runtime: out of memory".
+const hugeBudgetBatch = `{"requests":[{"kind":"infogain","sim":{"seed":7},"infoGain":{"maxProbes":1099511627776}}]}`
+
+func serveJSON(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return w
+}
+
+// TestAPIInfoGainOptionRanges: an out-of-range infoGain block is a 400 on
+// /v1/jobs and a per-item error in a batch; a huge but valid maxProbes
+// runs, and the daemon keeps serving.
+func TestAPIInfoGainOptionRanges(t *testing.T) {
+	svc, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	for _, body := range badInfoGainRequests {
+		w := serveJSON(h, "POST", "/v1/jobs", body)
+		var fail struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &fail); w.Code != http.StatusBadRequest || err != nil || fail.Error == "" {
+			t.Fatalf("POST /v1/jobs %s = %d %q, want 400 with an error", body, w.Code, w.Body.String())
+		}
+		w = serveJSON(h, "POST", "/v1/batch", `{"requests":[`+body+`]}`)
+		var batch struct {
+			Items []BatchItem `json:"items"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &batch); w.Code != http.StatusOK || err != nil ||
+			len(batch.Items) != 1 || batch.Items[0].Error == "" || batch.Items[0].Result != nil {
+			t.Fatalf("POST /v1/batch [%s] = %d %q, want 200 with a per-item error", body, w.Code, w.Body.String())
+		}
+	}
+	w := serveJSON(h, "POST", "/v1/batch", hugeBudgetBatch)
+	var batch struct {
+		Items []BatchItem `json:"items"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &batch); w.Code != http.StatusOK || err != nil ||
+		len(batch.Items) != 1 || batch.Items[0].Result == nil {
+		t.Fatalf("huge maxProbes batch = %d %q, want 200 with a result", w.Code, w.Body.String())
+	}
+	if w := serveJSON(h, "GET", "/v1/healthz", ""); w.Code != http.StatusOK {
+		t.Fatalf("healthz after the batch = %d %q", w.Code, w.Body.String())
 	}
 }

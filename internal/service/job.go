@@ -75,20 +75,39 @@ type RayOptions struct {
 }
 
 // InfoGainOptions tunes infogain jobs (and the infogain rung of a chain
-// ladder that includes it). Zero fields use the infogain package defaults.
+// ladder that includes it). Zero fields use the infogain package defaults;
+// Validate rejects a block with any field outside its range below.
 type InfoGainOptions struct {
 	// TargetCI is the stopping rule: each matrix entry's 95% confidence
-	// interval must be at most this wide. Default infogain.DefaultTargetCI.
+	// interval must be at most this wide. Must be ≥ 0; default
+	// infogain.DefaultTargetCI.
 	TargetCI float64 `json:"targetCI,omitempty"`
 	// MaxProbes caps the active-phase probes before the scheduler gives up
-	// and escalates. Default infogain.DefaultMaxProbes.
+	// and escalates. Must be ≥ 0; default infogain.DefaultMaxProbes. A cap
+	// above the window's cell count is never reached: active probes do not
+	// revisit a cell.
 	MaxProbes int `json:"maxProbes,omitempty"`
-	// NoiseEps is the assumed probe mislabel probability. Default
-	// infogain.DefaultNoiseEps.
+	// NoiseEps is the assumed probe mislabel probability, in [0, 0.5): at
+	// 0.5 a label carries no information. Default infogain.DefaultNoiseEps.
 	NoiseEps float64 `json:"noiseEps,omitempty"`
 	// MinProbes is the minimum active probes per line before stopping may
-	// fire. Default infogain.DefaultMinProbes.
+	// fire. Must be ≥ 0; default infogain.DefaultMinProbes.
 	MinProbes int `json:"minProbes,omitempty"`
+}
+
+// validate checks the ranges documented on the fields.
+func (o *InfoGainOptions) validate() error {
+	switch {
+	case o.TargetCI < 0:
+		return fmt.Errorf("service: infoGain targetCI %g is negative", o.TargetCI)
+	case o.MaxProbes < 0:
+		return fmt.Errorf("service: infoGain maxProbes %d is negative", o.MaxProbes)
+	case o.MinProbes < 0:
+		return fmt.Errorf("service: infoGain minProbes %d is negative", o.MinProbes)
+	case !(o.NoiseEps >= 0 && o.NoiseEps < 0.5):
+		return fmt.Errorf("service: infoGain noiseEps %g outside [0, 0.5)", o.NoiseEps)
+	}
+	return nil
 }
 
 // WindowFindOptions bounds a windowfind job's coarse search.
@@ -180,6 +199,11 @@ func (r Request) Validate() error {
 	}
 	if targets != 1 {
 		return ErrBadTarget
+	}
+	if r.InfoGain != nil {
+		if err := r.InfoGain.validate(); err != nil {
+			return err
+		}
 	}
 	if (r.Kind == KindChain) != (r.ChainSim != nil) {
 		return errors.New("service: chain jobs take a chainSim target, and only chain jobs may set one")

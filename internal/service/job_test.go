@@ -94,6 +94,19 @@ func TestValidate(t *testing.T) {
 		{"windowfind without bounds", Request{Kind: KindWindowFind, Sim: &device.DoubleDotSpec{}}, "bounds"},
 		{"windowfind degenerate bounds", Request{Kind: KindWindowFind, Sim: &device.DoubleDotSpec{},
 			WindowFind: &WindowFindOptions{V1Min: 10, V1Max: 5, V2Max: 100}}, "degenerate"},
+		{"infogain defaults", Request{Kind: KindInfoGain, Benchmark: 1, InfoGain: &InfoGainOptions{}}, ""},
+		{"infogain range edges", Request{Kind: KindInfoGain, Benchmark: 1,
+			InfoGain: &InfoGainOptions{TargetCI: 1e-9, MaxProbes: 1 << 40, NoiseEps: 0.4999, MinProbes: 1}}, ""},
+		{"infogain negative maxProbes", Request{Kind: KindInfoGain, Benchmark: 1,
+			InfoGain: &InfoGainOptions{MaxProbes: -1}}, "maxProbes"},
+		{"infogain negative minProbes", Request{Kind: KindInfoGain, Benchmark: 1,
+			InfoGain: &InfoGainOptions{MinProbes: -1}}, "minProbes"},
+		{"infogain negative targetCI", Request{Kind: KindInfoGain, Benchmark: 1,
+			InfoGain: &InfoGainOptions{TargetCI: -0.03}}, "targetCI"},
+		{"infogain noiseEps 0.5", Request{Kind: KindInfoGain, Benchmark: 1,
+			InfoGain: &InfoGainOptions{NoiseEps: 0.5}}, "noiseEps"},
+		{"infogain negative noiseEps", Request{Kind: KindInfoGain, Benchmark: 1,
+			InfoGain: &InfoGainOptions{NoiseEps: -0.08}}, "noiseEps"},
 	}
 	for _, tc := range cases {
 		err := tc.req.Validate()

@@ -565,3 +565,48 @@ func TestRouterQueryRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterInfoGainOptionRanges: the router refuses an out-of-range
+// infoGain block with a 400 on /v1/jobs and a per-item error in a batch,
+// serves a huge but valid maxProbes, and keeps serving.
+func TestRouterInfoGainOptionRanges(t *testing.T) {
+	c := newTestCluster(t, Config{Shards: 2, Base: service.Config{Workers: 1, ScrapeInterval: -1}})
+	h := c.Handler()
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return w
+	}
+	for _, body := range []string{
+		`{"kind":"infogain","sim":{"seed":7},"infoGain":{"maxProbes":-1}}`,
+		`{"kind":"infogain","sim":{"seed":7},"infoGain":{"noiseEps":0.5}}`,
+		`{"kind":"chain","chainSim":{"dots":3,"seed":2},"chain":{"methods":["infogain","fast"]},"infoGain":{"targetCI":-1}}`,
+	} {
+		w := serve("POST", "/v1/jobs", body)
+		var fail struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &fail); w.Code != http.StatusBadRequest || err != nil || fail.Error == "" {
+			t.Fatalf("POST /v1/jobs %s = %d %q, want 400 with an error", body, w.Code, w.Body.String())
+		}
+		w = serve("POST", "/v1/batch", `{"requests":[`+body+`]}`)
+		var batch struct {
+			Items []service.BatchItem `json:"items"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &batch); w.Code != http.StatusOK || err != nil ||
+			len(batch.Items) != 1 || batch.Items[0].Error == "" || batch.Items[0].Result != nil {
+			t.Fatalf("POST /v1/batch [%s] = %d %q, want 200 with a per-item error", body, w.Code, w.Body.String())
+		}
+	}
+	w := serve("POST", "/v1/batch", `{"requests":[{"kind":"infogain","sim":{"seed":7},"infoGain":{"maxProbes":1099511627776}}]}`)
+	var batch struct {
+		Items []service.BatchItem `json:"items"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &batch); w.Code != http.StatusOK || err != nil ||
+		len(batch.Items) != 1 || batch.Items[0].Result == nil {
+		t.Fatalf("huge maxProbes batch = %d %q, want 200 with a result", w.Code, w.Body.String())
+	}
+	if w := serve("GET", "/v1/healthz", ""); w.Code != http.StatusOK {
+		t.Fatalf("healthz after the batch = %d %q", w.Code, w.Body.String())
+	}
+}
