@@ -239,7 +239,7 @@
 // Exposition answers "what is the value now"; operating a daemon needs
 // "what has it been doing". Every service scrapes its own registry into
 // an in-process time-series store (internal/tsdb: fixed-size
-// delta-encoded rings, bounded memory forever, ~70 µs per full scrape)
+// delta-encoded rings, bounded memory forever, ~2 µs per planned scrape)
 // and evaluates a declarative SLO rule catalogue (internal/alert) over
 // it on every scrape — a threshold plus for-duration state machine
 // whose firing/resolved transitions are journaled on durable services,

@@ -453,6 +453,33 @@ func New(pool *sched.Pool, pol Policy) *Manager {
 // Policy returns the manager's filled-in policy.
 func (m *Manager) Policy() Policy { return m.pol }
 
+// MaxClockS bounds the virtual fleet clock, in seconds. Every pair
+// instrument keeps its clock as a time.Duration (int64 nanoseconds, ~292
+// years) that also accumulates probe dwell, so the fleet clock stops at
+// half that range and leaves the rest as dwell headroom.
+const MaxClockS = float64(math.MaxInt64/int64(time.Second)) / 2
+
+// CheckAdvance reports whether ticks ticks of dt seconds each would be
+// accepted, without changing any state: dt must be positive and finite,
+// and the fleet clock must stay within MaxClockS. API handlers call it
+// before the first of a batch of ticks, so a batch that would fail part
+// way is rejected whole.
+func (m *Manager) CheckAdvance(dt float64, ticks int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.checkAdvanceLocked(dt, ticks)
+}
+
+func (m *Manager) checkAdvanceLocked(dt float64, ticks int) error {
+	if !(dt > 0) || math.IsInf(dt, 1) {
+		return fmt.Errorf("fleet: tick duration %v must be positive and finite", dt)
+	}
+	if m.now+dt*float64(ticks) > MaxClockS {
+		return fmt.Errorf("fleet: advancing %d x %v s from %v s passes the %v s clock limit", ticks, dt, m.now, MaxClockS)
+	}
+	return nil
+}
+
 // Now returns the virtual fleet time in seconds.
 func (m *Manager) Now() float64 {
 	m.mu.Lock()
@@ -739,16 +766,18 @@ func (m *Manager) checkConfig() virtualgate.VerifyConfig {
 // monitoring round: freshness spot-checks for calibrated pairs whose check
 // interval elapsed, then budget-admitted re-extractions for stale pairs in
 // priority order — for a chain device that usually means re-extracting only
-// the drifted pair. Ticks are serialised; concurrent Status/Register calls
+// the drifted pair. A dt that CheckAdvance rejects is an error and changes
+// nothing. Ticks are serialised; concurrent Status/Register calls
 // interleave safely.
 func (m *Manager) Tick(ctx context.Context, dt float64) (TickReport, error) {
-	if dt <= 0 {
-		return TickReport{}, errors.New("fleet: tick duration must be positive")
-	}
 	m.tickMu.Lock()
 	defer m.tickMu.Unlock()
 
 	m.mu.Lock()
+	if err := m.checkAdvanceLocked(dt, 1); err != nil {
+		m.mu.Unlock()
+		return TickReport{}, err
+	}
 	m.now += dt
 	// Roll the budget window. The tick landing exactly on the boundary still
 	// belongs to the closing window (it covers the virtual time up to it).

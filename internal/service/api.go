@@ -295,6 +295,10 @@ func (s *Service) Handler() http.Handler {
 			Fail(w, http.StatusBadRequest, errors.New("ticks out of range"))
 			return
 		}
+		if err := s.fleet.CheckAdvance(body.AdvanceS, body.Ticks); err != nil {
+			Fail(w, http.StatusBadRequest, err)
+			return
+		}
 		reports := make([]fleet.TickReport, 0, body.Ticks)
 		for i := 0; i < body.Ticks; i++ {
 			rep, err := s.fleet.Tick(r.Context(), body.AdvanceS)

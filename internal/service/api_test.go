@@ -417,3 +417,42 @@ func TestAPIQueryRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// A tick that would carry the fleet clock past what the pair instruments'
+// time.Duration clocks hold answers 400 before any state changes, so the
+// fleet keeps serving afterwards. Two 1e308 ticks used to push the clock
+// to +Inf, after which every tick failed to encode its reply.
+func TestAPIFleetTickRejectsClockOverflow(t *testing.T) {
+	svc, err := New(Config{Workers: 2, ScrapeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Fleet().Register(fleet.DeviceConfig{ID: "lab-a", Spec: device.DoubleDotSpec{Pixels: 64, Seed: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	tick := func(body string, want int) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/fleet/tick", bytes.NewReader([]byte(body))))
+		if w.Code != want {
+			t.Fatalf("tick %s = %d, want %d: %s", body, w.Code, want, w.Body.String())
+		}
+	}
+	tick(`{"advanceS":300}`, http.StatusOK)
+	for _, body := range []string{
+		`{"advanceS":1e308}`,
+		`{"advanceS":1e308}`,
+		`{"advanceS":1e10}`,
+		`{"advanceS":3e9,"ticks":2}`, // each tick fits, the pair does not
+	} {
+		tick(body, http.StatusBadRequest)
+		if now := svc.Fleet().Now(); now != 300 {
+			t.Fatalf("after rejected %s: fleet clock = %v, want 300", body, now)
+		}
+	}
+	tick(`{"advanceS":300}`, http.StatusOK)
+	if now := svc.Fleet().Now(); now != 600 {
+		t.Fatalf("fleet clock = %v, want 600", now)
+	}
+}

@@ -610,3 +610,47 @@ func TestRouterInfoGainOptionRanges(t *testing.T) {
 		t.Fatalf("healthz after the batch = %d %q", w.Code, w.Body.String())
 	}
 }
+
+// The router rejects a tick schedule that would carry any shard's fleet
+// clock past its limit before a single shard ticks, and keeps serving.
+func TestRouterFleetTickRejectsClockOverflow(t *testing.T) {
+	c := newTestCluster(t, Config{Shards: 2, Base: service.Config{Workers: 2, ScrapeInterval: -1}})
+	for _, id := range []string{"dev-alpha", "dev-beta"} {
+		svc, _, err := c.shard(c.ring.Owner(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Fleet().Register(fleet.DeviceConfig{ID: id, Spec: *smallSpec(5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := c.Handler()
+	tick := func(body string, want int) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/fleet/tick", strings.NewReader(body)))
+		if w.Code != want {
+			t.Fatalf("tick %s = %d, want %d: %s", body, w.Code, want, w.Body.String())
+		}
+	}
+	clocks := func() []float64 {
+		var out []float64
+		c.each(func(_ int, svc *service.Service) { out = append(out, svc.Fleet().Now()) })
+		return out
+	}
+	tick(`{"advanceS":300}`, http.StatusOK)
+	for _, body := range []string{`{"advanceS":1e308}`, `{"advanceS":1e308}`, `{"advanceS":3e9,"ticks":2}`} {
+		tick(body, http.StatusBadRequest)
+		for i, now := range clocks() {
+			if now != 300 {
+				t.Fatalf("after rejected %s: shard %d clock = %v, want 300", body, i, now)
+			}
+		}
+	}
+	tick(`{"advanceS":300}`, http.StatusOK)
+	for i, now := range clocks() {
+		if now != 600 {
+			t.Fatalf("shard %d clock = %v, want 600", i, now)
+		}
+	}
+}

@@ -241,6 +241,17 @@ func (c *Cluster) Handler() http.Handler {
 			service.Fail(w, http.StatusBadRequest, errors.New("ticks out of range"))
 			return
 		}
+		// Reject a schedule any shard would refuse before one shard ticks.
+		var checkErr error
+		c.each(func(_ int, svc *service.Service) {
+			if err := svc.Fleet().CheckAdvance(body.AdvanceS, body.Ticks); err != nil && checkErr == nil {
+				checkErr = err
+			}
+		})
+		if checkErr != nil {
+			service.Fail(w, http.StatusBadRequest, checkErr)
+			return
+		}
 		// Every shard's virtual clock advances by the same schedule, so
 		// the fleet stays on one logical timeline; shards tick
 		// concurrently — each owns a disjoint device slice.

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 )
 
@@ -18,36 +17,23 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 func (r *Registry) Expose() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	lay := r.layoutLocked()
+	r.scratch = lay.values(r.scratch[:0])
 
 	var b strings.Builder
-	for _, n := range names {
-		f := r.families[n]
-		b.WriteString("# HELP ")
-		b.WriteString(f.name)
-		b.WriteByte(' ')
-		b.WriteString(escapeHelp(f.help))
-		b.WriteByte('\n')
-		b.WriteString("# TYPE ")
-		b.WriteString(f.name)
-		b.WriteByte(' ')
-		b.WriteString(f.typ)
-		b.WriteByte('\n')
-
-		sigs := make([]string, 0, len(f.series))
-		for s := range f.series {
-			sigs = append(sigs, s)
-		}
-		sort.Strings(sigs)
-		for _, s := range sigs {
-			f.series[s].expose(&b, f.name, s)
+	b.Grow(lay.textSize)
+	var num [32]byte
+	i := 0
+	for _, f := range lay.families {
+		b.WriteString(f.header)
+		for ; i < f.end; i++ {
+			b.WriteString(lay.samples[i].key)
+			b.WriteByte(' ')
+			b.Write(appendValue(num[:0], r.scratch[i]))
+			b.WriteByte('\n')
 		}
 	}
+	lay.textSize = b.Len()
 	return b.String()
 }
 

@@ -32,9 +32,15 @@ type Family struct {
 }
 
 // Parse reads Prometheus text format as produced by Expose. Families
-// are returned in input order; unknown directives or malformed lines
-// are errors (this is a strict parser for our own output, not a general
-// scrape parser).
+// are returned in input order; unknown directives, malformed lines,
+// invalid metric or label names, a family without a TYPE line and a
+// sample before its family's TYPE line are errors (this is a strict
+// parser for our own output, not a general scrape parser). A sample
+// joins the family whose HELP or TYPE line came last when its name is
+// that family's name or the name plus _bucket, _sum or _count;
+// otherwise it joins the family its name denotes once those suffixes
+// are stripped. Whatever Parse accepts, RenderFamilies renders as text
+// that parses back to the same families (FuzzExpositionParse).
 func Parse(r io.Reader) ([]*Family, error) {
 	var (
 		out  []*Family
@@ -60,6 +66,9 @@ func Parse(r io.Reader) ([]*Family, error) {
 		if strings.HasPrefix(line, "# HELP ") {
 			rest := line[len("# HELP "):]
 			name, help, _ := strings.Cut(rest, " ")
+			if !validName(name, true) {
+				return nil, fmt.Errorf("telemetry: line %d: HELP for invalid metric name %q", ln, name)
+			}
 			cur = family(name)
 			cur.Help = help
 			continue
@@ -69,6 +78,9 @@ func Parse(r io.Reader) ([]*Family, error) {
 			name, typ, ok := strings.Cut(rest, " ")
 			if !ok {
 				return nil, fmt.Errorf("telemetry: line %d: TYPE without a type", ln)
+			}
+			if !validName(name, true) {
+				return nil, fmt.Errorf("telemetry: line %d: TYPE for invalid metric name %q", ln, name)
 			}
 			cur = family(name)
 			cur.Type = typ
@@ -83,15 +95,31 @@ func Parse(r io.Reader) ([]*Family, error) {
 		}
 		// _bucket/_sum/_count samples belong to the histogram family.
 		f := cur
-		if f == nil || !strings.HasPrefix(s.Name, f.Name) {
+		if f == nil || !belongs(s.Name, f.Name) {
 			f = family(base)
+		}
+		if f.Type == "" {
+			return nil, fmt.Errorf("telemetry: line %d: sample %s before the TYPE line of %s", ln, s.Name, f.Name)
 		}
 		f.Samples = append(f.Samples, s)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	for _, f := range out {
+		if f.Type == "" {
+			return nil, fmt.Errorf("telemetry: family %s has no TYPE line", f.Name)
+		}
+	}
 	return out, nil
+}
+
+// belongs reports whether a sample named name is one of family's own
+// samples: the family name itself or a histogram's _bucket, _sum or
+// _count series.
+func belongs(name, family string) bool {
+	suffix, ok := strings.CutPrefix(name, family)
+	return ok && (suffix == "" || suffix == "_bucket" || suffix == "_sum" || suffix == "_count")
 }
 
 // parseSample splits `name{k="v",...} value` and returns the sample plus
@@ -103,6 +131,9 @@ func parseSample(line string) (Sample, string, error) {
 		return s, "", fmt.Errorf("malformed sample %q", line)
 	}
 	s.Name = line[:nameEnd]
+	if !validName(s.Name, true) {
+		return s, "", fmt.Errorf("invalid metric name %q", s.Name)
+	}
 	rest := line[nameEnd:]
 	if rest[0] == '{' {
 		close := strings.LastIndexByte(rest, '}')
@@ -129,14 +160,19 @@ func parseSample(line string) (Sample, string, error) {
 	return s, base, nil
 }
 
+// parseLabels parses the body of a `{...}` label block; an empty body
+// yields nil labels, as for an unlabelled sample.
 func parseLabels(body string) (map[string]string, error) {
-	labels := map[string]string{}
+	var labels map[string]string
 	for body != "" {
 		eq := strings.IndexByte(body, '=')
 		if eq < 0 || eq+1 >= len(body) || body[eq+1] != '"' {
 			return nil, fmt.Errorf("malformed label segment %q", body)
 		}
 		key := body[:eq]
+		if !validName(key, false) {
+			return nil, fmt.Errorf("invalid label name %q", key)
+		}
 		// Scan the quoted value honouring backslash escapes.
 		i := eq + 2
 		var val strings.Builder
@@ -157,11 +193,32 @@ func parseLabels(body string) (map[string]string, error) {
 		if i >= len(body) {
 			return nil, fmt.Errorf("unterminated label value in %q", body)
 		}
+		if labels == nil {
+			labels = map[string]string{}
+		}
 		labels[key] = val.String()
 		body = body[i+1:]
 		body = strings.TrimPrefix(body, ",")
 	}
 	return labels, nil
+}
+
+// validName reports whether s is a Prometheus metric name
+// ([a-zA-Z_:][a-zA-Z0-9_:]*) or, with colons false, a label name
+// ([a-zA-Z_][a-zA-Z0-9_]*).
+func validName(s string, colons bool) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		ok := c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
+			i > 0 && c >= '0' && c <= '9' || colons && c == ':'
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 func parseValue(s string) (float64, error) {

@@ -1,7 +1,5 @@
 package telemetry
 
-import "sort"
-
 // SamplePoint is one flattened registry sample at scrape time — the
 // value-level twin of one exposition line. Family is the registered
 // metric name; Name adds the histogram suffix (_bucket/_sum/_count)
@@ -26,44 +24,20 @@ func (p SamplePoint) Key() string {
 
 // Snapshot samples every registered series as values, in the same
 // deterministic order exposition renders them (families by name, series
-// by label signature, histogram buckets by bound). It is the scrape
-// source for internal/tsdb: one call, one consistent-enough cut of the
-// registry (each series is read atomically; the cut across series is
-// not a transaction, exactly like a Prometheus scrape). GaugeFunc
-// readers run under the registry mutex, as during exposition.
+// by label signature, histogram buckets by bound). It is the planning
+// source for internal/tsdb, which pairs later Values reads with these
+// samples by index: one call, one consistent-enough cut of the registry
+// (each series is read atomically; the cut across series is not a
+// transaction, exactly like a Prometheus scrape). GaugeFunc readers run
+// under the registry mutex, as during exposition.
 func (r *Registry) Snapshot() []SamplePoint {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	out := make([]SamplePoint, 0, 4*len(names))
-	for _, n := range names {
-		f := r.families[n]
-		sigs := make([]string, 0, len(f.series))
-		for s := range f.series {
-			sigs = append(sigs, s)
-		}
-		sort.Strings(sigs)
-		for _, sig := range sigs {
-			f.series[sig].scrape(func(suffix, extra string, v float64) {
-				fullSig := sig
-				if extra != "" {
-					fullSig = joinSig(sig, extra)
-				}
-				out = append(out, SamplePoint{
-					Family: f.name,
-					Type:   f.typ,
-					Name:   f.name + suffix,
-					Sig:    fullSig,
-					Value:  v,
-				})
-			})
-		}
+	lay := r.layoutLocked()
+	r.scratch = lay.values(r.scratch[:0])
+	out := make([]SamplePoint, len(lay.samples))
+	for i, s := range lay.samples {
+		out[i] = SamplePoint{Family: s.family, Type: s.typ, Name: s.name, Sig: s.sig, Value: r.scratch[i]}
 	}
 	return out
 }

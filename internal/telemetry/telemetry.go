@@ -14,8 +14,10 @@
 //     label signature, and label signatures themselves are built from
 //     key-sorted labels, so two registries fed the same events render
 //     byte-identical text. This is what the worker-count property test
-//     in internal/service asserts, and what a future scatter-gather
-//     front door will merge.
+//     in internal/service asserts, and what the shard router merges.
+//     The order lives in one layout (layout.go), built once per
+//     registration, that serves Expose, Snapshot and the tsdb's
+//     values-only scrape alike.
 //  3. Fail-loud registration. Registering a duplicate name+labels, an
 //     un-prefixed or non-snake_case name, or the same family under two
 //     types panics at wiring time. The metric-name lint in CI is simply
@@ -54,15 +56,13 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// metric is the exposition contract each concrete metric satisfies.
+// metric is the value reader each concrete metric satisfies. The
+// samples a series contributes are fixed at registration and listed by
+// the registry layout (layout.go); appendValues appends their current
+// values in that order: one value, or a histogram's cumulative buckets
+// by bound, then +Inf, _sum and _count.
 type metric interface {
-	// expose appends one or more text-format lines for the series.
-	expose(b *strings.Builder, name, sig string)
-	// scrape emits the series' current samples as values: suffix is the
-	// sample-name suffix ("" or _bucket/_sum/_count), extra an extra
-	// label pair (le=... for buckets). The tsdb scraper consumes this —
-	// same samples as expose, without rendering text.
-	scrape(emit func(suffix, extra string, v float64))
+	appendValues(dst []float64) []float64
 }
 
 // family groups every series registered under one metric name.
@@ -80,6 +80,9 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	gen      uint64    // bumped by every registration
+	lay      *layout   // sample layout, rebuilt on the first read after gen moves
+	scratch  []float64 // value buffer reused by Expose and Snapshot
 }
 
 // NewRegistry returns an empty registry.
@@ -159,6 +162,7 @@ func (r *Registry) register(name, help, typ string, labels []Label, m metric) {
 		panic(fmt.Sprintf("telemetry: duplicate registration of %s{%s}", name, sig))
 	}
 	f.series[sig] = m
+	r.gen++
 }
 
 // Names returns the registered family names, sorted. Used by the
@@ -198,12 +202,8 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-func (c *Counter) expose(b *strings.Builder, name, sig string) {
-	writeSample(b, name, sig, float64(c.v.Load()))
-}
-
-func (c *Counter) scrape(emit func(suffix, extra string, v float64)) {
-	emit("", "", float64(c.v.Load()))
+func (c *Counter) appendValues(dst []float64) []float64 {
+	return append(dst, float64(c.v.Load()))
 }
 
 // Counter registers and returns a counter series.
@@ -247,12 +247,8 @@ func (g *Gauge) Add(delta float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-func (g *Gauge) expose(b *strings.Builder, name, sig string) {
-	writeSample(b, name, sig, g.Value())
-}
-
-func (g *Gauge) scrape(emit func(suffix, extra string, v float64)) {
-	emit("", "", g.Value())
+func (g *Gauge) appendValues(dst []float64) []float64 {
+	return append(dst, g.Value())
 }
 
 // Gauge registers and returns a gauge series.
@@ -268,12 +264,8 @@ type funcGauge struct {
 	fn func() float64
 }
 
-func (f funcGauge) expose(b *strings.Builder, name, sig string) {
-	writeSample(b, name, sig, f.fn())
-}
-
-func (f funcGauge) scrape(emit func(suffix, extra string, v float64)) {
-	emit("", "", f.fn())
+func (f funcGauge) appendValues(dst []float64) []float64 {
+	return append(dst, f.fn())
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape
@@ -410,29 +402,14 @@ func QuantileFromBuckets(bounds []float64, cum []float64, p float64) float64 {
 	return lo + (hi-lo)*(rank-prev)/inBucket
 }
 
-func (h *Histogram) expose(b *strings.Builder, name, sig string) {
+func (h *Histogram) appendValues(dst []float64) []float64 {
 	var cum uint64
-	for i, bound := range h.bounds {
+	for i := range h.bounds {
 		cum += h.counts[i].Load()
-		le := "le=\"" + formatValue(bound) + "\""
-		writeSample(b, name+"_bucket", joinSig(sig, le), float64(cum))
+		dst = append(dst, float64(cum))
 	}
 	cum += h.inf.Load()
-	writeSample(b, name+"_bucket", joinSig(sig, `le="+Inf"`), float64(cum))
-	writeSample(b, name+"_sum", sig, h.Sum())
-	writeSample(b, name+"_count", sig, float64(h.count.Load()))
-}
-
-func (h *Histogram) scrape(emit func(suffix, extra string, v float64)) {
-	var cum uint64
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		emit("_bucket", "le=\""+formatValue(bound)+"\"", float64(cum))
-	}
-	cum += h.inf.Load()
-	emit("_bucket", `le="+Inf"`, float64(cum))
-	emit("_sum", "", h.Sum())
-	emit("_count", "", float64(h.count.Load()))
+	return append(dst, float64(cum), h.Sum(), float64(h.count.Load()))
 }
 
 // Histogram registers and returns a histogram series with the given
@@ -520,7 +497,7 @@ func (v *HistogramVec) With(value string) *Histogram {
 }
 
 // ---------------------------------------------------------------------
-// Exposition helpers (shared with expose.go)
+// Exposition helpers (shared with layout.go and render.go)
 
 func joinSig(sig, extra string) string {
 	if sig == "" {
@@ -541,14 +518,13 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func writeSample(b *strings.Builder, name, sig string, v float64) {
-	b.WriteString(name)
-	if sig != "" {
-		b.WriteByte('{')
-		b.WriteString(sig)
-		b.WriteByte('}')
+// appendValue is formatValue appending to b.
+func appendValue(b []byte, v float64) []byte {
+	if math.IsInf(v, 1) {
+		return append(b, "+Inf"...)
 	}
-	b.WriteByte(' ')
-	b.WriteString(formatValue(v))
-	b.WriteByte('\n')
+	if math.IsInf(v, -1) {
+		return append(b, "-Inf"...)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -135,73 +136,113 @@ func (db *DB) Query(q Query) (*Result, error) {
 		return res, nil
 	}
 
-	for _, key := range db.sortedLocked() {
-		s := db.series[key]
-		if !selectorMatches(q.Series, s) {
-			continue
+	// A selector with a label signature is one full key; a bare sample
+	// name selects every labelling of that name.
+	if strings.IndexByte(q.Series, '{') >= 0 {
+		if s := db.series[q.Series]; s != nil {
+			res.add(q.Fn, s, fromMS)
 		}
-		pts := s.points(fromMS)
-		if len(pts) == 0 {
-			continue
-		}
-		if q.Fn == FnRange {
-			res.Range = append(res.Range, SeriesDump{Series: key, Type: s.Type, Points: pts})
-			continue
-		}
-		res.Values = append(res.Values, SeriesValue{Series: key, Value: Value(reduce(q.Fn, pts))})
+		return res, nil
+	}
+	for _, s := range db.namedLocked(q.Series) {
+		res.add(q.Fn, s, fromMS)
 	}
 	return res, nil
 }
 
-// selectorMatches reports whether sel selects s: an exact key match
-// when sel carries a label signature, otherwise a sample-name match
-// covering every labelling of that name.
-func selectorMatches(sel string, s *Series) bool {
-	if strings.ContainsRune(sel, '{') {
-		return sel == s.Key
+// add evaluates fn over one series' window and appends the outcome; a
+// series with no point in the window contributes nothing.
+func (res *Result) add(fn string, s *Series, fromMS int64) {
+	if fn == FnRange {
+		if pts := s.points(fromMS); len(pts) > 0 {
+			res.Range = append(res.Range, SeriesDump{Series: s.Key, Type: s.Type, Points: pts})
+		}
+		return
 	}
-	return sel == s.Name
+	w, ok := s.window(fromMS)
+	if !ok {
+		return
+	}
+	res.Values = append(res.Values, SeriesValue{Series: s.Key, Value: Value(w.reduce(fn))})
 }
 
-// reduce folds the window's points with the given function.
-func reduce(fn string, pts []Point) float64 {
+// A window is the run of a series' points with timestamp >= fromMS,
+// located without decoding: from is the ring position (0 = oldest) of
+// its first point and fromMS that point's stamp, recovered by
+// subtracting deltas back from the newest point.
+type window struct {
+	s      *Series
+	from   int
+	fromMS int64
+}
+
+// window locates the points at or after fromMS; ok is false when there
+// are none.
+func (s *Series) window(fromMS int64) (w window, ok bool) {
+	if s.n == 0 || s.lastMS < fromMS {
+		return window{}, false
+	}
+	if fromMS <= s.firstMS {
+		return window{s: s, from: 0, fromMS: s.firstMS}, true // the whole ring
+	}
+	k, ms := s.n-1, s.lastMS
+	for k > 0 {
+		prev := ms - int64(s.dt[(s.head+k)%len(s.dt)])
+		if prev < fromMS {
+			break
+		}
+		k, ms = k-1, prev
+	}
+	return window{s: s, from: k, fromMS: ms}, true
+}
+
+func (w window) len() int { return w.s.n - w.from }
+
+// at returns the value of the window's k-th point, oldest first.
+func (w window) at(k int) float64 {
+	s := w.s
+	return s.val[(s.head+w.from+k)%len(s.val)]
+}
+
+func (w window) last() float64 { return w.at(w.len() - 1) }
+
+// reduce folds the window's values, oldest first — the same float
+// operations in the same order as reducing the decoded points.
+func (w window) reduce(fn string) float64 {
+	n := w.len()
 	switch fn {
 	case FnLast:
-		return pts[len(pts)-1].V
-	case FnAvg:
+		return w.last()
+	case FnAvg, FnSum:
 		sum := 0.0
-		for _, p := range pts {
-			sum += p.V
+		for k := 0; k < n; k++ {
+			sum += w.at(k)
 		}
-		return sum / float64(len(pts))
+		if fn == FnAvg {
+			return sum / float64(n)
+		}
+		return sum
 	case FnMin:
-		m := pts[0].V
-		for _, p := range pts[1:] {
-			m = math.Min(m, p.V)
+		m := w.at(0)
+		for k := 1; k < n; k++ {
+			m = math.Min(m, w.at(k))
 		}
 		return m
 	case FnMax:
-		m := pts[0].V
-		for _, p := range pts[1:] {
-			m = math.Max(m, p.V)
+		m := w.at(0)
+		for k := 1; k < n; k++ {
+			m = math.Max(m, w.at(k))
 		}
 		return m
-	case FnSum:
-		sum := 0.0
-		for _, p := range pts {
-			sum += p.V
-		}
-		return sum
 	case FnRate:
-		if len(pts) < 2 {
+		if n < 2 {
 			return math.NaN()
 		}
-		first, last := pts[0], pts[len(pts)-1]
-		dt := last.T - first.T
+		dt := float64(w.s.lastMS)/1000 - float64(w.fromMS)/1000
 		if dt <= 0 {
 			return math.NaN()
 		}
-		dv := last.V - first.V
+		dv := w.last() - w.at(0)
 		if dv < 0 {
 			dv = 0 // counter reset (restart); the tsdb restarts with it, but stay safe
 		}
@@ -225,50 +266,40 @@ func (db *DB) quantileLocked(sel string, fromMS int64, p float64) []SeriesValue 
 		wantRest = sel[i+1 : len(sel)-1]
 		pinned = true
 	}
+	buckets := db.namedLocked(family + "_bucket")
 
 	// Discover the distinct non-le label sets first, then evaluate each
 	// group with its buckets re-sorted by numeric bound — lexical sig
 	// order puts le="10" before le="2", so key order cannot pair them.
-	seen := map[string]bool{}
 	var rests []string
-	for _, key := range db.sortedLocked() {
-		s := db.series[key]
-		if s.Family != family || s.Name != family+"_bucket" {
+	for _, s := range buckets {
+		if s.Family != family || !s.isLE || (pinned && s.leRest != wantRest) || slices.Contains(rests, s.leRest) {
 			continue
 		}
-		rest, _, ok := splitLE(s.Sig)
-		if !ok || (pinned && rest != wantRest) || seen[rest] {
-			continue
-		}
-		seen[rest] = true
-		rests = append(rests, rest)
+		rests = append(rests, s.leRest)
 	}
 	sort.Strings(rests)
 
 	out := make([]SeriesValue, 0, len(rests))
+	type bkt struct {
+		le       float64
+		inc, all float64
+		hasInc   bool
+	}
+	var bkts []bkt
 	for _, rest := range rests {
-		type bkt struct {
-			le       float64
-			inc, all float64
-			hasInc   bool
-		}
-		var bkts []bkt
-		for _, key := range db.sortedLocked() {
-			s := db.series[key]
-			if s.Family != family || s.Name != family+"_bucket" {
+		bkts = bkts[:0]
+		for _, s := range buckets {
+			if s.Family != family || !s.isLE || s.leRest != rest {
 				continue
 			}
-			r, le, ok := splitLE(s.Sig)
-			if !ok || r != rest {
+			w, ok := s.window(fromMS)
+			if !ok {
 				continue
 			}
-			pts := s.points(fromMS)
-			if len(pts) == 0 {
-				continue
-			}
-			b := bkt{le: le, all: pts[len(pts)-1].V}
-			if len(pts) >= 2 {
-				b.inc = pts[len(pts)-1].V - pts[0].V
+			b := bkt{le: s.le, all: w.last()}
+			if w.len() >= 2 {
+				b.inc = w.last() - w.at(0)
 				if b.inc < 0 {
 					b.inc = 0
 				}

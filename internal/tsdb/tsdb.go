@@ -6,6 +6,18 @@
 // quantiles. It is what turns the registry's "what is the value now"
 // into "how has it moved", with zero dependencies and bounded memory.
 //
+// Both sides are cheap enough to run on every fleet tick, which scrapes
+// and evaluates the alert rules on the request path. A scrape is
+// planned: the DB keeps the series of each registry sample for one
+// registration generation, so a steady-state scrape reads the
+// registry's values only and appends each straight into its ring — one
+// pass, no allocation. A registration re-plans the next scrape from a
+// full Snapshot. A query resolves a full key through the series map and
+// a bare name through a name index kept in key order, then walks only
+// the ring points inside its window: a rate or last costs the points
+// back to the window start, a whole-ring window nothing extra. Only
+// fn=range and Dump decode points.
+//
 // Design constraints, in order:
 //
 //  1. Bounded memory. Every series is a ring of Capacity points; a
@@ -46,12 +58,22 @@ type DB struct {
 	reg *telemetry.Registry
 	cap int
 
+	// scrapeMu serialises scrapes and guards the plan. It is held across
+	// the registry read, which must stay outside mu: the daemon's own
+	// tsdb gauges call Stats from inside that read.
+	scrapeMu sync.Mutex
+	plan     []*Series // series of each registry sample, for planGen
+	planGen  uint64
+	vals     []float64 // values buffer reused by every scrape
+
 	mu      sync.Mutex
 	series  map[string]*Series
-	order   []string // sorted keys, rebuilt on insert
-	dirty   bool     // order needs re-sorting
-	lastMS  int64    // timestamp of the newest scrape
+	order   []string             // sorted keys, rebuilt on insert
+	byName  map[string][]*Series // sample name -> series in key order
+	dirty   bool                 // order and byName need rebuilding
+	lastMS  int64                // timestamp of the newest scrape
 	scrapes int64
+	points  int // retained points across every ring
 }
 
 // New builds an empty DB scraping reg.
@@ -79,22 +101,33 @@ type Series struct {
 	n       int
 	dt      []uint32 // per-slot delta (ms) from the previous point; oldest slot's is unused
 	val     []float64
+
+	// A histogram bucket's label signature split once at creation:
+	// the non-le labels and the parsed bound (splitLE).
+	leRest string
+	le     float64
+	isLE   bool
 }
 
 func newSeries(p telemetry.SamplePoint, capacity int) *Series {
-	return &Series{Key: p.Key(), Name: p.Name, Sig: p.Sig, Family: p.Family, Type: p.Type,
+	s := &Series{Key: p.Key(), Name: p.Name, Sig: p.Sig, Family: p.Family, Type: p.Type,
 		dt: make([]uint32, capacity), val: make([]float64, capacity)}
+	if p.Name == p.Family+"_bucket" {
+		s.leRest, s.le, s.isLE = splitLE(p.Sig)
+	}
+	return s
 }
 
-// append records one point. Timestamps must be non-decreasing; a stale
-// or duplicate stamp is nudged one millisecond past the newest point so
-// the delta encoding never needs a sign.
-func (s *Series) append(ms int64, v float64) {
+// append records one point and reports whether the ring grew (false
+// once it is full and the point replaced the oldest). Timestamps must be
+// non-decreasing; a stale or duplicate stamp is nudged one millisecond
+// past the newest point so the delta encoding never needs a sign.
+func (s *Series) append(ms int64, v float64) bool {
 	if s.n == 0 {
 		s.firstMS, s.lastMS = ms, ms
 		s.dt[0], s.val[0] = 0, v
 		s.n = 1
-		return
+		return true
 	}
 	d := ms - s.lastMS
 	if d <= 0 {
@@ -105,19 +138,26 @@ func (s *Series) append(ms int64, v float64) {
 		d = math.MaxUint32 // ~49 days between scrapes: clamp, keep monotonicity
 		ms = s.lastMS + d
 	}
-	if s.n < len(s.dt) {
+	grew := s.n < len(s.dt)
+	if grew {
 		i := (s.head + s.n) % len(s.dt)
 		s.dt[i], s.val[i] = uint32(d), v
 		s.n++
 	} else {
 		// Overwrite the oldest slot with the newest point; the slot after
-		// it becomes the oldest, and its delta folds into firstMS.
+		// it becomes the oldest, and its delta folds into firstMS. In a
+		// one-point ring that slot is the new point itself.
 		next := (s.head + 1) % len(s.dt)
-		s.firstMS += int64(s.dt[next])
+		if next == s.head {
+			s.firstMS = ms
+		} else {
+			s.firstMS += int64(s.dt[next])
+		}
 		s.dt[s.head], s.val[s.head] = uint32(d), v
 		s.head = next
 	}
 	s.lastMS = ms
+	return grew
 }
 
 // Point is one decoded sample point. T is seconds on the scrape clock.
@@ -151,7 +191,18 @@ func (s *Series) Len() int { return s.n }
 // per sample. New samples (a CounterVec label seen for the first time)
 // grow the DB; series absent from this snapshot keep their history.
 func (db *DB) Scrape(atS float64) {
-	snap := db.reg.Snapshot()
+	db.scrapeMu.Lock()
+	defer db.scrapeMu.Unlock()
+	vals, gen := db.reg.Values(db.vals[:0])
+	db.vals = vals
+	var snap []telemetry.SamplePoint
+	if gen != db.planGen {
+		// Plan against a Snapshot read after gen: if a registration slips
+		// in between, the plan is newer than gen and the next scrape
+		// re-plans again.
+		snap = db.reg.Snapshot()
+	}
+
 	ms := int64(math.Round(atS * 1000))
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -160,6 +211,22 @@ func (db *DB) Scrape(atS float64) {
 	}
 	db.lastMS = ms
 	db.scrapes++
+	if snap != nil {
+		db.planLocked(snap, gen)
+		for i, p := range snap {
+			db.appendLocked(db.plan[i], ms, p.Value)
+		}
+		return
+	}
+	for i, s := range db.plan {
+		db.appendLocked(s, ms, vals[i])
+	}
+}
+
+// planLocked maps each snapshot sample to its series, creating series
+// for samples seen for the first time.
+func (db *DB) planLocked(snap []telemetry.SamplePoint, gen uint64) {
+	db.plan = db.plan[:0]
 	for _, p := range snap {
 		key := p.Key()
 		sr := db.series[key]
@@ -169,17 +236,42 @@ func (db *DB) Scrape(atS float64) {
 			db.order = append(db.order, key)
 			db.dirty = true
 		}
-		sr.append(ms, p.Value)
+		db.plan = append(db.plan, sr)
+	}
+	db.planGen = gen
+}
+
+func (db *DB) appendLocked(s *Series, ms int64, v float64) {
+	if s.append(ms, v) {
+		db.points++
 	}
 }
 
 // sortedLocked returns the series keys in sorted order.
 func (db *DB) sortedLocked() []string {
-	if db.dirty {
-		sort.Strings(db.order)
-		db.dirty = false
-	}
+	db.indexLocked()
 	return db.order
+}
+
+// namedLocked returns the series of one sample name in key order.
+func (db *DB) namedLocked(name string) []*Series {
+	db.indexLocked()
+	return db.byName[name]
+}
+
+// indexLocked re-sorts the keys and rebuilds the name index after
+// series were added.
+func (db *DB) indexLocked() {
+	if !db.dirty {
+		return
+	}
+	sort.Strings(db.order)
+	db.byName = make(map[string][]*Series)
+	for _, k := range db.order {
+		s := db.series[k]
+		db.byName[s.Name] = append(db.byName[s.Name], s)
+	}
+	db.dirty = false
 }
 
 // Stats reports the DB's own accounting.
@@ -194,11 +286,7 @@ type Stats struct {
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	st := Stats{Series: len(db.series), Scrapes: db.scrapes, LastScrapeS: float64(db.lastMS) / 1000}
-	for _, s := range db.series {
-		st.Points += s.n
-	}
-	return st
+	return Stats{Series: len(db.series), Points: db.points, Scrapes: db.scrapes, LastScrapeS: float64(db.lastMS) / 1000}
 }
 
 // SeriesDump is one series' recent points, for the debug bundle.

@@ -481,6 +481,15 @@ scrape_overhead_pct=$(awk -v ns="${scrape_ns:-0}" \
   'BEGIN {printf "%.6f", 100 * ns / 10e9}')
 
 obs_out="BENCH_obs.json"
+# Carry the committed "before" block (the pre-planned-scrape numbers)
+# forward, as the probe section does.
+obs_before=""
+if [ -f "$obs_out" ]; then
+  obs_before=$(awk '/"before": \{/{f=1;next} f&&/^  \}/{exit} f' "$obs_out")
+fi
+if [ -z "$obs_before" ]; then
+  obs_before='    "note": "no baseline recorded"'
+fi
 cat > "$obs_out" <<JSON
 {
   "schema": "fastvg-bench-obs/1",
@@ -496,7 +505,11 @@ cat > "$obs_out" <<JSON
   },
   "targets": {
     "scrape_overhead_pct": "< 1",
-    "ring_append_allocs": 0
+    "ring_append_allocs": 0,
+    "scrape_allocs": 0
+  },
+  "before": {
+$obs_before
   },
   "after": {
     "ring_append_ns": $(ofield RingAppend),
