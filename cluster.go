@@ -11,9 +11,9 @@ import (
 // stateless consistent-hash front door (internal/shard). Each shard owns
 // its own worker pool, result cache, twin registry, fleet slice and
 // journal; the router hashes device/session/spec identities onto the
-// ring, scatter-gathers batch and fleet-summary work, coalesces
-// identical in-flight requests, and merges /metrics and /v1/query with a
-// per-shard label. Single-process serving is exactly a 1-shard cluster.
+// ring, scatter-gathers batch and fleet-summary work, and merges /metrics
+// and /v1/query with a per-shard label. Identical requests share a shard,
+// whose cache coalesces them; single-process serving is a 1-shard cluster.
 
 // Cluster is the sharded serving layer: N shard services behind one
 // consistent-hash router.

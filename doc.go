@@ -272,8 +272,8 @@
 // device ID, and sessions and job handles by the s<i>- prefix their
 // shard minted. The router scatter-gathers batches by ring owner and
 // merges in request order (results are byte-identical at any shard
-// count), coalesces concurrent identical submissions onto the one
-// in-flight extraction on the owning shard, relays a saturated shard's
+// count), leaves concurrent identical submissions to the owning shard's
+// result cache to coalesce, relays a saturated shard's
 // 429 + Retry-After verbatim (IsOverloaded holds through Cluster.Run
 // and Submit), and merges observability: /metrics and /v1/query label
 // every series with its shard, /v1/healthz rolls up with down shards

@@ -23,8 +23,8 @@
 // request (the instruments replay identically — the semantics of
 // internal/service's job results), so a failed method escalates to the next
 // method in the ladder instead of failing the chain; only cancellation and
-// instrument faults abort. A pair whose whole ladder fails is recorded as a
-// failed PairResult, and the composed chain is withheld.
+// a Source that cannot build a pair abort. A pair whose whole ladder fails
+// is recorded as a failed PairResult, and the composed chain is withheld.
 package chainx
 
 import (
@@ -38,30 +38,29 @@ import (
 	"github.com/fastvg/fastvg/internal/device"
 	"github.com/fastvg/fastvg/internal/evalx"
 	"github.com/fastvg/fastvg/internal/infogain"
+	"github.com/fastvg/fastvg/internal/method"
 	"github.com/fastvg/fastvg/internal/qflow"
 	"github.com/fastvg/fastvg/internal/rays"
 	"github.com/fastvg/fastvg/internal/sched"
 	"github.com/fastvg/fastvg/internal/virtualgate"
 )
 
-// Method names a pair extraction pipeline.
-type Method string
+// Method names a pair extraction pipeline in the internal/method table.
+type Method = method.Name
 
 // The pair extraction methods of the escalation ladder.
 const (
-	MethodFast     Method = "fast"     // the paper's method (core.Extract)
-	MethodAdaptive Method = "adaptive" // coarse-to-fine fast extraction
-	MethodRays     Method = "rays"     // ray-casting comparison method
-	MethodInfoGain Method = "infogain" // Bayesian active probe scheduling
+	MethodFast     = method.Fast     // the paper's method (core.Extract)
+	MethodAdaptive = method.Adaptive // coarse-to-fine fast extraction
+	MethodRays     = method.Rays     // ray-casting comparison method
+	MethodInfoGain = method.InfoGain // Bayesian active probe scheduling
 )
 
-// ValidMethod reports whether m names a known pair method.
+// ValidMethod reports whether m names a pair method: any method in the
+// table but the baseline, whose full-CSD raster DefaultAttemptReserve does
+// not cover.
 func ValidMethod(m Method) bool {
-	switch m {
-	case MethodFast, MethodAdaptive, MethodRays, MethodInfoGain:
-		return true
-	}
-	return false
+	return m != method.Baseline && method.Valid(m)
 }
 
 // DefaultLadder is the default per-pair escalation: the paper's fast method
@@ -90,10 +89,7 @@ const DefaultAttemptReserve = 1500
 var ErrBudget = errors.New("chainx: probe budget exhausted")
 
 // PairInstrument is the two-gate instrument a pair extraction probes.
-type PairInstrument interface {
-	device.Instrument
-	Stats() device.Stats
-}
+type PairInstrument = device.Metered
 
 // Source provides the chain decomposition: the dot count and, per adjacent
 // pair, an instrument and scan window. Pair must return an instrument
@@ -137,7 +133,7 @@ type Config struct {
 	Wrap func(pair int, inst PairInstrument) PairInstrument
 
 	// run overrides the method dispatch in tests.
-	run func(ctx context.Context, m Method, inst PairInstrument, win csd.Window, cfg *Config) (*pairFit, error)
+	run func(ctx context.Context, m Method, inst device.Instrument, win csd.Window, opts *method.Options) (*method.Fit, error)
 }
 
 func (c *Config) fillDefaults() {
@@ -148,16 +144,12 @@ func (c *Config) fillDefaults() {
 		c.AttemptReserve = DefaultAttemptReserve
 	}
 	if c.run == nil {
-		c.run = runMethod
+		c.run = method.Run
 	}
 }
 
 // Attempt is one escalation step of a pair extraction.
-type Attempt struct {
-	Method Method `json:"method"`
-	Probes int    `json:"probes"`
-	Error  string `json:"error,omitempty"`
-}
+type Attempt = method.Attempt
 
 // PairResult is the outcome of one adjacent-pair extraction.
 type PairResult struct {
@@ -319,10 +311,7 @@ func extractPair(ctx context.Context, src Source, cfg *Config, pr *PairResult) e
 	if cfg.Wrap != nil {
 		inst = cfg.Wrap(pr.Pair, inst)
 	}
-	var truth TruthSource
-	if ts, ok := src.(TruthSource); ok {
-		truth = ts
-	}
+	truth, _ := src.(TruthSource)
 	return runLadder(ctx, inst, win, cfg, truth, pr)
 }
 
@@ -339,91 +328,40 @@ func ExtractPair(ctx context.Context, pair int, inst PairInstrument, win csd.Win
 }
 
 // runLadder runs the escalation ladder on inst, filling pr. Deterministic
-// pipeline failures escalate; cancellation and instrument faults abort.
+// pipeline failures escalate; cancellation aborts.
 func runLadder(ctx context.Context, inst PairInstrument, win csd.Window, cfg *Config, truth TruthSource, pr *PairResult) error {
-	var lastErr error
-	for _, m := range cfg.Methods {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		before := inst.Stats()
-		fit, aerr := cfg.run(ctx, m, inst, win, cfg)
-		after := inst.Stats()
-		probes := after.UniqueProbes - before.UniqueProbes
-		att := Attempt{Method: m, Probes: probes}
-		if aerr != nil {
-			if errors.Is(aerr, context.Canceled) || errors.Is(aerr, context.DeadlineExceeded) {
-				return aerr
-			}
-			att.Error = aerr.Error()
-			lastErr = aerr
-		}
-		pr.Attempts = append(pr.Attempts, att)
-		pr.Probes += probes
-		pr.ExperimentS += (after.Virtual - before.Virtual).Seconds()
-		if aerr == nil {
-			pr.Method = m
-			pr.Matrix = fit.matrix
-			pr.SteepSlope, pr.ShallowSlope = fit.steep, fit.shallow
-			pr.TripleV1, pr.TripleV2 = fit.tripleV1, fit.tripleV2
-			if truth != nil {
-				steep, shallow := truth.PairTruth(pr.Pair)
-				pr.Scored = true
-				pr.Success, pr.SteepErrDeg, pr.ShallowErrDeg =
-					evalx.CheckSlopes(fit.steep, fit.shallow,
-						qflow.Truth{SteepSlope: steep, ShallowSlope: shallow}, evalx.DefaultAngleTolDeg)
-			}
-			return nil
-		}
+	opts := &method.Options{
+		Fast:     cfg.Fast,
+		Adaptive: core.AdaptiveConfig{Config: cfg.Fast, CoarseFactor: cfg.CoarseFactor},
+		Rays:     cfg.Rays,
+		InfoGain: cfg.InfoGain,
 	}
-	pr.Error = fmt.Sprintf("all %d methods failed, last: %v", len(cfg.Methods), lastErr)
+	out, err := method.Ladder(ctx, inst, cfg.Methods, func(ctx context.Context, m Method) (*method.Fit, error) {
+		return cfg.run(ctx, m, inst, win, opts)
+	})
+	if err != nil {
+		return err
+	}
+	pr.Attempts = out.Attempts
+	pr.Probes = out.Probes
+	pr.ExperimentS = out.DwellS
+	fit := out.Fit
+	if fit == nil {
+		pr.Error = fmt.Sprintf("all %d methods failed, last: %v", len(cfg.Methods), out.Err)
+		return nil
+	}
+	pr.Method = out.Winner
+	pr.Matrix = fit.Matrix
+	pr.SteepSlope, pr.ShallowSlope = fit.SteepSlope, fit.ShallowSlope
+	pr.TripleV1, pr.TripleV2 = fit.TripleV1, fit.TripleV2
+	if truth != nil {
+		steep, shallow := truth.PairTruth(pr.Pair)
+		pr.Scored = true
+		pr.Success, pr.SteepErrDeg, pr.ShallowErrDeg =
+			evalx.CheckSlopes(fit.SteepSlope, fit.ShallowSlope,
+				qflow.Truth{SteepSlope: steep, ShallowSlope: shallow}, evalx.DefaultAngleTolDeg)
+	}
 	return nil
-}
-
-// pairFit is one successful method attempt's extraction.
-type pairFit struct {
-	matrix             virtualgate.Mat2
-	steep, shallow     float64
-	tripleV1, tripleV2 float64
-}
-
-// runMethod dispatches one ladder attempt onto the extraction pipelines.
-func runMethod(ctx context.Context, m Method, inst PairInstrument, win csd.Window, cfg *Config) (*pairFit, error) {
-	src := csd.PixelSource{Src: inst, Win: win}
-	switch m {
-	case MethodFast:
-		cr, err := core.Extract(src, win, cfg.Fast)
-		if err != nil {
-			return nil, err
-		}
-		fit := &pairFit{matrix: cr.Matrix, steep: cr.SteepSlope, shallow: cr.ShallowSlope}
-		fit.tripleV1, fit.tripleV2 = cr.TriplePointVoltage(win)
-		return fit, nil
-	case MethodAdaptive:
-		ar, err := core.ExtractAdaptive(src, win, core.AdaptiveConfig{Config: cfg.Fast, CoarseFactor: cfg.CoarseFactor})
-		if err != nil {
-			return nil, err
-		}
-		fine := ar.Fine
-		fit := &pairFit{matrix: fine.Matrix, steep: fine.SteepSlope, shallow: fine.ShallowSlope}
-		fit.tripleV1, fit.tripleV2 = fine.TriplePointVoltage(win)
-		return fit, nil
-	case MethodRays:
-		rr, err := rays.Extract(src, win, cfg.Rays)
-		if err != nil {
-			return nil, err
-		}
-		return &pairFit{matrix: rr.Matrix, steep: rr.SteepSlope, shallow: rr.ShallowSlope}, nil
-	case MethodInfoGain:
-		ir, err := infogain.Extract(src, win, cfg.InfoGain)
-		if err != nil {
-			return nil, err
-		}
-		fit := &pairFit{matrix: ir.Matrix, steep: ir.SteepSlope, shallow: ir.ShallowSlope}
-		fit.tripleV1, fit.tripleV2 = ir.TriplePointVoltage(win)
-		return fit, nil
-	}
-	return nil, fmt.Errorf("chainx: unknown method %q", m)
 }
 
 // makespan list-schedules the pairs' dwell durations, in pair order, over w

@@ -9,6 +9,7 @@ import (
 
 	"github.com/fastvg/fastvg/internal/csd"
 	"github.com/fastvg/fastvg/internal/device"
+	"github.com/fastvg/fastvg/internal/method"
 	"github.com/fastvg/fastvg/internal/noise"
 	"github.com/fastvg/fastvg/internal/sched"
 	"github.com/fastvg/fastvg/internal/virtualgate"
@@ -110,14 +111,14 @@ func TestExtractBitIdenticalAcrossWorkers(t *testing.T) {
 
 // failingRunner fails selected (pair, method) attempts with a deterministic
 // pipeline error, delegating the rest to the real dispatch.
-func failingRunner(fail map[string]bool) func(context.Context, Method, PairInstrument, csd.Window, *Config) (*pairFit, error) {
-	return func(ctx context.Context, m Method, inst PairInstrument, win csd.Window, cfg *Config) (*pairFit, error) {
+func failingRunner(fail map[string]bool) func(context.Context, Method, device.Instrument, csd.Window, *method.Options) (*method.Fit, error) {
+	return func(ctx context.Context, m Method, inst device.Instrument, win csd.Window, opts *method.Options) (*method.Fit, error) {
 		if fail[string(m)] {
 			// Cost a probe so attempt accounting is visible.
 			inst.GetCurrent(win.V1At(0), win.V2At(0))
 			return nil, errors.New("synthetic pipeline failure")
 		}
-		return runMethod(ctx, m, inst, win, cfg)
+		return method.Run(ctx, m, inst, win, opts)
 	}
 }
 

@@ -43,6 +43,13 @@ type Instrument interface {
 	GetCurrent(v1, v2 float64) float64
 }
 
+// Metered is an Instrument that accounts its experimental cost, as every
+// simulated instrument, pair view, trace recorder and surrogate hybrid does.
+type Metered interface {
+	Instrument
+	Stats() Stats
+}
+
 // Accountant is implemented by instruments that track experimental cost.
 type Accountant interface {
 	Stats() Stats

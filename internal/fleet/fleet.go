@@ -46,11 +46,11 @@ import (
 	"sync"
 	"time"
 
-	"github.com/fastvg/fastvg/internal/core"
 	"github.com/fastvg/fastvg/internal/csd"
 	"github.com/fastvg/fastvg/internal/device"
 	"github.com/fastvg/fastvg/internal/fitting"
 	"github.com/fastvg/fastvg/internal/infogain"
+	"github.com/fastvg/fastvg/internal/method"
 	"github.com/fastvg/fastvg/internal/sched"
 	"github.com/fastvg/fastvg/internal/store"
 	"github.com/fastvg/fastvg/internal/surrogate"
@@ -309,19 +309,11 @@ type TickReport struct {
 	SkippedBudget int      `json:"skippedBudget"`
 }
 
-// pairInstrument is the per-pair measurement contract: scalar probing with
-// cost accounting. SimInstrument (double dot) and PairView over a dedicated
-// MultiInstrument (chain pair) both satisfy it.
-type pairInstrument interface {
-	device.Instrument
-	Stats() device.Stats
-}
-
 // pairCal is one adjacent pair's calibration state — the fleet's scheduling
 // unit. Guarded by the owning dev's mu.
 type pairCal struct {
 	idx  int
-	inst pairInstrument
+	inst device.Metered      // SimInstrument, or a chain pair's PairView
 	adv  func(time.Duration) // advances the pair's instrument clock
 	win  csd.Window
 
@@ -1096,7 +1088,7 @@ func (m *Manager) eligible(pc *pairCal, now float64) bool {
 // set, the pair's twin (lazily created) fronts the instrument as a learning
 // Hybrid, and the returned handle exposes the phase's hit count. Callers
 // hold d.mu.
-func (m *Manager) probeSrc(pc *pairCal) (pairInstrument, *surrogate.Hybrid) {
+func (m *Manager) probeSrc(pc *pairCal) (device.Metered, *surrogate.Hybrid) {
 	if m.pol.SurrogateThreshold <= 0 {
 		return pc.inst, nil
 	}
@@ -1225,15 +1217,18 @@ func medianFloat(vs []float64) float64 {
 	return vs[len(vs)/2]
 }
 
+// rungDelta names the fleet's own first recalibration rung, deltaRecal.
+const rungDelta method.Name = "delta"
+
 // deltaRecal is the twin-enabled cheap recalibration: instead of a full
 // re-raster, re-locate both transition lines with a few extraction-grade
 // cross scans around their last known positions, refit the slopes from the
-// measured crossings, and recompute the matrix and knee. The twin then gets
+// measured crossings, and return the new matrix and knee. The twin then gets
 // the measured shape installed directly (SetLine), recentring its guard band
-// on the fresh lines. Returns ok=false — caller falls back to the full
-// raster — when the lines cannot be re-located or the refit geometry is
-// degenerate; a non-ErrVerify error aborts the tick. Callers hold d.mu.
-func (m *Manager) deltaRecal(ctx context.Context, pc *pairCal, src pairInstrument) (bool, error) {
+// on the fresh lines. When the lines cannot be re-located or the refit
+// geometry is degenerate it returns a deterministic miss, and the ladder
+// escalates; a context error aborts the tick. Callers hold d.mu.
+func (m *Manager) deltaRecal(ctx context.Context, pc *pairCal, src device.Metered) (*method.Fit, error) {
 	cfg := virtualgate.VerifyConfig{
 		AlongFracs:   deltaAlongFracs,
 		ScanFrac:     deltaScanFrac,
@@ -1247,14 +1242,11 @@ func (m *Manager) deltaRecal(ctx context.Context, pc *pairCal, src pairInstrumen
 		vr, err = virtualgate.Verify(ctx, pc.inst, pc.win, pc.matrix, pc.kneeV1, pc.kneeV2, cfg)
 	}
 	if err != nil {
-		if errors.Is(err, virtualgate.ErrVerify) {
-			return false, nil
-		}
-		return false, err
+		return nil, err
 	}
 	inv, err := pc.matrix.Inverse()
 	if err != nil {
-		return false, nil
+		return nil, err
 	}
 	// Map the measured virtual-coordinate crossings back to real voltages:
 	// three points on each (possibly moved) line.
@@ -1306,17 +1298,14 @@ func (m *Manager) deltaRecal(ctx context.Context, pc *pairCal, src pairInstrumen
 		}
 		c1, c2 = medianFloat(rSteep), medianFloat(rShallow)
 		if kneeX, kneeY, ok = solve(c1, d1, c2, d2); !ok {
-			return false, nil
+			return nil, errors.New("fleet: delta refit finds no knee inside the window")
 		}
 	}
 	steep, shallow := 1/d1, d2
 	mat, err := virtualgate.FromSlopes(steep, shallow)
 	if err != nil {
-		return false, nil
+		return nil, err
 	}
-	pc.matrix = mat
-	pc.steep, pc.shallow = steep, shallow
-	pc.kneeV1, pc.kneeV2 = kneeX, kneeY
 	if pc.model != nil {
 		line := fitting.Polyline2{
 			A: fitting.Vec2{X: c1 + d1*pc.win.V2Min, Y: pc.win.V2Min},
@@ -1331,87 +1320,85 @@ func (m *Manager) deltaRecal(ctx context.Context, pc *pairCal, src pairInstrumen
 		}
 		pc.phaseModelDirty = true
 	}
-	return true, nil
+	return &method.Fit{Matrix: mat, SteepSlope: steep, ShallowSlope: shallow, TripleV1: kneeX, TripleV2: kneeY}, nil
 }
 
 // calibratePair re-tunes one pair — for a chain device, only this pair's
-// window is re-measured; the neighbours keep their matrices. With a warm
-// fitted twin a scheduled recalibration takes the delta path (a few cross
-// scans); cold starts, lost pairs and operator forces run the full
-// extraction raster. Either way a baseline spot-check records the freshness
-// reference.
+// window is re-measured; the neighbours keep their matrices. A scheduled
+// recalibration climbs a ladder: with a warm fitted twin the delta path (a
+// few cross scans) first, then under the InfoGain policy the active probe
+// scheduler, and the full extraction raster last. Cold starts and operator
+// forces run only the raster. Either way a baseline spot-check records the
+// freshness reference.
 func (m *Manager) calibratePair(ctx context.Context, d *dev, pc *pairCal, now float64, force bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	first := !pc.hasCal
 	before := pc.inst.Stats().UniqueProbes
 	probeInst, hyb := m.probeSrc(pc)
 	// A scheduled recalibration of a still-tracked pair with a warm fitted
 	// twin only needs to re-measure where the lines went.
-	delta := false
+	var rungs []method.Name
 	if !force && !first && !pc.lost && hyb != nil && pc.model.Fitted() {
-		ok, err := m.deltaRecal(ctx, pc, probeInst)
-		if err != nil {
-			return err
-		}
-		delta = ok
+		rungs = append(rungs, rungDelta)
 	}
-	// A scheduled recalibration under the InfoGain policy re-locates the
+	// Under the InfoGain policy a scheduled recalibration re-locates the
 	// lines with the active probe scheduler, warm-started on the pair's last
-	// known geometry; a deterministic infogain failure falls through to the
-	// full raster below.
-	guided := false
-	if !delta && m.pol.InfoGain && !force && !first {
-		igCfg := infogain.Config{}
+	// known geometry.
+	opts := &method.Options{}
+	if m.pol.InfoGain && !force && !first {
+		rungs = append(rungs, method.InfoGain)
 		if m.tel != nil {
-			igCfg.Metrics = m.tel.ig
+			opts.InfoGain.Metrics = m.tel.ig
 		}
 		if !pc.lost {
-			igCfg.Prior = &infogain.Prior{
+			opts.InfoGain.Prior = &infogain.Prior{
 				SteepSlope: pc.steep, ShallowSlope: pc.shallow,
 				TripleV1: pc.kneeV1, TripleV2: pc.kneeV2,
 			}
 		}
-		src := csd.PixelSource{Src: probeInst, Win: pc.win}
-		if ir, ierr := infogain.Extract(src, pc.win, igCfg); ierr == nil {
-			pc.matrix = ir.Matrix
-			pc.steep, pc.shallow = ir.SteepSlope, ir.ShallowSlope
-			pc.kneeV1, pc.kneeV2 = ir.TriplePointVoltage(pc.win)
-			guided = true
-		}
 	}
-	if !delta && !guided {
-		src := csd.PixelSource{Src: probeInst, Win: pc.win}
-		cr, err := core.Extract(src, pc.win, core.Config{})
-		if err != nil {
-			// The extraction anchors could not find the lines in what the twin
-			// and the instrument together reported — the twin is not
-			// trustworthy.
-			pc.resetModel()
-			probes := pc.inst.Stats().UniqueProbes - before
-			pc.phaseProbes = probes
-			pc.probes += probes
-			pc.settleSaved(hyb)
-			pc.attempts++
-			pc.lastAttemptT = now
-			pc.failedCals++
-			pc.phaseEv = Event{T: now, Kind: "calibrate-failed", Pair: pc.idx, Staleness: pc.score, Probes: probes, ProbesSaved: pc.phaseSaved, Err: err.Error()}
-			pc.phaseHasEv = true
-			return nil
+	rungs = append(rungs, method.Fast)
+	out, err := method.Ladder(ctx, pc.inst, rungs, func(ctx context.Context, rung method.Name) (*method.Fit, error) {
+		if rung == rungDelta {
+			return m.deltaRecal(ctx, pc, probeInst)
 		}
-		pc.matrix = cr.Matrix
-		pc.steep, pc.shallow = cr.SteepSlope, cr.ShallowSlope
-		pc.kneeV1, pc.kneeV2 = cr.TriplePointVoltage(pc.win)
+		return method.Run(ctx, rung, probeInst, pc.win, opts)
+	})
+	if err != nil {
+		return err
 	}
+	// settle stashes the event with everything the calibration cost.
+	settle := func(ev Event) {
+		probes := pc.inst.Stats().UniqueProbes - before
+		pc.phaseProbes = probes
+		pc.probes += probes
+		pc.settleSaved(hyb)
+		ev.Probes = probes
+		ev.ProbesSaved = pc.phaseSaved
+		pc.phaseEv = ev
+		pc.phaseHasEv = true
+	}
+	pc.attempts++
+	pc.lastAttemptT = now
+	if out.Fit == nil {
+		// The extraction anchors could not find the lines in what the twin
+		// and the instrument together reported — the twin is not
+		// trustworthy.
+		pc.resetModel()
+		pc.failedCals++
+		settle(Event{T: now, Kind: "calibrate-failed", Pair: pc.idx, Staleness: pc.score, Err: out.Err.Error()})
+		return nil
+	}
+	delta := out.Winner == rungDelta
+	guided := out.Winner == method.InfoGain
+	pc.matrix = out.Fit.Matrix
+	pc.steep, pc.shallow = out.Fit.SteepSlope, out.Fit.ShallowSlope
+	pc.kneeV1, pc.kneeV2 = out.Fit.TripleV1, out.Fit.TripleV2
 	pc.hasCal = true
 	pc.lost = false
-	pc.attempts++
 	pc.calibrations++
 	pc.lastCalT = now
-	pc.lastAttemptT = now
 
 	// Record the freshness baseline: the line positions a healthy pair
 	// reproduces, measured with the same scan geometry the spot-checks use.
@@ -1466,15 +1453,8 @@ func (m *Manager) calibratePair(ctx context.Context, d *dev, pc *pairCal, now fl
 	// The baseline verify just measured the lines: the next periodic
 	// spot-check is due a full interval from now, not from the last one.
 	pc.lastCheckT = now
-	probes := pc.inst.Stats().UniqueProbes - before
-	pc.phaseProbes = probes
-	pc.probes += probes
-	pc.settleSaved(hyb)
 	ev.Staleness = pc.score
-	ev.Probes = probes
-	ev.ProbesSaved = pc.phaseSaved
-	pc.phaseEv = ev
-	pc.phaseHasEv = true
+	settle(ev)
 	return nil
 }
 

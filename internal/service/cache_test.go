@@ -122,6 +122,54 @@ func TestCacheCoalescing(t *testing.T) {
 	}
 }
 
+// TestCacheWaiterRedrivesCancelledOwner: when the caller that started a
+// flight is cancelled, a waiter whose own context is live does not inherit
+// that cancellation — it runs the work again under its own context, and its
+// abandoned join is un-counted.
+func TestCacheWaiterRedrivesCancelledOwner(t *testing.T) {
+	c := newResultCache(8, newServiceMetrics(telemetry.NewRegistry()))
+	ownerCtx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	release := make(chan struct{})
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ownerCtx, "k", func() (*Result, error) {
+			close(started)
+			<-release
+			return nil, ownerCtx.Err()
+		})
+		ownerErr <- err
+	}()
+	<-started
+
+	want := res(KindRays)
+	type outcome struct {
+		res    *Result
+		served bool
+		err    error
+	}
+	waited := make(chan outcome, 1)
+	go func() {
+		r, served, err := c.Do(context.Background(), "k", func() (*Result, error) { return want, nil })
+		waited <- outcome{r, served, err}
+	}()
+	for c.Stats().Coalesced < 1 { // the waiter is parked on the owner's flight
+		time.Sleep(100 * time.Microsecond)
+	}
+	cancel()
+	close(release)
+
+	if err := <-ownerErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner err = %v, want context.Canceled", err)
+	}
+	if o := <-waited; o.err != nil || o.served || o.res != want {
+		t.Fatalf("waiter Do = (%v, served %v, %v), want its own fn's result", o.res, o.served, o.err)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Coalesced != 0 {
+		t.Fatalf("stats = %+v, want 2 misses / 0 coalesced", st)
+	}
+}
+
 // TestCacheErrorNotCached checks failed computations are retried, not
 // served from cache.
 func TestCacheErrorNotCached(t *testing.T) {

@@ -15,8 +15,6 @@ import (
 	"time"
 
 	"github.com/fastvg/fastvg/internal/chainx"
-	"github.com/fastvg/fastvg/internal/csd"
-	"github.com/fastvg/fastvg/internal/rays"
 	"github.com/fastvg/fastvg/internal/surrogate"
 	"github.com/fastvg/fastvg/internal/telemetry"
 	"github.com/fastvg/fastvg/internal/trace"
@@ -31,19 +29,7 @@ func (s *Service) runChain(ctx context.Context, nreq Request, hash string, res *
 	if err != nil {
 		return err
 	}
-	cfg := chainx.Config{
-		Methods:      nreq.Chain.Methods,
-		Budget:       nreq.Chain.Budget,
-		Fast:         coreConfig(nreq.Fast),
-		CoarseFactor: nreq.Fast.CoarseFactor,
-		Rays:         rays.Config{NumRays: nreq.Rays.NumRays, DropSigma: nreq.Rays.DropSigma},
-		InfoGain:     infogainConfig(nreq.InfoGain),
-	}
-	if s.telemetryOn {
-		// Infogain rungs inside the ladder count into the live families; the
-		// replay path (replayChainPair) leaves Metrics nil by construction.
-		cfg.InfoGain.Metrics = s.metrics.ig
-	}
+	cfg := chainConfig(ctx, nreq)
 	var recMu sync.Mutex
 	var recorders map[int]*trace.Recorder
 	if s.traceDir != "" {
@@ -205,17 +191,16 @@ func (s *Service) writeChainPairTrace(rec *trace.Recorder, nreq Request, hash st
 	return err
 }
 
-// replayChainPair re-executes one recorded pair extraction — the escalation
-// ladder of a chain job's pair — against inst (normally a trace.Replayer
-// serving the recorded samples) and returns the reproduced pair result.
-func replayChainPair(ctx context.Context, nreq Request, pair int, inst chainx.PairInstrument, win csd.Window) (*chainx.PairResult, error) {
-	cfg := chainx.Config{
+// chainConfig maps a normalized chain request onto the planner's config.
+// Infogain rungs count into the live metric set on ctx; replay carries none.
+func chainConfig(ctx context.Context, nreq Request) chainx.Config {
+	o := methodOptions(ctx, nreq)
+	return chainx.Config{
 		Methods:      nreq.Chain.Methods,
-		Budget:       0, // the recorded pair already passed admission
-		Fast:         coreConfig(nreq.Fast),
-		CoarseFactor: nreq.Fast.CoarseFactor,
-		Rays:         rays.Config{NumRays: nreq.Rays.NumRays, DropSigma: nreq.Rays.DropSigma},
-		InfoGain:     infogainConfig(nreq.InfoGain),
+		Budget:       nreq.Chain.Budget,
+		Fast:         o.Fast,
+		CoarseFactor: o.Adaptive.CoarseFactor,
+		Rays:         o.Rays,
+		InfoGain:     o.InfoGain,
 	}
-	return chainx.ExtractPair(ctx, pair, inst, win, cfg)
 }

@@ -306,6 +306,19 @@ func (r Request) Normalized() (Request, error) {
 		}
 		return &io
 	}
+	rayOpts := func() *RayOptions {
+		ro := RayOptions{}
+		if r.Rays != nil {
+			ro = *r.Rays
+		}
+		if ro.NumRays == 0 {
+			ro.NumRays = rays.DefaultNumRays
+		}
+		if ro.DropSigma == 0 {
+			ro.DropSigma = rays.DefaultDropSigma
+		}
+		return &ro
+	}
 	switch r.Kind {
 	case KindFast:
 		n.Fast = fast()
@@ -322,17 +335,7 @@ func (r Request) Normalized() (Request, error) {
 		}
 		n.Baseline = &b
 	case KindRays:
-		ro := RayOptions{}
-		if r.Rays != nil {
-			ro = *r.Rays
-		}
-		if ro.NumRays == 0 {
-			ro.NumRays = rays.DefaultNumRays
-		}
-		if ro.DropSigma == 0 {
-			ro.DropSigma = rays.DefaultDropSigma
-		}
-		n.Rays = &ro
+		n.Rays = rayOpts()
 	case KindInfoGain:
 		n.InfoGain = infoGain()
 	case KindWindowFind:
@@ -387,17 +390,7 @@ func (r Request) Normalized() (Request, error) {
 		if n.Fast.CoarseFactor == 0 {
 			n.Fast.CoarseFactor = core.DefaultCoarseFactor
 		}
-		ro := RayOptions{}
-		if r.Rays != nil {
-			ro = *r.Rays
-		}
-		if ro.NumRays == 0 {
-			ro.NumRays = rays.DefaultNumRays
-		}
-		if ro.DropSigma == 0 {
-			ro.DropSigma = rays.DefaultDropSigma
-		}
-		n.Rays = &ro
+		n.Rays = rayOpts()
 	}
 	return n, nil
 }

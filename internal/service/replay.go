@@ -17,6 +17,7 @@ import (
 
 	"github.com/fastvg/fastvg/internal/chainx"
 	"github.com/fastvg/fastvg/internal/csd"
+	"github.com/fastvg/fastvg/internal/device"
 	"github.com/fastvg/fastvg/internal/qflow"
 	"github.com/fastvg/fastvg/internal/store"
 	"github.com/fastvg/fastvg/internal/surrogate"
@@ -251,9 +252,18 @@ func ReplayTrace(path string) (*ReplayOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	var nreq Request
-	if err := json.Unmarshal(meta.Request, &nreq); err != nil {
+	var req Request
+	if err := json.Unmarshal(meta.Request, &req); err != nil {
 		return nil, fmt.Errorf("service: trace request: %w", err)
+	}
+	// The request comes from a file: normalise it, which validates it, and
+	// require that it is the (already normalized) request the trace recorded.
+	nreq, err := req.Normalized()
+	if err != nil {
+		return nil, fmt.Errorf("service: trace request: %w", err)
+	}
+	if hash, err := hashNormalized(nreq); err != nil || hash != meta.Hash {
+		return nil, fmt.Errorf("service: trace %s: request does not hash to the recorded %q", path, meta.Hash)
 	}
 	if meta.Pair != nil {
 		return replayChainPairTrace(path, meta, samples, nreq)
@@ -276,7 +286,7 @@ func ReplayTrace(path string) (*ReplayOutcome, error) {
 	// A surrogate trace holds only the escalated probes: rebuild the same
 	// Hybrid over the recorded twin snapshot so every serve/escalate decision
 	// replays identically and the replayer sees exactly the recorded stream.
-	var inst accountant = rp
+	var inst device.Metered = rp
 	var hyb *surrogate.Hybrid
 	if meta.Surrogate != nil {
 		model, err := surrogate.Decode(meta.Surrogate.Model)
@@ -316,7 +326,7 @@ func ReplayTrace(path string) (*ReplayOutcome, error) {
 // pair's escalation ladder runs against the recorded samples and must
 // reproduce the recorded PairResult bit for bit.
 func replayChainPairTrace(path string, meta trace.Meta, samples []trace.Sample, nreq Request) (*ReplayOutcome, error) {
-	if nreq.Kind != KindChain || nreq.ChainSim == nil || nreq.Chain == nil {
+	if nreq.Kind != KindChain {
 		return nil, fmt.Errorf("service: trace %s: pair index on a non-chain request", path)
 	}
 	pair := *meta.Pair
@@ -334,7 +344,7 @@ func replayChainPairTrace(path string, meta trace.Meta, samples []trace.Sample, 
 		}
 		inst = &surrogate.Hybrid{Model: model, Inner: rp, Threshold: meta.Surrogate.Threshold, Learn: meta.Surrogate.Learn}
 	}
-	pres, err := replayChainPair(context.Background(), nreq, pair, inst, meta.Window)
+	pres, err := chainx.ExtractPair(context.Background(), pair, inst, meta.Window, chainConfig(context.Background(), nreq))
 	if err != nil {
 		return nil, err
 	}

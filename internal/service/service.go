@@ -12,7 +12,6 @@ import (
 
 	"github.com/fastvg/fastvg/internal/alert"
 	"github.com/fastvg/fastvg/internal/autotune"
-	"github.com/fastvg/fastvg/internal/baseline"
 	"github.com/fastvg/fastvg/internal/core"
 	"github.com/fastvg/fastvg/internal/csd"
 	"github.com/fastvg/fastvg/internal/device"
@@ -20,6 +19,7 @@ import (
 	"github.com/fastvg/fastvg/internal/fleet"
 	"github.com/fastvg/fastvg/internal/imaging"
 	"github.com/fastvg/fastvg/internal/infogain"
+	"github.com/fastvg/fastvg/internal/method"
 	"github.com/fastvg/fastvg/internal/qflow"
 	"github.com/fastvg/fastvg/internal/rays"
 	"github.com/fastvg/fastvg/internal/sched"
@@ -793,18 +793,14 @@ func (s *Service) countMethodProbes(res *Result) {
 		}
 		return
 	}
-	method := string(res.Kind)
-	if res.Kind == KindVerify {
-		method = string(KindFast) // a verify job's extraction is the fast method
-	}
-	vec.With(method).Add(int64(res.Probes))
+	vec.With(string(kindMethod(res.Kind))).Add(int64(res.Probes))
 }
 
 // runInstrumented executes the request's pipeline against inst, recording a
 // probe trace around it when trace recording is on. The recorder exposes
 // only the scalar probing contract, so the pipelines fall back to per-probe
 // calls — bit-identical to the batch paths by the internal/device contract.
-func (s *Service) runInstrumented(ctx context.Context, nreq Request, hash string, inst accountant, win csd.Window, truth *qflow.Truth, res *Result) error {
+func (s *Service) runInstrumented(ctx context.Context, nreq Request, hash string, inst device.Metered, win csd.Window, truth *qflow.Truth, res *Result) error {
 	if s.traceDir == "" {
 		return runPipelines(ctx, nreq, inst, win, truth, res)
 	}
@@ -818,21 +814,17 @@ func (s *Service) runInstrumented(ctx context.Context, nreq Request, hash string
 	return nil
 }
 
-// accountant unifies the instruments' cost tracking.
-type accountant interface {
-	device.Instrument
-	Stats() device.Stats
-}
-
-// runPipelines dispatches the request kind onto inst and fills res. truth,
-// when non-nil, enables ground-truth scoring. ctx reaches the cancellable
-// stages (today the verify scan loop), so cancelling a job interrupts a
-// long knee sweep between probes. It is a free function — no service state —
-// so trace replay (ReplayTrace) re-executes recorded requests through
-// exactly the code path that produced them.
-func runPipelines(ctx context.Context, nreq Request, inst accountant, win csd.Window, truth *qflow.Truth, res *Result) error {
+// runPipelines runs the request kind's pipeline on inst and fills res:
+// windowfind searches for a window, every other kind runs its extraction
+// method through the internal/method table, and a verify job then checks
+// the fast method's matrix on the device. truth, when non-nil, enables
+// ground-truth scoring. ctx reaches the cancellable stages (today the verify
+// scan loop), so cancelling a job interrupts a long knee sweep between
+// probes. It is a free function — no service state — so trace replay
+// (ReplayTrace) re-executes recorded requests through exactly the code path
+// that produced them.
+func runPipelines(ctx context.Context, nreq Request, inst device.Metered, win csd.Window, truth *qflow.Truth, res *Result) error {
 	before := inst.Stats()
-	src := csd.PixelSource{Src: inst, Win: win}
 	// Live jobs carry a span and the service metric set on ctx; replay
 	// carries neither, so a replayed extraction records and counts nothing.
 	var psp *telemetry.Span
@@ -841,63 +833,8 @@ func runPipelines(ctx context.Context, nreq Request, inst accountant, win csd.Wi
 	}
 	t0 := time.Now()
 	var err error
-	var steep, shallow float64
-	var matrix *virtualgate.Mat2
-	switch nreq.Kind {
-	case KindFast, KindAdaptive, KindVerify:
-		cfg := coreConfig(nreq.Fast)
-		var cr *core.Result
-		if nreq.Kind == KindAdaptive {
-			var ar *core.AdaptiveResult
-			ar, err = core.ExtractAdaptive(src, win, core.AdaptiveConfig{Config: cfg, CoarseFactor: nreq.Fast.CoarseFactor})
-			if ar != nil {
-				cr = ar.Fine
-			}
-		} else {
-			cr, err = core.Extract(src, win, cfg)
-		}
-		if err == nil {
-			steep, shallow = cr.SteepSlope, cr.ShallowSlope
-			matrix = &cr.Matrix
-			res.TripleV1, res.TripleV2 = cr.TriplePointVoltage(win)
-			if nreq.Kind == KindVerify {
-				var vr *virtualgate.VerifyResult
-				vr, err = virtualgate.Verify(ctx, inst, win, cr.Matrix, res.TripleV1, res.TripleV2,
-					virtualgate.VerifyConfig{MaxShiftFrac: nreq.Verify.MaxShiftFrac})
-				if err == nil {
-					res.Verify = &VerifyReport{OK: vr.OK, SteepShift: vr.SteepShift, ShallowShift: vr.ShallowShift}
-				}
-			}
-		}
-	case KindBaseline:
-		var br *baseline.Result
-		br, err = baseline.Extract(inst, win, baselineConfig(nreq.Baseline))
-		if err == nil {
-			steep, shallow = br.SteepSlope, br.ShallowSlope
-			matrix = &br.Matrix
-			res.TripleV1 = win.V1Min + (br.Knee.X+0.5)*win.StepV1()
-			res.TripleV2 = win.V2Min + (br.Knee.Y+0.5)*win.StepV2()
-		}
-	case KindRays:
-		var rr *rays.Result
-		rr, err = rays.Extract(src, win, rays.Config{NumRays: nreq.Rays.NumRays, DropSigma: nreq.Rays.DropSigma})
-		if err == nil {
-			steep, shallow = rr.SteepSlope, rr.ShallowSlope
-			matrix = &rr.Matrix
-		}
-	case KindInfoGain:
-		igCfg := infogainConfig(nreq.InfoGain)
-		if m := liveMetricsFrom(ctx); m != nil {
-			igCfg.Metrics = m.ig
-		}
-		var ir *infogain.Result
-		ir, err = infogain.Extract(src, win, igCfg)
-		if err == nil {
-			steep, shallow = ir.SteepSlope, ir.ShallowSlope
-			matrix = &ir.Matrix
-			res.TripleV1, res.TripleV2 = ir.TriplePointVoltage(win)
-		}
-	case KindWindowFind:
+	var fit *method.Fit
+	if nreq.Kind == KindWindowFind {
 		wf := nreq.WindowFind
 		var ar *autotune.Result
 		ar, err = autotune.FindWindow(inst, wf.V1Min, wf.V1Max, wf.V2Min, wf.V2Max, wf.Pixels, autotune.Config{})
@@ -905,8 +842,23 @@ func runPipelines(ctx context.Context, nreq Request, inst accountant, win csd.Wi
 			w := ar.Window
 			res.Window = &w
 		}
-	default:
-		return fmt.Errorf("%w %q", ErrBadKind, nreq.Kind)
+	} else {
+		name := kindMethod(nreq.Kind)
+		if !method.Valid(name) {
+			return fmt.Errorf("%w %q", ErrBadKind, nreq.Kind)
+		}
+		fit, err = method.Run(ctx, name, inst, win, methodOptions(ctx, nreq))
+		if err == nil {
+			res.TripleV1, res.TripleV2 = fit.TripleV1, fit.TripleV2
+			if nreq.Kind == KindVerify {
+				var vr *virtualgate.VerifyResult
+				vr, err = virtualgate.Verify(ctx, inst, win, fit.Matrix, fit.TripleV1, fit.TripleV2,
+					virtualgate.VerifyConfig{MaxShiftFrac: nreq.Verify.MaxShiftFrac})
+				if err == nil {
+					res.Verify = &VerifyReport{OK: vr.OK, SteepShift: vr.SteepShift, ShallowShift: vr.ShallowShift}
+				}
+			}
+		}
 	}
 	res.ComputeS = time.Since(t0).Seconds()
 	after := inst.Stats()
@@ -935,58 +887,63 @@ func runPipelines(ctx context.Context, nreq Request, inst accountant, win csd.Wi
 		res.Error = err.Error()
 		return nil
 	}
-	if matrix != nil {
-		res.SteepSlope, res.ShallowSlope = steep, shallow
-		res.A12, res.A21 = matrix.A12(), matrix.A21()
-		if truth != nil && nreq.Kind != KindWindowFind {
+	if fit != nil {
+		res.SteepSlope, res.ShallowSlope = fit.SteepSlope, fit.ShallowSlope
+		res.A12, res.A21 = fit.Matrix.A12(), fit.Matrix.A21()
+		if truth != nil {
 			res.Scored = true
 			res.Success, res.SteepErrDeg, res.ShallowErrDeg =
-				evalx.CheckSlopes(steep, shallow, *truth, evalx.DefaultAngleTolDeg)
+				evalx.CheckSlopes(fit.SteepSlope, fit.ShallowSlope, *truth, evalx.DefaultAngleTolDeg)
 		}
 	}
 	return nil
 }
 
-func coreConfig(f *FastOptions) core.Config {
-	cfg := core.Config{
-		DisableFilter: f.DisableFilter,
-		RowSweepOnly:  f.RowSweepOnly,
-		NoShrink:      f.NoShrink,
+// kindMethod maps a job kind onto the extraction method it runs; a verify
+// job extracts with the fast method.
+func kindMethod(k Kind) method.Name {
+	if k == KindVerify {
+		return method.Fast
 	}
-	cfg.Anchors.DiagonalPoints = f.DiagonalProbes
-	cfg.Anchors.GaussSigmaFrac = f.GaussSigmaFrac
-	return cfg
+	return method.Name(k)
 }
 
-// infogainConfig maps the job options onto the infogain package config; a
-// nil options block (a chain ladder without the rung) runs the defaults.
-func infogainConfig(o *InfoGainOptions) infogain.Config {
-	if o == nil {
-		return infogain.Config{}
+// methodOptions maps the request's option blocks onto the method table's;
+// a missing block runs that method's defaults. Live jobs count infogain
+// decisions into the service metric set on ctx; replay carries none.
+func methodOptions(ctx context.Context, nreq Request) *method.Options {
+	o := &method.Options{}
+	if f := nreq.Fast; f != nil {
+		o.Fast = core.Config{DisableFilter: f.DisableFilter, RowSweepOnly: f.RowSweepOnly, NoShrink: f.NoShrink}
+		o.Fast.Anchors.DiagonalPoints = f.DiagonalProbes
+		o.Fast.Anchors.GaussSigmaFrac = f.GaussSigmaFrac
+		o.Adaptive = core.AdaptiveConfig{Config: o.Fast, CoarseFactor: f.CoarseFactor}
 	}
-	return infogain.Config{
-		TargetCI:  o.TargetCI,
-		MaxProbes: o.MaxProbes,
-		NoiseEps:  o.NoiseEps,
-		MinProbes: o.MinProbes,
+	if r := nreq.Rays; r != nil {
+		o.Rays = rays.Config{NumRays: r.NumRays, DropSigma: r.DropSigma}
 	}
-}
-
-func baselineConfig(b *BaselineOptions) baseline.Config {
+	if ig := nreq.InfoGain; ig != nil {
+		o.InfoGain = infogain.Config{TargetCI: ig.TargetCI, MaxProbes: ig.MaxProbes, NoiseEps: ig.NoiseEps, MinProbes: ig.MinProbes}
+	}
+	if m := liveMetricsFrom(ctx); m != nil {
+		o.InfoGain.Metrics = m.ig
+	}
 	// RenderWorkers 0 = one per CPU: cold-cache baseline jobs acquire their
 	// full CSD through the batched parallel render (grids are bit-identical
 	// at any worker count, so cached results are unaffected).
-	cfg := baseline.Config{NoRefine: b.NoRefine}
-	if b.CannySigma != 0 || b.CannyHighRatio != 0 {
-		cfg.Canny = imaging.DefaultCannyConfig()
-		if b.CannySigma != 0 {
-			cfg.Canny.Sigma = b.CannySigma
-		}
-		if b.CannyHighRatio != 0 {
-			cfg.Canny.HighRatio = b.CannyHighRatio
+	if b := nreq.Baseline; b != nil {
+		o.Baseline.NoRefine = b.NoRefine
+		if b.CannySigma != 0 || b.CannyHighRatio != 0 {
+			o.Baseline.Canny = imaging.DefaultCannyConfig()
+			if b.CannySigma != 0 {
+				o.Baseline.Canny.Sigma = b.CannySigma
+			}
+			if b.CannyHighRatio != 0 {
+				o.Baseline.Canny.HighRatio = b.CannyHighRatio
+			}
 		}
 	}
-	return cfg
+	return o
 }
 
 // BenchmarkInfo is a serialisable suite entry for the listing endpoint.

@@ -131,7 +131,7 @@ func surrogateReport(key string, hyb *surrogate.Hybrid) *SurrogateReport {
 // pipeline probes a Hybrid over the spec's twin, with the instrument (or its
 // trace recorder, so the trace holds exactly the escalated probes) as the
 // escalation backend.
-func (s *Service) runSurrogate(ctx context.Context, nreq Request, hash string, inst accountant, win csd.Window, truth *qflow.Truth, res *Result) error {
+func (s *Service) runSurrogate(ctx context.Context, nreq Request, hash string, inst device.Metered, win csd.Window, truth *qflow.Truth, res *Result) error {
 	sur := nreq.Sim.Surrogate
 	key, err := specTwinKey(*nreq.Sim)
 	if err != nil {
@@ -139,7 +139,7 @@ func (s *Service) runSurrogate(ctx context.Context, nreq Request, hash string, i
 	}
 	tw := s.acquireTwin(key, win)
 	defer tw.mu.Unlock()
-	var backend surrogate.Backend = inst
+	backend := inst
 	var rec *trace.Recorder
 	var meta *trace.SurrogateMeta
 	if s.traceDir != "" {

@@ -38,8 +38,9 @@ type Config struct {
 // registry, fleet slice and journal — and the router consistent-hashes
 // request identities onto them: spec/benchmark jobs by RouteKey, fleet
 // devices by device ID, job polls and session calls by the shard prefix
-// minted into their IDs. Batch and fleet-summary work scatter-gathers;
-// identical in-flight cacheable requests coalesce at the router.
+// minted into their IDs. Batch and fleet-summary work scatter-gathers.
+// Identical requests hash to the same shard, whose result cache coalesces
+// concurrent ones onto one extraction.
 type Cluster struct {
 	cfg  Config
 	ring *Ring
@@ -47,13 +48,9 @@ type Cluster struct {
 	nodes []*node
 
 	// Router-level telemetry (shard label "router" in the merged scrape).
-	tel        *telemetry.Registry
-	mRouted    *telemetry.CounterVec // vgx_router_requests_total{shard}
-	mCoalesced *telemetry.Counter
-	mScatter   *telemetry.Counter
-
-	flightMu sync.Mutex
-	flight   map[string]*flightCall
+	tel      *telemetry.Registry
+	mRouted  *telemetry.CounterVec // vgx_router_requests_total{shard}
+	mScatter *telemetry.Counter
 
 	reqID uint64 // router-minted X-Request-ID counter
 }
@@ -72,13 +69,6 @@ func (n *node) get() (*service.Service, http.Handler) {
 	return n.svc, n.h
 }
 
-// flightCall is one in-flight cacheable extraction the router knows
-// about; joiners wait for done, then read the shard's cache.
-type flightCall struct {
-	done chan struct{}
-	err  error
-}
-
 // ErrShardDown rejects work routed to a killed shard.
 var ErrShardDown = errors.New("shard: routed shard is down")
 
@@ -93,16 +83,13 @@ func New(cfg Config) (*Cluster, error) {
 	cfg.Shards = n
 	tel := telemetry.NewRegistry()
 	c := &Cluster{
-		cfg:    cfg,
-		ring:   NewRing(n),
-		nodes:  make([]*node, n),
-		tel:    tel,
-		flight: make(map[string]*flightCall),
+		cfg:   cfg,
+		ring:  NewRing(n),
+		nodes: make([]*node, n),
+		tel:   tel,
 	}
 	c.mRouted = tel.CounterVec("vgx_router_requests_total",
 		"Requests dispatched by the shard router, by target shard.", "shard")
-	c.mCoalesced = tel.Counter("vgx_router_coalesced_total",
-		"Cacheable requests joined onto an identical in-flight extraction at the router.")
 	c.mScatter = tel.Counter("vgx_router_scatter_total",
 		"Scatter-gather fan-outs (batch and fleet-summary work spanning >1 shard).")
 	for i := 0; i < n; i++ {
@@ -229,10 +216,10 @@ func (c *Cluster) route(req service.Request) (int, error) {
 }
 
 // Run executes one request synchronously on its owning shard. Identical
-// concurrent cacheable requests coalesce at the router: one caller leads
-// and runs the extraction, the rest wait and then read the shard's cache
-// — they never occupy a queue slot, so coalesced joins are served even
-// when the shard is shedding load.
+// requests route to the same shard, whose result cache coalesces
+// concurrent cacheable ones: one caller runs the extraction, the rest join
+// it without occupying a queue slot, so joins are served even when the
+// shard is shedding load.
 func (c *Cluster) Run(ctx context.Context, req service.Request) (*service.Result, error) {
 	idx, err := c.route(req)
 	if err != nil {
@@ -243,41 +230,7 @@ func (c *Cluster) Run(ctx context.Context, req service.Request) (*service.Result
 		return nil, err
 	}
 	c.mRouted.With(strconv.Itoa(idx)).Inc()
-	if !req.Cacheable() {
-		return svc.Run(ctx, req)
-	}
-	hash, err := req.Hash()
-	if err != nil {
-		return nil, err
-	}
-
-	c.flightMu.Lock()
-	if fc, ok := c.flight[hash]; ok {
-		c.flightMu.Unlock()
-		c.mCoalesced.Inc()
-		select {
-		case <-fc.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if fc.err != nil {
-			return nil, fc.err
-		}
-		// The leader completed: this is now a cache hit on the shard and
-		// is served without queueing.
-		return svc.Run(ctx, req)
-	}
-	fc := &flightCall{done: make(chan struct{})}
-	c.flight[hash] = fc
-	c.flightMu.Unlock()
-
-	res, err := svc.Run(ctx, req)
-	fc.err = err
-	c.flightMu.Lock()
-	delete(c.flight, hash)
-	c.flightMu.Unlock()
-	close(fc.done)
-	return res, err
+	return svc.Run(ctx, req)
 }
 
 // Submit routes an async submission to its owning shard; the returned

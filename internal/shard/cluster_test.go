@@ -99,17 +99,42 @@ func TestClusterDeterminismAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestRouterCoalescing pins the join path deterministically: a request
-// whose hash is already in flight at the router waits for the leader and
-// is then served from the owning shard's cache, without a second
-// extraction.
+// TestRouterCoalescing drives concurrent identical Cluster.Run calls
+// through the real path: they all route to the owning shard, whose result
+// cache runs the extraction once and serves every other caller from that
+// flight or from the fresh entry, so every caller gets the same result.
 func TestRouterCoalescing(t *testing.T) {
 	c := newTestCluster(t, Config{Shards: 2, Base: service.Config{Workers: 2, ScrapeInterval: -1}})
-	req := service.Request{Kind: service.KindFast, Sim: smallSpec(7)}
-	hash, err := req.Hash()
-	if err != nil {
-		t.Fatal(err)
+	// runAll starts callers identical Runs at once and checks that every
+	// one succeeds with the same result.
+	runAll := func(req service.Request, callers int) {
+		t.Helper()
+		type outcome struct {
+			res *service.Result
+			err error
+		}
+		outs := make(chan outcome, callers)
+		for i := 0; i < callers; i++ {
+			go func() {
+				res, err := c.Run(context.Background(), req)
+				outs <- outcome{res, err}
+			}()
+		}
+		var first string
+		for i := 0; i < callers; i++ {
+			o := <-outs
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			if n := normalize(t, o.res); first == "" {
+				first = n
+			} else if n != first {
+				t.Fatal("concurrent identical runs disagree")
+			}
+		}
 	}
+
+	req := service.Request{Kind: service.KindFast, Sim: smallSpec(7)}
 	idx, err := c.route(req)
 	if err != nil {
 		t.Fatal(err)
@@ -118,75 +143,18 @@ func TestRouterCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Plant an in-flight marker, start a joiner, then complete the
-	// "leader's" extraction and release the marker.
-	fc := &flightCall{done: make(chan struct{})}
-	c.flightMu.Lock()
-	c.flight[hash] = fc
-	c.flightMu.Unlock()
-
-	type outcome struct {
-		res *service.Result
-		err error
-	}
-	joined := make(chan outcome, 1)
-	go func() {
-		res, err := c.Run(context.Background(), req)
-		joined <- outcome{res, err}
-	}()
-
-	select {
-	case o := <-joined:
-		t.Fatalf("joiner returned before the leader finished: %+v, %v", o.res, o.err)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	want, err := svc.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.flightMu.Lock()
-	delete(c.flight, hash)
-	c.flightMu.Unlock()
-	close(fc.done)
-
-	o := <-joined
-	if o.err != nil {
-		t.Fatal(o.err)
-	}
-	if !o.res.Cached {
-		t.Fatal("joiner's result must come from the shard cache")
-	}
-	if normalize(t, o.res) != normalize(t, want) {
-		t.Fatal("joiner's result differs from the leader's")
-	}
-	if got := c.mCoalesced.Value(); got != 1 {
-		t.Fatalf("coalesced counter = %d, want 1", got)
+	const callers = 8
+	before := svc.Stats().Cache
+	runAll(req, callers)
+	after := svc.Stats().Cache
+	misses := after.Misses - before.Misses
+	served := after.Hits - before.Hits + after.Coalesced - before.Coalesced
+	if misses != 1 || served != callers-1 {
+		t.Fatalf("owning shard cache: %d misses and %d hits+coalesced, want 1 and %d", misses, served, callers-1)
 	}
 
 	// Concurrent identical leaders race safely and agree.
-	const callers = 6
-	outs := make(chan outcome, callers)
-	req2 := service.Request{Kind: service.KindRays, Sim: smallSpec(8)}
-	for i := 0; i < callers; i++ {
-		go func() {
-			res, err := c.Run(context.Background(), req2)
-			outs <- outcome{res, err}
-		}()
-	}
-	var first string
-	for i := 0; i < callers; i++ {
-		o := <-outs
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		if n := normalize(t, o.res); first == "" {
-			first = n
-		} else if n != first {
-			t.Fatal("concurrent identical runs disagree")
-		}
-	}
+	runAll(service.Request{Kind: service.KindRays, Sim: smallSpec(8)}, 6)
 }
 
 // TestSubmitRoutesByIDPrefix: async jobs land on the ring-owner shard,

@@ -3,9 +3,9 @@
 // N shard workers, each a full single-process service — its own worker
 // pool, result cache, twin registry, fleet slice and journal. Single-
 // process mode is just N=1. The router adds scatter-gather fan-out for
-// batch and fleet-summary work, request coalescing across callers,
-// per-shard scrape aggregation for /metrics and /v1/query, and journal-
-// range rebalance when the shard count changes.
+// batch and fleet-summary work, per-shard scrape aggregation for /metrics
+// and /v1/query, and journal-range rebalance when the shard count changes;
+// identical requests coalesce in their shared shard's result cache.
 package shard
 
 import (

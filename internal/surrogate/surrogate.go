@@ -364,16 +364,11 @@ func medianOf(pts []fitting.Vec2, get func(fitting.Vec2) float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// Backend is what a Hybrid escalates to: a scalar instrument that accounts
-// its probes (SimInstrument, DatasetInstrument, a chain PairView, a
-// trace.Recorder or trace.Replayer all qualify).
-type Backend interface {
-	device.Instrument
-	Stats() device.Stats
-}
-
 // Hybrid serves probes surrogate-first: a probe whose model confidence is at
-// least Threshold is answered by the twin, anything else escalates to Inner.
+// least Threshold is answered by the twin, anything else escalates to Inner,
+// a scalar instrument that accounts its probes (SimInstrument,
+// DatasetInstrument, a chain PairView, a trace.Recorder or trace.Replayer
+// all qualify).
 // With Learn set, escalated measurements are fed back into the model, so a
 // Hybrid over an empty twin is also how the twin trains.
 //
@@ -390,7 +385,7 @@ type Backend interface {
 // keeps counting live probes only; the twin's savings are Hits.
 type Hybrid struct {
 	Model     *Model
-	Inner     Backend
+	Inner     device.Metered
 	Threshold float64
 	Learn     bool
 

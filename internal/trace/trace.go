@@ -101,26 +101,18 @@ type SurrogateMeta struct {
 	Learn     bool    `json:"learn,omitempty"`
 }
 
-// Instrument is what a Recorder wraps: two-gate probing with cost
-// accounting (device.SimInstrument, device.DatasetInstrument, or anything
-// satisfying the same contract).
-type Instrument interface {
-	device.Instrument
-	Stats() device.Stats
-}
-
-// Recorder wraps an Instrument, recording every GetCurrent call. It
-// implements the same Instrument contract and intentionally nothing more —
+// Recorder wraps a device.Metered instrument, recording every GetCurrent
+// call. It implements the same contract and intentionally nothing more —
 // see the package comment for why hiding the batch interfaces is sound.
 type Recorder struct {
-	inst    Instrument
+	inst    device.Metered
 	base    device.Stats
 	last    device.Stats
 	samples []Sample
 }
 
 // NewRecorder returns a recorder over inst.
-func NewRecorder(inst Instrument) *Recorder {
+func NewRecorder(inst device.Metered) *Recorder {
 	st := inst.Stats()
 	return &Recorder{inst: inst, base: st, last: st}
 }
