@@ -3,7 +3,6 @@ package device
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 	"sync"
 	"time"
 
@@ -45,15 +44,57 @@ func (d *ArrayDevice) CurrentAt(v []float64, t float64) float64 {
 // instrument (the interleaving, like on hardware, then depends on timing —
 // use independent per-pair instruments, e.g. ChainSpec.BuildPair, when
 // deterministic concurrent extraction is required).
+//
+// The memo has two stores. The first PairView made over an instrument with
+// an empty memo claims its plane: a flat memoRows over the view's two gates'
+// cells, with every other gate fixed at the view's base cells. A
+// configuration whose other-gate cells match the plane, and whose pair cells
+// lie within planeReach of zero, is memoised on the plane; every other
+// configuration goes to a map keyed by all N cells. Which store holds a
+// value therefore depends on the configuration alone, so results and Stats
+// never depend on which view claimed the plane — only the cost of a probe
+// does. Both stores live in epochs: Advance and ResetStats empty the plane
+// in O(1) and clear the map only when it holds entries, which an instrument
+// probed only on its plane never gives it.
 type MultiInstrument struct {
 	Dev   *ArrayDevice
 	Dwell time.Duration
 	Quant float64 // memoisation pitch for every gate; 0 disables
 
 	mu     sync.Mutex
+	plane  *memoPlane // nil until a view claims it
 	memo   map[string]float64
 	keyBuf []byte // reusable quantised-key scratch; keys are flat int64 cells
 	stats  Stats
+}
+
+// planeReach bounds the plane memo to pair cells in [-planeReach,
+// planeReach) on both axes. Row buffers are dense, so the bound caps a
+// plane at a few MiB however far apart its probes land; BuildPair's window
+// spans cells [0, 128].
+const planeReach = 256
+
+// memoPlane is the flat memo of one gate pair's 2-D slice of the
+// quantisation grid: rows are gate g2's cells, columns gate g1's.
+type memoPlane struct {
+	memoRows
+	g1, g2 int
+	cells  []int64 // every gate's cell at the claiming view's base; g1, g2 unused
+}
+
+// slot returns the plane cell of configuration v and whether v lies on the
+// plane.
+func (p *memoPlane) slot(v []float64, q float64) (c1, c2 int64, ok bool) {
+	c1, c2 = quantKey(v[p.g1], q), quantKey(v[p.g2], q)
+	if c1 < -planeReach || c1 >= planeReach || c2 < -planeReach || c2 >= planeReach {
+		return 0, 0, false
+	}
+	for i, c := range p.cells {
+		if i != p.g1 && i != p.g2 && quantKey(v[i], q) != c {
+			return 0, 0, false
+		}
+	}
+	return c1, c2, true
 }
 
 // NewMultiInstrument returns an instrument over dev.
@@ -71,7 +112,7 @@ func (m *MultiInstrument) key(v []float64) []byte {
 	}
 	buf := m.keyBuf[:8*len(v)]
 	for i, vi := range v {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(int64(math.Floor(vi/m.Quant))))
+		binary.LittleEndian.PutUint64(buf[8*i:], uint64(quantKey(vi, m.Quant)))
 	}
 	return buf
 }
@@ -81,46 +122,92 @@ func (m *MultiInstrument) key(v []float64) []byte {
 // instrument's scratch buffer and only materialised as a map key when a new
 // configuration is stored.
 func (m *MultiInstrument) GetCurrentN(v []float64) float64 {
-	val, _ := m.ProbeN(v, nil)
+	val, _ := m.ProbeN(v)
 	return val
 }
 
 // ProbeN measures like GetCurrentN and additionally reports whether the call
-// consumed a fresh dwell (a memo miss on the quantisation grid). warp, if
-// non-nil, is applied to v in place — under the instrument lock, at the
-// virtual time the fresh probe lands, after the memo lookup — which is how a
-// PairView's pair-local lever drift bends the voltages the device sees
-// without changing the memoisation key (mirroring DoubleDot.Drift, where the
-// warp also sits between the memo and the physics).
-func (m *MultiInstrument) ProbeN(v []float64, warp func(t float64, v []float64)) (float64, bool) {
+// consumed a fresh dwell (a memo miss on the quantisation grid).
+func (m *MultiInstrument) ProbeN(v []float64) (float64, bool) {
+	return m.probe(v, nil)
+}
+
+// probe measures configuration v for view pv (nil for a direct N-gate
+// probe). A view's lever drift warps v in place — under the lock, at the
+// virtual time the fresh probe lands, after the memo lookup — which bends
+// the voltages the device sees without changing the memoisation key
+// (mirroring DoubleDot.Drift, where the warp also sits between the memo and
+// the physics).
+func (m *MultiInstrument) probe(v []float64, pv *PairView) (float64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.RawCalls++
+	var row *memoRow
+	var c1 int64
 	var k []byte
 	if m.Quant > 0 {
-		k = m.key(v)
-		if val, ok := m.memo[string(k)]; ok {
-			return val, false
+		var c2 int64
+		var onPlane bool
+		if m.plane != nil {
+			c1, c2, onPlane = m.plane.slot(v, m.Quant)
+		}
+		if onPlane {
+			row = m.plane.row(c2)
+			if val, ok := m.plane.get(row, c1); ok {
+				return val, false
+			}
+		} else {
+			k = m.key(v)
+			if val, ok := m.memo[string(k)]; ok {
+				return val, false
+			}
 		}
 	}
 	m.stats.UniqueProbes++
 	m.stats.Virtual += m.Dwell
 	t := m.stats.Virtual.Seconds()
-	if warp != nil {
-		warp(t, v)
+	if pv != nil && pv.Drift != nil {
+		v[pv.G1], v[pv.G2] = pv.Drift.Warp(v[pv.G1], v[pv.G2], t)
 	}
 	val := m.Dev.CurrentAt(v, t)
-	if m.Quant > 0 {
+	if row != nil {
+		m.plane.put(row, c1, val)
+	} else if k != nil {
 		m.memo[string(k)] = val
 	}
 	return val, true
 }
 
+// claimPlane gives the instrument a plane memo over gates (g1, g2) at base
+// when it has none and its memo is empty.
+func (m *MultiInstrument) claimPlane(g1, g2 int, base []float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.Quant <= 0 || m.plane != nil || len(m.memo) > 0 {
+		return
+	}
+	cells := make([]int64, len(base))
+	for i, v := range base {
+		cells[i] = quantKey(v, m.Quant)
+	}
+	m.plane = &memoPlane{memoRows: newMemoRows(), g1: g1, g2: g2, cells: cells}
+}
+
+// newEpoch empties both memo stores; callers hold m.mu.
+func (m *MultiInstrument) newEpoch() {
+	if m.plane != nil {
+		m.plane.reset()
+	}
+	if len(m.memo) > 0 {
+		clear(m.memo)
+	}
+}
+
 // Advance moves the instrument's virtual clock forward by d without probing —
 // idle wall time between measurement epochs, the fleet monitor's tick. The
-// memoisation cache is cleared (a configuration re-requested after idle time
-// is a new measurement, with the noise and drift of the new epoch) but the
-// cumulative probe accounting is kept.
+// memo opens a new, empty epoch (a configuration re-requested after idle
+// time is a new measurement, with the noise and drift of the new epoch) but
+// the cumulative probe accounting is kept.
 func (m *MultiInstrument) Advance(d time.Duration) {
 	if d <= 0 {
 		return
@@ -128,7 +215,7 @@ func (m *MultiInstrument) Advance(d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.Virtual += d
-	clear(m.memo)
+	m.newEpoch()
 }
 
 // Stats implements Accountant.
@@ -138,12 +225,12 @@ func (m *MultiInstrument) Stats() Stats {
 	return m.stats
 }
 
-// ResetStats clears accounting and the memoisation cache.
+// ResetStats clears accounting and opens a new, empty memo epoch.
 func (m *MultiInstrument) ResetStats() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats = Stats{}
-	clear(m.memo)
+	m.newEpoch()
 }
 
 // PairView exposes gates (G1, G2) of a MultiInstrument as a two-gate
@@ -170,7 +257,9 @@ type PairView struct {
 	stats   Stats
 }
 
-// NewPairView validates indices and returns the adapter.
+// NewPairView validates indices and returns the adapter. The first view
+// made over an instrument with an empty memo claims its plane memo (see
+// MultiInstrument).
 func NewPairView(m *MultiInstrument, g1, g2 int, base []float64) (*PairView, error) {
 	n := m.Dev.Phys.N
 	if g1 < 0 || g1 >= n || g2 < 0 || g2 >= n || g1 == g2 {
@@ -179,6 +268,7 @@ func NewPairView(m *MultiInstrument, g1, g2 int, base []float64) (*PairView, err
 	if len(base) != n {
 		return nil, errors.New("device: base voltage vector length mismatch")
 	}
+	m.claimPlane(g1, g2, base)
 	return &PairView{M: m, G1: g1, G2: g2, Base: append([]float64(nil), base...), scratch: make([]float64, n)}, nil
 }
 
@@ -187,13 +277,7 @@ func (p *PairView) GetCurrent(v1, v2 float64) float64 {
 	copy(p.scratch, p.Base)
 	p.scratch[p.G1] = v1
 	p.scratch[p.G2] = v2
-	var warp func(t float64, v []float64)
-	if p.Drift != nil {
-		warp = func(t float64, v []float64) {
-			v[p.G1], v[p.G2] = p.Drift.Warp(v[p.G1], v[p.G2], t)
-		}
-	}
-	val, fresh := p.M.ProbeN(p.scratch, warp)
+	val, fresh := p.M.probe(p.scratch, p)
 	p.stats.RawCalls++
 	if fresh {
 		p.stats.UniqueProbes++

@@ -177,7 +177,7 @@ func TestMultiInstrumentAdvance(t *testing.T) {
 	m := NewMultiInstrument(dev, time.Millisecond, 0.5)
 	v := []float64{1, 2, 3}
 	m.GetCurrentN(v)
-	if _, fresh := m.ProbeN(v, nil); fresh {
+	if _, fresh := m.ProbeN(v); fresh {
 		t.Fatal("repeat probe in the same epoch dwelled again")
 	}
 	m.Advance(time.Second)
@@ -188,7 +188,7 @@ func TestMultiInstrumentAdvance(t *testing.T) {
 	if st.Virtual != time.Second+time.Millisecond {
 		t.Fatalf("advance lost clock time: %v", st.Virtual)
 	}
-	if _, fresh := m.ProbeN(v, nil); !fresh {
+	if _, fresh := m.ProbeN(v); !fresh {
 		t.Error("probe after Advance served a stale pre-epoch memo")
 	}
 }

@@ -37,57 +37,89 @@ type BatchInstrument interface {
 }
 
 // memoRows is the grid-aligned memoisation store: measured currents
-// bucketed by quantised-v2 row, each row a flat []float64 with a set mask.
-// It replaces the former map[[2]int64]float64 so that, once a row buffer
-// exists, a probe costs a cached row pointer and two slice indexes — no
-// hashing, no allocation.
+// bucketed by quantised-v2 row, each row a flat []float64 with a stamp per
+// cell. It replaces the former map[[2]int64]float64 so that, once a row
+// buffer exists, a probe costs a cached row pointer and two slice indexes —
+// no hashing, no allocation.
+//
+// The store lives in epochs: a cell is set when its stamp equals the
+// current epoch, so reset opens a new, empty epoch by bumping a counter and
+// never walks the rows. Stamps are 8 bits, the size of the set flag they
+// replace. When the epoch wraps, a stamp from 255 epochs ago could read as
+// current, so each row clears its stamps on its first use after a wrap
+// (and rows not yet used since are skipped as empty).
 type memoRows struct {
 	rows    map[int64]*memoRow
 	lastKey int64
 	last    *memoRow
-	count   int // memoised cells across all rows
+	count   int    // cells memoised in the current epoch
+	epoch   uint8  // stamp of the current epoch's cells; never 0
+	wraps   uint64 // times epoch has wrapped
 }
 
 // memoRow is one quantised-v2 row: vals[i] holds the current of v1 cell
-// base+i where set[i] is true.
+// base+i where stamp[i] is the store's current epoch.
 type memoRow struct {
-	base int64
-	vals []float64
-	set  []bool
+	base  int64
+	vals  []float64
+	stamp []uint8
+	wraps uint64 // the store's wrap count its stamps belong to
 }
 
 func newMemoRows() memoRows {
-	return memoRows{rows: make(map[int64]*memoRow)}
+	return memoRows{rows: make(map[int64]*memoRow), epoch: 1}
 }
 
-// row returns the bucket for a quantised-v2 key, creating it on first use.
-// A one-entry cache makes the common row-scan pattern skip the map.
+// row returns the bucket for a quantised-v2 key, creating it on first use
+// and clearing stamps left from before an epoch wrap. A one-entry cache
+// makes the common row-scan pattern skip the map.
 func (m *memoRows) row(key int64) *memoRow {
 	if m.last != nil && m.lastKey == key {
 		return m.last
 	}
 	r := m.rows[key]
 	if r == nil {
-		r = &memoRow{}
+		r = &memoRow{wraps: m.wraps}
 		m.rows[key] = r
+	} else if r.wraps != m.wraps {
+		clear(r.stamp)
+		r.wraps = m.wraps
 	}
 	m.lastKey, m.last = key, r
 	return r
 }
 
-// reset empties every row in place, keeping the buffers warm.
+// reset opens a new, empty epoch in O(1), keeping the row buffers warm.
 func (m *memoRows) reset() {
-	for _, r := range m.rows {
-		for i := range r.set {
-			r.set[i] = false
-		}
-	}
 	m.count = 0
+	if m.epoch++; m.epoch == 0 {
+		m.epoch = 1
+		m.wraps++
+		m.last = nil
+	}
 }
 
-// cellsSorted collects the memoised cells as {v1 cell, v2 cell} pairs
-// sorted by (v2, v1). Rows are stored sorted along v1 already, so only the
-// row keys need sorting.
+// get returns the current epoch's value of cell c in row r.
+func (m *memoRows) get(r *memoRow, c int64) (float64, bool) {
+	i := c - r.base
+	if i < 0 || i >= int64(len(r.vals)) || r.stamp[i] != m.epoch {
+		return 0, false
+	}
+	return r.vals[i], true
+}
+
+// put records v as the current epoch's value of cell c in row r, which get
+// has just reported unset.
+func (m *memoRows) put(r *memoRow, c int64, v float64) {
+	i := r.grow(c)
+	r.vals[i] = v
+	r.stamp[i] = m.epoch
+	m.count++
+}
+
+// cellsSorted collects the current epoch's cells as {v1 cell, v2 cell}
+// pairs sorted by (v2, v1). Rows are stored sorted along v1 already, so only
+// the row keys need sorting.
 func (m *memoRows) cellsSorted() [][2]int64 {
 	keys := make([]int64, 0, len(m.rows))
 	for k := range m.rows {
@@ -97,8 +129,11 @@ func (m *memoRows) cellsSorted() [][2]int64 {
 	out := make([][2]int64, 0, m.count)
 	for _, c2 := range keys {
 		r := m.rows[c2]
-		for i, ok := range r.set {
-			if ok {
+		if r.wraps != m.wraps {
+			continue
+		}
+		for i, e := range r.stamp {
+			if e == m.epoch {
 				out = append(out, [2]int64{r.base + int64(i), c2})
 			}
 		}
@@ -106,27 +141,14 @@ func (m *memoRows) cellsSorted() [][2]int64 {
 	return out
 }
 
-func (r *memoRow) get(c int64) (float64, bool) {
-	i := c - r.base
-	if i < 0 || i >= int64(len(r.vals)) || !r.set[i] {
-		return 0, false
-	}
-	return r.vals[i], true
-}
-
-func (r *memoRow) put(c int64, v float64) {
+// grow extends the row to cover cell c and returns c's index. New cells
+// carry stamp 0, which no epoch uses.
+func (r *memoRow) grow(c int64) int64 {
 	if len(r.vals) == 0 {
 		r.base = c
-		if cap(r.vals) == 0 {
-			r.vals = make([]float64, 1, 64)
-			r.set = make([]bool, 1, 64)
-		} else {
-			r.vals = r.vals[:1]
-			r.set = r.set[:1]
-		}
-		r.vals[0] = v
-		r.set[0] = true
-		return
+		r.vals = make([]float64, 1, 64)
+		r.stamp = make([]uint8, 1, 64)
+		return 0
 	}
 	i := c - r.base
 	if i < 0 {
@@ -137,10 +159,10 @@ func (r *memoRow) put(c int64, v float64) {
 			pad = int64(len(r.vals))
 		}
 		nv := make([]float64, pad+int64(len(r.vals)))
-		ns := make([]bool, pad+int64(len(r.set)))
+		ns := make([]uint8, pad+int64(len(r.stamp)))
 		copy(nv[pad:], r.vals)
-		copy(ns[pad:], r.set)
-		r.vals, r.set = nv, ns
+		copy(ns[pad:], r.stamp)
+		r.vals, r.stamp = nv, ns
 		r.base -= pad
 		i = c - r.base
 	}
@@ -149,10 +171,10 @@ func (r *memoRow) put(c int64, v float64) {
 		if need <= cap(r.vals) {
 			old := len(r.vals)
 			r.vals = r.vals[:need]
-			r.set = r.set[:need]
+			r.stamp = r.stamp[:need]
 			for j := old; j < need; j++ {
 				r.vals[j] = 0
-				r.set[j] = false
+				r.stamp[j] = 0
 			}
 		} else {
 			newCap := 2 * cap(r.vals)
@@ -160,14 +182,13 @@ func (r *memoRow) put(c int64, v float64) {
 				newCap = need
 			}
 			nv := make([]float64, need, newCap)
-			ns := make([]bool, need, newCap)
+			ns := make([]uint8, need, newCap)
 			copy(nv, r.vals)
-			copy(ns, r.set)
-			r.vals, r.set = nv, ns
+			copy(ns, r.stamp)
+			r.vals, r.stamp = nv, ns
 		}
 	}
-	r.vals[i] = v
-	r.set[i] = true
+	return i
 }
 
 // CurrentRow implements BatchInstrument: one memo-row lookup and one device
@@ -197,7 +218,7 @@ func (s *SimInstrument) CurrentRow(v2 float64, v1s, out []float64) {
 		var c1 int64
 		if memoised {
 			c1 = quantKey(v1, s.QuantV1)
-			if v, ok := row.get(c1); ok {
+			if v, ok := s.memo.get(row, c1); ok {
 				out[i] = v
 				continue
 			}
@@ -308,7 +329,7 @@ func (s *SimInstrument) AcquireGrid(win csd.Window, workers int) (*grid.Grid, er
 			var c1 int64
 			if memoised {
 				c1 = quantKey(v1s[x], s.QuantV1)
-				if v, ok := row.get(c1); ok {
+				if v, ok := s.memo.get(row, c1); ok {
 					data[i] = v
 					continue
 				}

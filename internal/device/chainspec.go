@@ -87,6 +87,26 @@ func (s ChainSpec) Validate() error {
 	return nil
 }
 
+// CheckLimits checks the bounds a spec that arrives as input must respect,
+// as DoubleDotSpec.CheckLimits does: at most MaxPixels pair-window pixels
+// and bounded noise models for the sensor and every pair drift. Build,
+// BuildPair and Validate do not call it, so specs journaled before these
+// bounds existed still build.
+func (s ChainSpec) CheckLimits() error {
+	if s.Pixels > MaxPixels {
+		return fmt.Errorf("device: chain pixels %d exceeds %d", s.Pixels, MaxPixels)
+	}
+	if err := s.Noise.Validate(); err != nil {
+		return fmt.Errorf("device: chain %w", err)
+	}
+	for i, d := range s.PairDrift {
+		if err := d.validate(); err != nil {
+			return fmt.Errorf("device: chain pairDrift[%d] %w", i, err)
+		}
+	}
+	return nil
+}
+
 // SpanMV returns the recommended pair scan span in millivolts.
 func (s ChainSpec) SpanMV() float64 {
 	return (-chainOffset / chainAlphaOwn) / chainLineFrac

@@ -221,7 +221,7 @@ func (s *SimInstrument) GetCurrent(v1, v2 float64) float64 {
 	if memoised {
 		row = s.memo.row(quantKey(v2, s.QuantV2))
 		c1 = quantKey(v1, s.QuantV1)
-		if v, ok := row.get(c1); ok {
+		if v, ok := s.memo.get(row, c1); ok {
 			return v
 		}
 	}
@@ -237,8 +237,7 @@ func (s *SimInstrument) GetCurrent(v1, v2 float64) float64 {
 // record memoises a freshly measured cell and invalidates the ProbedCells
 // cache.
 func (s *SimInstrument) record(row *memoRow, c1 int64, v float64) {
-	row.put(c1, v)
-	s.memo.count++
+	s.memo.put(row, c1, v)
 	s.cellsValid = false
 }
 
@@ -264,9 +263,10 @@ func (s *SimInstrument) Stats() Stats { return s.stats }
 
 // Advance moves the instrument's virtual clock forward by d without probing —
 // idle wall time between measurement epochs, the fleet monitor's tick. The
-// memoisation cache is cleared (a configuration re-requested after idle time
-// is a new measurement, with the noise and drift of the new epoch) but the
-// cumulative probe accounting is kept, and the memo's row buffers stay warm.
+// memoisation cache opens a new, empty epoch in O(1) (a configuration
+// re-requested after idle time is a new measurement, with the noise and
+// drift of the new epoch) but the cumulative probe accounting is kept, and
+// the memo's row buffers stay warm.
 func (s *SimInstrument) Advance(d time.Duration) {
 	if d <= 0 {
 		return
@@ -277,9 +277,9 @@ func (s *SimInstrument) Advance(d time.Duration) {
 	s.cellsValid = false
 }
 
-// ResetStats clears the accounting and the memoisation cache. The memo's
-// row buffers are retained and reused, so resetting does not return the
-// probe path to an allocating warm-up state.
+// ResetStats clears the accounting and opens a new, empty memo epoch in
+// O(1). The memo's row buffers are retained and reused, so resetting does
+// not return the probe path to an allocating warm-up state.
 func (s *SimInstrument) ResetStats() {
 	s.stats = Stats{}
 	s.memo.reset()

@@ -76,6 +76,19 @@ func (l LeverDriftSpec) zero() bool {
 		l.Offset1 == (noise.Params{}) && l.Offset2 == (noise.Params{})
 }
 
+// validate checks every channel's noise model (noise.Params.Validate).
+func (l LeverDriftSpec) validate() error {
+	for _, c := range []struct {
+		name string
+		p    noise.Params
+	}{{"shear12", l.Shear12}, {"shear21", l.Shear21}, {"offset1", l.Offset1}, {"offset2", l.Offset2}} {
+		if err := c.p.Validate(); err != nil {
+			return fmt.Errorf("%s: %w", c.name, err)
+		}
+	}
+	return nil
+}
+
 // build constructs the LeverDrift with channel seeds derived from seed.
 func (l LeverDriftSpec) build(seed uint64) *LeverDrift {
 	if l.zero() {
@@ -123,6 +136,30 @@ func (s *DoubleDotSpec) FillDefaults() {
 	if s.Lambda2 == 0 {
 		s.Lambda2 = 0.45
 	}
+}
+
+// MaxPixels caps the resolution of a scan window that arrives as input,
+// along each axis: pixel counts size raster grids and probe loops. The
+// largest window the repository ships is 400 pixels.
+const MaxPixels = 1024
+
+// CheckLimits checks the bounds a spec that arrives as input must respect:
+// at most MaxPixels pixels and bounded noise models (noise.Params.Validate)
+// for the sensor and every drift channel. Build does not call it, so specs
+// journaled before these bounds existed still build.
+func (s DoubleDotSpec) CheckLimits() error {
+	if s.Pixels > MaxPixels {
+		return fmt.Errorf("device: pixels %d exceeds %d", s.Pixels, MaxPixels)
+	}
+	if err := s.Noise.Validate(); err != nil {
+		return fmt.Errorf("device: %w", err)
+	}
+	if s.LeverDrift != nil {
+		if err := s.LeverDrift.validate(); err != nil {
+			return fmt.Errorf("device: leverDrift %w", err)
+		}
+	}
+	return nil
 }
 
 // Window returns the scan window the spec describes. Call after FillDefaults.

@@ -217,7 +217,8 @@ func BenchmarkChainPartialRecal(b *testing.B) {
 // tick's barrier does. CompactEvery is out of reach, so no compaction is
 // amortised in. Beyond ns/op and allocs/op it reports the journal bytes one
 // event appends. The end-to-end fleet-loop benchmark reports the median
-// tick, which journals nothing; this is where the per-event cost shows.
+// tick, which journals only the clock record; this is where the per-event
+// cost shows.
 func BenchmarkFleetJournalEvent(b *testing.B) {
 	st, err := store.Open(b.TempDir(), store.Options{CompactEvery: math.MaxInt})
 	if err != nil {

@@ -38,7 +38,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -370,6 +369,7 @@ type dev struct {
 	mu      sync.Mutex
 	pairs   []*pairCal
 	history []Event
+	head    []byte // journal record prefix, built once by record
 }
 
 // dots returns the device's dot count.
@@ -522,13 +522,21 @@ func buildPairs(cfg *DeviceConfig) ([]*pairCal, error) {
 
 // Register adds a device to the fleet. Every pair starts uncalibrated with
 // sentinel staleness, so the next Ticks schedule its initial extractions
-// (budget permitting).
+// (budget permitting). Specs outside their CheckLimits are rejected.
 func (m *Manager) Register(cfg DeviceConfig) (DeviceView, error) {
 	if cfg.Weight < 0 {
 		return DeviceView{}, errors.New("fleet: negative device weight")
 	}
 	if cfg.Weight == 0 {
 		cfg.Weight = 1
+	}
+	if err := cfg.Spec.CheckLimits(); err != nil {
+		return DeviceView{}, fmt.Errorf("fleet: %w", err)
+	}
+	if cfg.Chain != nil {
+		if err := cfg.Chain.CheckLimits(); err != nil {
+			return DeviceView{}, fmt.Errorf("fleet: %w", err)
+		}
 	}
 	pairs, err := buildPairs(&cfg)
 	if err != nil {
@@ -559,7 +567,7 @@ func (m *Manager) Register(cfg DeviceConfig) (DeviceView, error) {
 		pc.adv(time.Duration(m.now * float64(time.Second)))
 	}
 	if m.journal != nil {
-		data, err := json.Marshal(d.persistSnapshot())
+		data, err := d.record()
 		if err == nil {
 			err = m.journal.PutBatch(
 				store.Record{Kind: store.KindFleetDevice, Key: d.id, Data: data},

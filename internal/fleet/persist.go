@@ -143,13 +143,37 @@ func (p persistedPair) restore(pc *pairCal) {
 	pc.budgetDeferred = p.BudgetDeferred
 }
 
-// persistSnapshot renders the device's journal record; callers hold d.mu.
-func (d *dev) persistSnapshot() persistedDevice {
-	pd := persistedDevice{ID: d.id, Weight: d.weight, Spec: d.spec, Chain: d.chain}
+// pairSnapshots renders the journal form of every pair; callers hold d.mu.
+func (d *dev) pairSnapshots() []persistedPair {
+	var out []persistedPair
 	for _, pc := range d.pairs {
-		pd.Pairs = append(pd.Pairs, pc.persistSnapshot())
+		out = append(out, pc.persistSnapshot())
 	}
-	return pd
+	return out
+}
+
+// record encodes the device's journal record, byte for byte the
+// json.Marshal of its persistedDevice (with no history). ID, weight, spec
+// and chain never change after registration, so their encoding — most of
+// the record — is made once per device; each call encodes only the pairs.
+// Callers hold d.mu.
+func (d *dev) record() ([]byte, error) {
+	if d.head == nil {
+		head, err := json.Marshal(persistedDevice{ID: d.id, Weight: d.weight, Spec: d.spec, Chain: d.chain})
+		if err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
+		}
+		// The nil pairs encode last, as "pairs":null}; keep through "pairs":.
+		d.head = head[:len(head)-len("null}")]
+	}
+	pairs, err := json.Marshal(d.pairSnapshots())
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	data := make([]byte, 0, len(d.head)+len(pairs)+1)
+	data = append(data, d.head...)
+	data = append(data, pairs...)
+	return append(data, '}'), nil
 }
 
 // restore builds a dev from its journal record, with every pair's
@@ -326,9 +350,9 @@ func (m *Manager) persistDevice(d *dev, evs []Event) error {
 	if st == nil {
 		return nil
 	}
-	data, err := json.Marshal(d.persistSnapshot())
+	data, err := d.record()
 	if err != nil {
-		return fmt.Errorf("fleet: %w", err)
+		return err
 	}
 	recs := make([]store.Record, 1, 1+len(evs))
 	recs[0] = store.Record{Kind: store.KindFleetDevice, Key: d.id, Data: data}

@@ -10,6 +10,12 @@ import (
 	"github.com/fastvg/fastvg/internal/store"
 )
 
+// persistSnapshot is the reference form of a device's journal record:
+// dev.record must encode exactly its json.Marshal. Callers hold d.mu.
+func (d *dev) persistSnapshot() persistedDevice {
+	return persistedDevice{ID: d.id, Weight: d.weight, Spec: d.spec, Chain: d.chain, Pairs: d.pairSnapshots()}
+}
+
 func attachedManager(t *testing.T, dir string, pol Policy) (*Manager, *store.Store) {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{})
@@ -307,5 +313,69 @@ func TestParentFormatRecordRestoresRingFromField(t *testing.T) {
 	ring2, _ := m2.History("wander")
 	if !slices.Equal(ring2, jh[len(jh)-capped:]) {
 		t.Fatalf("ring after migration = %+v, want the audit log's newest %d of %+v", ring2, capped, jh)
+	}
+}
+
+// TestDeviceRecordsMatchMarshal: the spec-once record encoding is byte for
+// byte json.Marshal of the device's persistedDevice. It checks every
+// device's journaled record and a fresh encoding at registration, after
+// every tick of a run that calibrates, spot-checks and recalibrates double
+// dots and chains, and across a restart, where restored devices build their
+// record prefix from the journal.
+func TestDeviceRecordsMatchMarshal(t *testing.T) {
+	dir := t.TempDir()
+	pol := Policy{CheckInterval: 1800}
+	m1, st1 := attachedManager(t, dir, pol)
+	cfgs, err := DefaultFleet(4, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs = append(cfgs, DefaultChainFleet(2, 4, 11)...)
+	cfgs = append(cfgs, DeviceConfig{Spec: cfgs[0].Spec}) // auto ID, default weight
+	for _, cfg := range cfgs {
+		if _, err := m1.Register(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(m *Manager, st *store.Store, when string) {
+		t.Helper()
+		for _, d := range m.Status().Devices {
+			dv := m.devices[d.ID]
+			dv.mu.Lock()
+			want, err := json.Marshal(dv.persistSnapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := dv.record()
+			dv.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			journaled, ok := st.Get(store.KindFleetDevice, d.ID)
+			if !ok || string(journaled) != string(want) || string(rec) != string(want) {
+				t.Fatalf("%s, device %s:\njournaled %s\nencoded   %s\nmarshal   %s", when, d.ID, journaled, rec, want)
+			}
+		}
+	}
+	check(m1, st1, "registration")
+	ctx := context.Background()
+	for i := 0; i < 96; i++ { // eight virtual hours
+		if _, err := m1.Tick(ctx, 300); err != nil {
+			t.Fatal(err)
+		}
+		check(m1, st1, "tick")
+	}
+	if m1.Status().Recalibrations == 0 {
+		t.Fatal("no recalibration journaled; the run checks too little")
+	}
+
+	m2, st2 := attachedManager(t, dir, pol)
+	defer st2.Close()
+	check(m2, st2, "restore")
+	for i := 0; i < 24; i++ {
+		if _, err := m2.Tick(ctx, 300); err != nil {
+			t.Fatal(err)
+		}
+		check(m2, st2, "tick after restore")
 	}
 }

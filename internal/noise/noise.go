@@ -11,6 +11,7 @@
 package noise
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/fastvg/fastvg/internal/xrand"
@@ -125,8 +126,19 @@ func (f *Fluctuator) Sample(t float64) float64 {
 // PinkBath approximates 1/f noise as a sum of fluctuators with log-spaced
 // switching rates, the standard microscopic model of charge noise in
 // semiconductor devices. Amp is the total RMS amplitude.
+//
+// The bath caches its sum and its horizon, the earliest pending switch of
+// any fluctuator. No fluctuator changes state before its pending switch, so
+// a query before the horizon returns the cached sum without touching the
+// fluctuators; a later one advances only the fluctuators whose switch is
+// due and re-sums in the same order. Every random draw and float operation
+// matches summing freshly sampled fluctuators, so the realisation is
+// unchanged; slow baths, such as lever-drift channels, are then nearly free
+// to query at probe rate.
 type PinkBath struct {
-	fluctuators []*Fluctuator
+	fluctuators []Fluctuator
+	sum         float64 // sum of the fluctuators' states, in order
+	horizon     float64 // earliest pending switch; +Inf when none is pending
 }
 
 // NewPinkBath builds a bath of n fluctuators with rates log-spaced in
@@ -135,7 +147,7 @@ func NewPinkBath(amp float64, n int, fMin, fMax float64, seed uint64) *PinkBath 
 	if n <= 0 {
 		n = 1
 	}
-	b := &PinkBath{fluctuators: make([]*Fluctuator, n)}
+	b := &PinkBath{fluctuators: make([]Fluctuator, n)}
 	perAmp := 2 * amp / math.Sqrt(float64(n)) // each contributes ±perAmp/2
 	for i := 0; i < n; i++ {
 		frac := 0.5
@@ -143,18 +155,37 @@ func NewPinkBath(amp float64, n int, fMin, fMax float64, seed uint64) *PinkBath 
 			frac = float64(i) / float64(n-1)
 		}
 		rate := fMin * math.Pow(fMax/fMin, frac)
-		b.fluctuators[i] = NewFluctuator(perAmp, rate, xrand.DeriveSeed(seed, i))
+		b.fluctuators[i] = *NewFluctuator(perAmp, rate, xrand.DeriveSeed(seed, i))
 	}
+	b.resum()
 	return b
 }
 
 // Sample sums the bath at virtual time t.
 func (b *PinkBath) Sample(t float64) float64 {
-	var s float64
-	for _, f := range b.fluctuators {
-		s += f.Sample(t)
+	if !(t >= b.horizon) { // NaN too: no fluctuator moves for it
+		return b.sum
 	}
-	return s
+	for i := range b.fluctuators {
+		if f := &b.fluctuators[i]; t >= f.nextSwitch {
+			f.Sample(t)
+		}
+	}
+	b.resum()
+	return b.sum
+}
+
+// resum recomputes the cached sum and horizon from the fluctuators.
+func (b *PinkBath) resum() {
+	sum, horizon := 0.0, math.Inf(1)
+	for i := range b.fluctuators {
+		f := &b.fluctuators[i]
+		sum += f.state
+		if f.nextSwitch < horizon {
+			horizon = f.nextSwitch
+		}
+	}
+	b.sum, b.horizon = sum, horizon
 }
 
 // Drift is a slow deterministic baseline drift: a linear ramp plus a
@@ -209,6 +240,44 @@ type Params struct {
 
 	JumpAmp      float64 `json:"jumpAmp"`      // charge-jump amplitude (σ per event)
 	JumpInterval float64 `json:"jumpInterval"` // mean seconds between jumps
+}
+
+// Bounds Validate enforces: pinkN sizes a bath and the work of every query,
+// and Jumps.Sample walks every jump since its last query.
+const (
+	maxPinkN        = 64  // the repository's specs use at most 14
+	minJumpInterval = 1.0 // seconds
+)
+
+// Validate checks that p describes a bounded model: every value finite and
+// non-negative, at most 64 bath fluctuators, pinkFMin ≤ pinkFMax when both
+// are set, and a jump interval that is 0 (the default) or at least 1 s.
+// Build does not call it, so models journaled before these bounds still
+// build; callers validate Params that arrive as input.
+func (p Params) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"whiteSigma", p.WhiteSigma},
+		{"pinkAmp", p.PinkAmp}, {"pinkFMin", p.PinkFMin}, {"pinkFMax", p.PinkFMax},
+		{"rtnAmp", p.RTNAmp}, {"rtnRate", p.RTNRate},
+		{"driftLinear", p.DriftLinear}, {"driftAmp", p.DriftAmp}, {"driftPeriod", p.DriftPeriod},
+		{"jumpAmp", p.JumpAmp}, {"jumpInterval", p.JumpInterval},
+	} {
+		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
+			return fmt.Errorf("noise: %s %v is not finite and non-negative", f.name, f.v)
+		}
+	}
+	switch {
+	case p.PinkN < 0 || p.PinkN > maxPinkN:
+		return fmt.Errorf("noise: pinkN %d outside [0, %d]", p.PinkN, maxPinkN)
+	case p.PinkFMin > 0 && p.PinkFMax > 0 && p.PinkFMin > p.PinkFMax:
+		return fmt.Errorf("noise: pinkFMin %v exceeds pinkFMax %v", p.PinkFMin, p.PinkFMax)
+	case p.JumpInterval != 0 && p.JumpInterval < minJumpInterval:
+		return fmt.Errorf("noise: jumpInterval %v is below %v s", p.JumpInterval, minJumpInterval)
+	}
+	return nil
 }
 
 // Build constructs the composite process described by p, deriving component

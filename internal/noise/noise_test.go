@@ -387,3 +387,130 @@ func TestParamsBuildWithJumps(t *testing.T) {
 		t.Error("built jump process never fired over 20 mean intervals")
 	}
 }
+
+// eagerBath is PinkBath as it was before the bath cached its sum: every
+// query samples every fluctuator and sums them in order.
+type eagerBath struct{ fs []*Fluctuator }
+
+func newEagerBath(amp float64, n int, fMin, fMax float64, seed uint64) *eagerBath {
+	b := &eagerBath{}
+	perAmp := 2 * amp / math.Sqrt(float64(n))
+	for i := 0; i < n; i++ {
+		frac := 0.5
+		if n > 1 {
+			frac = float64(i) / float64(n-1)
+		}
+		rate := fMin * math.Pow(fMax/fMin, frac)
+		b.fs = append(b.fs, NewFluctuator(perAmp, rate, xrand.DeriveSeed(seed, i)))
+	}
+	return b
+}
+
+func (b *eagerBath) sample(t float64) float64 {
+	var s float64
+	for _, f := range b.fs {
+		s += f.Sample(t)
+	}
+	return s
+}
+
+// TestPinkBathMatchesEagerSum: the cached sum and horizon change no bit of
+// a realisation. Random schedules mix probe-rate steps, repeated and
+// backward queries, NaN, queries exactly at the pending switch and idle
+// gaps long enough to restart fluctuators, over baths from lever-drift slow
+// to sensor fast.
+func TestPinkBathMatchesEagerSum(t *testing.T) {
+	baths := []struct {
+		n          int
+		fMin, fMax float64
+	}{
+		{12, 0.01, 50},   // Params.Build's default
+		{14, 0.005, 20},  // the qflow suite
+		{12, 1e-5, 0.01}, // fleet lever-drift channels
+		{1, 0.2, 0.2},
+		{64, 0.001, 500},
+	}
+	for bi, bc := range baths {
+		for seed := uint64(1); seed <= 20; seed++ {
+			lazy := NewPinkBath(0.02, bc.n, bc.fMin, bc.fMax, seed)
+			ref := newEagerBath(0.02, bc.n, bc.fMin, bc.fMax, seed)
+			rng := xrand.New(xrand.DeriveSeed(seed, 7+bi))
+			now := 0.0
+			for q := 0; q < 3000; q++ {
+				at := now
+				switch r := rng.Float64(); {
+				case r < 0.6: // probe rate
+					now += 0.05
+					at = now
+				case r < 0.7: // repeat
+				case r < 0.8: // backward
+					at = now - 10*rng.Float64()
+				case r < 0.82:
+					at = math.NaN()
+				case r < 0.85: // exactly at the pending switch
+					at = lazy.horizon
+					if at > now {
+						now = at
+					}
+				case r < 0.95: // fleet tick
+					now += 300
+					at = now
+				default: // long idle gap
+					now += 1e5 * rng.Float64()
+					at = now
+				}
+				got, want := lazy.Sample(at), ref.sample(at)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("bath %d seed %d query %d at t=%v: %v, eager sum %v", bi, seed, q, at, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPinkBathSample queries a default 12-fluctuator bath at probe
+// rate (50 ms steps), the cost every noisy probe pays.
+func BenchmarkPinkBathSample(b *testing.B) {
+	for _, bc := range []struct {
+		name       string
+		fMin, fMax float64
+	}{{"sensor", 0.01, 50}, {"leverdrift", 1e-5, 0.01}} {
+		b.Run(bc.name, func(b *testing.B) {
+			bath := NewPinkBath(0.02, 12, bc.fMin, bc.fMax, 1)
+			ti := 0.0
+			b.ReportAllocs()
+			for b.Loop() {
+				ti += 0.05
+				bath.Sample(ti)
+			}
+		})
+	}
+}
+
+func TestParamsValidate(t *testing.T) {
+	for _, p := range []Params{{}, PresetQuiet(), PresetStandard(), PresetUnstable(),
+		{PinkAmp: 0.02, PinkN: 64, PinkFMin: 1e-5, PinkFMax: 1e-5},
+		{JumpAmp: 1.1, JumpInterval: 1},
+		{PinkFMin: 0.5}, // unset pinkFMax takes its default later
+	} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", p, err)
+		}
+	}
+	for _, p := range []Params{
+		{WhiteSigma: -0.1},
+		{PinkAmp: math.NaN()},
+		{RTNRate: math.Inf(1)},
+		{DriftLinear: -1},
+		{DriftPeriod: math.Inf(-1)},
+		{PinkN: 4000000},
+		{PinkN: -1},
+		{PinkFMin: 2, PinkFMax: 1},
+		{JumpAmp: 0.1, JumpInterval: 1e-7},
+		{JumpInterval: 0.5},
+	} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("%+v accepted", p)
+		}
+	}
+}

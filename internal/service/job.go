@@ -190,12 +190,18 @@ func (r Request) Validate() error {
 	}
 	if r.Sim != nil {
 		targets++
+		if err := r.Sim.CheckLimits(); err != nil {
+			return fmt.Errorf("service: sim spec: %w", err)
+		}
 	}
 	if r.Session != "" {
 		targets++
 	}
 	if r.ChainSim != nil {
 		targets++
+		if err := r.ChainSim.CheckLimits(); err != nil {
+			return fmt.Errorf("service: chain spec: %w", err)
+		}
 	}
 	if targets != 1 {
 		return ErrBadTarget
@@ -222,6 +228,9 @@ func (r Request) Validate() error {
 				if err := w.Validate(); err != nil {
 					return fmt.Errorf("service: chain pair %d window: %w", i, err)
 				}
+				if w.Cols > device.MaxPixels || w.Rows > device.MaxPixels {
+					return fmt.Errorf("service: chain pair %d window %dx%d exceeds %d pixels", i, w.Cols, w.Rows, device.MaxPixels)
+				}
 			}
 			for _, m := range r.Chain.Methods {
 				if !chainx.ValidMethod(m) {
@@ -247,6 +256,9 @@ func (r Request) Validate() error {
 		}
 		if err := w.Validate(); err != nil {
 			return fmt.Errorf("service: windowfind bounds: %w", err)
+		}
+		if r.WindowFind.Pixels > device.MaxPixels {
+			return fmt.Errorf("service: windowfind pixels %d exceeds %d", r.WindowFind.Pixels, device.MaxPixels)
 		}
 	}
 	return nil

@@ -161,8 +161,11 @@ func (s *Session) Info() SessionInfo {
 }
 
 // OpenSim builds a fresh simulated device from spec and registers it as a
-// session.
+// session. A spec outside DoubleDotSpec.CheckLimits is rejected.
 func (r *Registry) OpenSim(spec device.DoubleDotSpec) (*Session, error) {
+	if err := spec.CheckLimits(); err != nil {
+		return nil, err
+	}
 	inst, win, err := spec.Build()
 	if err != nil {
 		return nil, err

@@ -1,9 +1,12 @@
 package telemetry
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzExpositionParse fuzzes the exposition parser the shard router
@@ -106,4 +109,50 @@ func TestParseStrictness(t *testing.T) {
 		len(fams[1].Samples) != 1 || fams[1].Samples[0].Name != "vgx_h_seconds_sum" {
 		t.Errorf("families = %+v %+v", fams[0], fams[1])
 	}
+}
+
+// FuzzSpanDecode fuzzes the span-tree decoder vgxreplay -spans runs on
+// journaled KindSpan records. Whatever DecodeSpan accepts must render
+// without panicking, and its encoding must be a fixed point: decoding and
+// re-encoding it gives the same bytes.
+func FuzzSpanDecode(f *testing.F) {
+	root := StartSpan("job", Attr{K: "kind", V: "chain"}, AttrInt("probes", 3))
+	pipe := root.Child("pipeline", Attr{K: "method", V: "fast"})
+	pipe.Child("probes").SetVirtual(7300 * time.Millisecond)
+	pipe.End()
+	root.End()
+	enc, err := root.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	for _, seed := range []string{
+		`{}`, `null`, `{"name":"x","children":[null]}`,
+		`{"name":"a\u0000b","attrs":[{"k":"\ud800","v":""}],"wallNs":-1,"virtNs":9223372036854775807}`,
+		`{"name":"x","children":[{"children":[{}]}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSpan(data)
+		if err != nil {
+			return
+		}
+		s.Render(io.Discard)
+		first, err := s.Encode()
+		if err != nil {
+			t.Fatalf("decoded tree does not encode: %v\n--- input ---\n%q", err, data)
+		}
+		again, err := DecodeSpan(first)
+		if err != nil {
+			t.Fatalf("encoding does not decode: %v\n--- encoding ---\n%q", err, first)
+		}
+		second, err := again.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("encoding is not stable\n--- first ---\n%q\n--- second ---\n%q", first, second)
+		}
+	})
 }

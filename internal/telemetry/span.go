@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -141,13 +142,27 @@ func SpanFromContext(ctx context.Context) *Span {
 // Encode serializes the tree as JSON.
 func (s *Span) Encode() ([]byte, error) { return json.Marshal(s) }
 
-// DecodeSpan parses a tree serialized by Encode.
+// DecodeSpan parses a tree serialized by Encode. A null child, which Encode
+// never writes, is an error: every walk of the tree would dereference it.
 func DecodeSpan(b []byte) (*Span, error) {
 	var s Span
 	if err := json.Unmarshal(b, &s); err != nil {
 		return nil, err
 	}
+	if !s.whole() {
+		return nil, errors.New("telemetry: span tree has a null child")
+	}
 	return &s, nil
+}
+
+// whole reports whether no span in the tree has a nil child.
+func (s *Span) whole() bool {
+	for _, c := range s.Children {
+		if c == nil || !c.whole() {
+			return false
+		}
+	}
+	return true
 }
 
 // Render writes the tree as an indented listing:
