@@ -72,8 +72,9 @@
 // from (spec seed, pair index) alone (ChainSpec.BuildPair), and all
 // cross-pair decisions happen serially in pair order, so a chain
 // extraction is bit-identical at any worker count while the instrument
-// dwell makespan shrinks by the channel count (~6.6× for N=8; see
-// BENCH_chain.json). Chain jobs are cacheable (the canonical hash covers
+// dwell makespan shrinks by the channel count (~6.6× for N=8:
+// BenchmarkChainExtract's dots-8-seq dwell-s/op over dots-8-conc
+// makespan-s/op in BENCH.txt). Chain jobs are cacheable (the canonical hash covers
 // the full per-pair window list and escalation ladder), journaled with one
 // per-pair record (store.KindChainPair), and traceable: each pair writes
 // its own probe trace, replayable through vgxreplay. ExtractChain remains
@@ -141,8 +142,9 @@
 // FleetPolicy.SurrogateThreshold: spot-checks and recalibrations probe
 // twin-first, and a drifted pair re-locates its lines with a few short
 // guided live scans instead of a full re-raster (delta recalibration),
-// cutting the steady-state cost of a matrix refresh by ~5.8× on drift-only
-// devices (BENCH_surrogate.json). Twins journal into the store for
+// cutting the steady-state cost of a matrix refresh by ~6.2× on drift-only
+// devices (BenchmarkFleetSurrogateRecalibration's live over surrogate
+// probes/recal in BENCH.txt). Twins journal into the store for
 // warm-starts, and traces of surrogate jobs carry the pre-extraction twin
 // snapshot so replay reproduces the hybrid's decisions bit for bit.
 //
@@ -181,7 +183,7 @@
 // from its last known geometry for a fraction of a re-raster. On the
 // default double-dot window the scheduler needs ~70 probes to beat the fast
 // method's accuracy (~1030–1100 probes) — a ~15× probe cut
-// (BENCH_infogain.json); the posterior update and candidate scoring are
+// (BenchmarkInfoGainVsFast's probe-cut in BENCH.txt); the posterior update and candidate scoring are
 // allocation-free on the hot path.
 //
 // # Persistence & replay
@@ -230,9 +232,7 @@
 // structured lines (log/slog, -log-format text|json) carrying each
 // request's X-Request-ID, which is echoed on responses and recorded as
 // the req_id attribute of the job's span tree. vgxd -pprof mounts
-// net/http/pprof on the service listener. ServiceConfig.DisableTelemetry
-// turns off the timed parts (spans, latency histograms) while keeping
-// the counters /v1/stats is built from.
+// net/http/pprof on the service listener.
 //
 // # Alerting & history
 //
@@ -309,15 +309,13 @@
 // route through these automatically; SimInstrument.AcquireCSD exposes the
 // batched render directly.
 //
-// Benchmarks live in internal/device (BenchmarkProbeScalar and
-// BenchmarkProbeBatch must report 0 allocs/op, BenchmarkGridRender* track
-// full-window renders, BenchmarkProbeBare vs BenchmarkProbeCounted gates
-// telemetry overhead on the probe path at <2%); scripts/bench.sh runs
-// them and writes the BENCH_probe.json trajectory, whose "before" block
-// preserves the pre-batch-path baseline, plus BENCH_telemetry.json,
-// BENCH_obs.json (tsdb scrape/append/query cost) and BENCH_shard.json
-// (front-door throughput scaling across shard counts). See README.md's
-// Performance section for representative numbers.
+// scripts/bench.sh runs every Benchmark* in the module five times and
+// writes the output, in Go's standard benchmark format, to BENCH.txt.
+// Among them, BenchmarkProbeScalar and BenchmarkProbeBatch must report 0
+// allocs/op, BenchmarkGridRender* track full-window renders,
+// BenchmarkProbeCounted must stay within 2% of BenchmarkProbeBare, and
+// BenchmarkShardThroughput measures front-door scaling across shard
+// counts. See README.md's Performance section for the medians.
 //
 // See examples/ for runnable programs: a quick start, quadruple-dot chain
 // virtualization, a noise-robustness study, a dwell-budget comparison and

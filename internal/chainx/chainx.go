@@ -14,10 +14,11 @@
 //
 // Budget. Admission is by reservation, the same semantics as the fleet
 // manager's: a pair is admitted only when the budget can cover its full
-// escalation ladder at AttemptReserve probes per attempt, reservations
-// become actuals at the wave barrier, and freed headroom admits deferred
-// pairs in later waves. With AttemptReserve at or above the worst observed
-// attempt cost, the budget can never be overspent.
+// escalation ladder at DefaultAttemptReserve probes per attempt,
+// reservations become actuals at the wave barrier, and freed headroom
+// admits deferred pairs in later waves. With DefaultAttemptReserve at or
+// above the worst observed attempt cost, the budget can never be
+// overspent.
 //
 // Escalation. Pair extraction failures are deterministic outcomes of the
 // request (the instruments replay identically — the semantics of
@@ -116,9 +117,6 @@ type Config struct {
 	Methods []Method
 	// Budget caps the probes the whole chain may spend; 0 means unlimited.
 	Budget int
-	// AttemptReserve is the admission reservation per ladder attempt;
-	// default DefaultAttemptReserve.
-	AttemptReserve int
 
 	// Fast tunes the fast and adaptive methods; CoarseFactor the adaptive
 	// coarse pass (0 uses the core default); Rays the ray method; InfoGain
@@ -139,9 +137,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if len(c.Methods) == 0 {
 		c.Methods = DefaultLadder()
-	}
-	if c.AttemptReserve <= 0 {
-		c.AttemptReserve = DefaultAttemptReserve
 	}
 	if c.run == nil {
 		c.run = method.Run
@@ -239,7 +234,7 @@ func Extract(ctx context.Context, pool *sched.Pool, src Source, cfg Config) (*Re
 		pending = append(pending, i)
 	}
 	spent := 0
-	need := cfg.AttemptReserve * len(cfg.Methods)
+	need := DefaultAttemptReserve * len(cfg.Methods)
 	for len(pending) > 0 {
 		var wave, deferred []int
 		reserved := 0

@@ -87,12 +87,20 @@ func (s ChainSpec) Validate() error {
 	return nil
 }
 
+// MaxDots caps the dot count of a chain that arrives as input: the array
+// physics is N×N and BuildPair builds the whole array for every one of the
+// N−1 pairs. The largest chain the repository ships has 16 dots.
+const MaxDots = 64
+
 // CheckLimits checks the bounds a spec that arrives as input must respect,
-// as DoubleDotSpec.CheckLimits does: at most MaxPixels pair-window pixels
-// and bounded noise models for the sensor and every pair drift. Build,
-// BuildPair and Validate do not call it, so specs journaled before these
-// bounds existed still build.
+// as DoubleDotSpec.CheckLimits does: at most MaxDots dots, at most
+// MaxPixels pair-window pixels and bounded noise models for the sensor and
+// every pair drift. Build, BuildPair and Validate do not call it, so specs
+// journaled before these bounds existed still build.
 func (s ChainSpec) CheckLimits() error {
+	if s.Dots > MaxDots {
+		return fmt.Errorf("device: chain dots %d exceeds %d", s.Dots, MaxDots)
+	}
 	if s.Pixels > MaxPixels {
 		return fmt.Errorf("device: chain pixels %d exceeds %d", s.Pixels, MaxPixels)
 	}

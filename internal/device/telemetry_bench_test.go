@@ -16,12 +16,11 @@ package device
 //
 // The surrogate layer is the one exception — its confidence gate
 // observes per model query — and its per-query cost is exactly the
-// counter_inc_ns + histogram_observe_ns primitives BENCH_telemetry.json
-// records alongside.
+// BenchmarkCounterInc + BenchmarkHistogramObserve primitives of
+// internal/telemetry.
 //
-// The acceptance gate, recorded in BENCH_telemetry.json by
-// scripts/bench.sh: (ProbeCounted − ProbeBare) / ProbeBare < 2%, both
-// at 0 allocs/op.
+// The acceptance gate, read from BENCH.txt: (ProbeCounted − ProbeBare) /
+// ProbeBare < 2%, both at 0 allocs/op.
 
 import (
 	"testing"

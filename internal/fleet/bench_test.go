@@ -18,7 +18,7 @@ import (
 // loop's economics — probes per recalibration (how much a matrix refresh
 // costs through the admission path) and the steady-state staleness the
 // policy holds the fleet at (mean finite device score at the end of the
-// run). scripts/bench.sh collects these into BENCH_fleet.json.
+// run). scripts/bench.sh records both in BENCH.txt.
 func BenchmarkFleetRecalibration(b *testing.B) {
 	var (
 		probes   int
@@ -83,7 +83,7 @@ func driftFleet(b *testing.B, n int, seed uint64) []DeviceConfig {
 // and re-locates drifted lines with delta cross-scans, so only the probing
 // near the moving transitions stays live. The live-probes/recal gap between
 // the two is the surrogate subsystem's headline saving; scripts/bench.sh
-// collects both into BENCH_surrogate.json.
+// records both in BENCH.txt.
 func BenchmarkFleetSurrogateRecalibration(b *testing.B) {
 	const (
 		tickSec     = 300
@@ -167,10 +167,10 @@ func BenchmarkSurrogateEscalation(b *testing.B) {
 
 // BenchmarkChainPartialRecal measures the chain fleet's probe economics: a
 // 4-dot chain device's single drifted pair is re-extracted (partial) versus
-// the whole device (full). The probes/partial and probes/full metrics feed
-// BENCH_chain.json's partial-recalibration savings; the ratio is the probe
-// cost the per-pair staleness machinery avoids every time one pair of an
-// N-dot array drifts.
+// the whole device (full). The probes/partial and probes/full metrics give
+// the partial-recalibration savings; the ratio is the probe cost the
+// per-pair staleness machinery avoids every time one pair of an N-dot
+// array drifts.
 func BenchmarkChainPartialRecal(b *testing.B) {
 	var partialProbes, fullProbes int
 	for i := 0; i < b.N; i++ {

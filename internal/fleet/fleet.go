@@ -65,6 +65,22 @@ var ErrUnknownDevice = errors.New("fleet: unknown device")
 // unlike +Inf — JSON-encodable.
 const LostStaleness = 1e6
 
+// HealthyFrac bounds the staleness hysteresis band: below
+// HealthyFrac·Policy.StaleThreshold a pair is "healthy", between the two
+// it is "watch" (monitored, never re-tuned).
+const HealthyFrac = 0.5
+
+// CheckReserve and RecalReserve are the probes reserved when admitting a
+// spot-check / pair re-extraction against Policy.Budget. Admission is by
+// reservation, accounting by actual probes spent — with reserves at or
+// above the worst observed costs (a spot-check is geometrically bounded by
+// its scan widths, a 100×100 pair re-extraction plus baseline check
+// measures ≈ 1100 probes), a window can never overspend its budget.
+const (
+	CheckReserve = 80
+	RecalReserve = 1500
+)
+
 // Policy tunes the fleet calibration loop; the zero value is a reasonable
 // lab-day configuration.
 type Policy struct {
@@ -85,10 +101,6 @@ type Policy struct {
 	// StaleThreshold is the staleness score at which a pair is scheduled
 	// for re-extraction; default 1.
 	StaleThreshold float64 `json:"staleThreshold,omitempty"`
-	// HealthyFrac bounds the hysteresis band: below
-	// HealthyFrac·StaleThreshold a pair is "healthy", between the two it
-	// is "watch" (monitored, never re-tuned); default 0.5.
-	HealthyFrac float64 `json:"healthyFrac,omitempty"`
 	// Cooldown is the minimum virtual time (seconds) between recalibration
 	// attempts of one pair, the second hysteresis guard; default 1800.
 	Cooldown float64 `json:"cooldown,omitempty"`
@@ -108,20 +120,12 @@ type Policy struct {
 	// tuned value; zero (the default) keeps every probe live.
 	SurrogateThreshold float64 `json:"surrogateThreshold,omitempty"`
 	// Budget caps the probes the whole fleet may spend per BudgetWindow on
-	// monitoring plus recalibration; 0 means unlimited.
+	// monitoring plus recalibration, admitted at CheckReserve and
+	// RecalReserve; 0 means unlimited.
 	Budget int `json:"budget,omitempty"`
 	// BudgetWindow is the budget accounting period in virtual seconds;
 	// default 86400 (one day).
 	BudgetWindow float64 `json:"budgetWindow,omitempty"`
-	// CheckReserve and RecalReserve are the probes reserved when admitting a
-	// spot-check / pair re-extraction against the budget; defaults 80 and
-	// 1500. Admission is by reservation, accounting by actual probes spent —
-	// with reserves at or above the worst observed costs (a spot-check is
-	// geometrically bounded by its scan widths, a 100×100 pair re-extraction
-	// plus baseline check measures ≈ 1100 probes), a window can never
-	// overspend its budget.
-	CheckReserve int `json:"checkReserve,omitempty"`
-	RecalReserve int `json:"recalReserve,omitempty"`
 	// HistoryCap bounds each device's retained in-memory calibration
 	// history ring (what History and the /v1/fleet history endpoint serve);
 	// default 128 events. With a journal attached the ring's durable copy
@@ -150,20 +154,11 @@ func (p *Policy) fillDefaults() {
 	if p.StaleThreshold == 0 {
 		p.StaleThreshold = 1
 	}
-	if p.HealthyFrac == 0 {
-		p.HealthyFrac = 0.5
-	}
 	if p.Cooldown == 0 {
 		p.Cooldown = 1800
 	}
 	if p.BudgetWindow == 0 {
 		p.BudgetWindow = 86400
-	}
-	if p.CheckReserve == 0 {
-		p.CheckReserve = 80
-	}
-	if p.RecalReserve == 0 {
-		p.RecalReserve = 1500
 	}
 	if p.HistoryCap == 0 {
 		p.HistoryCap = 128
@@ -732,7 +727,7 @@ func (pc *pairCal) state(pol Policy) string {
 		return StateLost
 	case pc.score >= pol.StaleThreshold:
 		return StateStale
-	case pc.score >= pol.HealthyFrac*pol.StaleThreshold:
+	case pc.score >= HealthyFrac*pol.StaleThreshold:
 		return StateWatch
 	default:
 		return StateHealthy
@@ -828,7 +823,7 @@ func (m *Manager) Tick(ctx context.Context, dt float64) (TickReport, error) {
 		d.mu.Lock()
 		for _, pc := range d.pairs {
 			if pc.hasCal && now-pc.lastCheckT >= m.pol.CheckInterval {
-				if admit(m.pol.CheckReserve) {
+				if admit(CheckReserve) {
 					pc.phaseProbes = 0 // jobs that never run must account as zero
 					pc.phaseSaved = 0
 					pc.phaseHasEv = false
@@ -889,7 +884,7 @@ func (m *Manager) Tick(ctx context.Context, dt float64) (TickReport, error) {
 	})
 	var admitted []unit
 	for _, c := range cands {
-		if admit(m.pol.RecalReserve) {
+		if admit(RecalReserve) {
 			c.u.d.mu.Lock()
 			c.u.pc.phaseProbes = 0
 			c.u.pc.phaseSaved = 0

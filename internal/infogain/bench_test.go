@@ -20,12 +20,12 @@ var benchPresets = []struct {
 	{"lab", noise.Params{WhiteSigma: 0.01, PinkAmp: 0.012, PinkN: 12}},
 }
 
-// BenchmarkInfoGainVsFast is the headline probe-economy comparison behind
-// BENCH_infogain.json: the fast raster extraction and the active scheduler
-// run on identically spec'd default double-dot windows, and the custom
-// metrics report mean probes and matrix error for each, plus the probe cut.
-// Averaged over 4 seeds per iteration so one lucky noise draw cannot carry
-// the headline.
+// BenchmarkInfoGainVsFast is the headline probe-economy comparison
+// recorded in BENCH.txt: the fast raster extraction and the active
+// scheduler run on identically spec'd default double-dot windows, and the
+// custom metrics report mean probes and matrix error for each, plus the
+// probe cut. Averaged over 4 seeds per iteration so one lucky noise draw
+// cannot carry the headline.
 func BenchmarkInfoGainVsFast(b *testing.B) {
 	const seeds = 4
 	for _, p := range benchPresets {

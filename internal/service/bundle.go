@@ -28,7 +28,6 @@ type bundleInfo struct {
 	CapturedAt  time.Time `json:"capturedAt"`
 	UptimeS     float64   `json:"uptimeS"`
 	Workers     int       `json:"workers"`
-	TelemetryOn bool      `json:"telemetryOn"`
 	Durable     bool      `json:"durable"`
 	MaxQueue    int       `json:"maxQueueDepth"`
 	AlertsOn    bool      `json:"alertsOn"`
@@ -63,14 +62,13 @@ func (s *Service) WriteBundle(w io.Writer) error {
 	}
 
 	info := bundleInfo{
-		GoVersion:   runtime.Version(),
-		CapturedAt:  now,
-		UptimeS:     time.Since(s.started).Seconds(),
-		Workers:     s.pool.Stats().Workers,
-		TelemetryOn: s.telemetryOn,
-		Durable:     s.store != nil,
-		MaxQueue:    s.maxQueue,
-		AlertsOn:    s.obs != nil && s.obs.engine != nil,
+		GoVersion:  runtime.Version(),
+		CapturedAt: now,
+		UptimeS:    time.Since(s.started).Seconds(),
+		Workers:    s.pool.Stats().Workers,
+		Durable:    s.store != nil,
+		MaxQueue:   s.maxQueue,
+		AlertsOn:   s.obs != nil && s.obs.engine != nil,
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		info.Module = bi.Main.Path

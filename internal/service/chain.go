@@ -81,10 +81,7 @@ func (s *Service) runChain(ctx context.Context, nreq Request, hash string, res *
 			if prev != nil {
 				inst = prev(pair, inst)
 			}
-			h := &surrogate.Hybrid{Model: twins[pair].model, Inner: inst, Threshold: sur.Threshold, Learn: !sur.NoLearn}
-			if s.telemetryOn {
-				h.Metrics = s.metrics.sur
-			}
+			h := &surrogate.Hybrid{Model: twins[pair].model, Inner: inst, Threshold: sur.Threshold, Learn: !sur.NoLearn, Metrics: s.metrics.sur}
 			hybs[pair] = h // distinct index per planner goroutine: race-free
 			return h
 		}

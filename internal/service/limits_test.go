@@ -25,8 +25,9 @@ var craftedNoise = []noise.Params{
 
 // TestCraftedSpecsRejected: every route that builds a device from a spec
 // in the request body answers 400 for a spec outside its limits — sim,
-// lever-drift, chain and pair-drift noise, pixel counts, chain pair
-// windows and windowfind pixels. A batch reports the error on its item.
+// lever-drift, chain and pair-drift noise, pixel counts, chain dot counts,
+// chain pair windows and windowfind pixels. A batch reports the error on
+// its item.
 func TestCraftedSpecsRejected(t *testing.T) {
 	svc, srv := newTestServer(t)
 	var sims []device.DoubleDotSpec
@@ -40,7 +41,7 @@ func TestCraftedSpecsRejected(t *testing.T) {
 			device.ChainSpec{Dots: 3, PairDrift: []device.LeverDriftSpec{{}, {Shear12: p}}})
 	}
 	sims = append(sims, device.DoubleDotSpec{Pixels: 1000000})
-	chains = append(chains, device.ChainSpec{Pixels: 1000000})
+	chains = append(chains, device.ChainSpec{Pixels: 1000000}, device.ChainSpec{Dots: 1000000})
 
 	type route struct {
 		name, path string
@@ -77,9 +78,12 @@ func TestCraftedSpecsRejected(t *testing.T) {
 			Error string `json:"error"`
 		} `json:"items"`
 	}
-	doJSON(t, "POST", srv.URL+"/v1/batch", map[string]any{"requests": []Request{{Kind: KindFast, Sim: &sims[0]}}}, http.StatusOK, &batch)
-	if len(batch.Items) != 1 || !strings.Contains(batch.Items[0].Error, "sim spec") {
-		t.Fatalf("batch of a crafted spec answered %+v", batch.Items)
+	manyDots := chains[len(chains)-1]
+	doJSON(t, "POST", srv.URL+"/v1/batch", map[string]any{"requests": []Request{
+		{Kind: KindFast, Sim: &sims[0]}, {Kind: KindChain, ChainSim: &manyDots}}}, http.StatusOK, &batch)
+	if len(batch.Items) != 2 || !strings.Contains(batch.Items[0].Error, "sim spec") ||
+		!strings.Contains(batch.Items[1].Error, "chain dots") {
+		t.Fatalf("batch of crafted specs answered %+v", batch.Items)
 	}
 	if n := svc.Fleet().DeviceCount(); n != 0 {
 		t.Fatalf("%d crafted fleet devices registered", n)
@@ -91,9 +95,9 @@ func TestCraftedSpecsRejected(t *testing.T) {
 
 // TestShippedSpecsWithinLimits: every spec the repository ships passes the
 // limits the routes enforce — noise presets, the fleet's profiles and
-// default fleets, the qflow suite, and the shapes of the end-to-end
+// default fleets, the qflow suite, the shapes of the end-to-end
 // benchmark's generated requests (a sim per preset, chains of 4–8 dots per
-// preset, twin-first sims).
+// preset, twin-first sims) and the 16-dot chain of BenchmarkChainExtract.
 func TestShippedSpecsWithinLimits(t *testing.T) {
 	presets := []noise.Params{noise.PresetQuiet(), noise.PresetStandard(), noise.PresetUnstable()}
 	for _, p := range presets {
@@ -110,6 +114,7 @@ func TestShippedSpecsWithinLimits(t *testing.T) {
 			reqs = append(reqs, Request{Kind: KindChain, ChainSim: &device.ChainSpec{Dots: dots, Noise: p, Seed: 3}})
 		}
 	}
+	reqs = append(reqs, Request{Kind: KindChain, ChainSim: &device.ChainSpec{Dots: 16, Noise: noise.Params{WhiteSigma: 0.01}, Seed: 7}})
 	for _, r := range reqs {
 		if err := r.Validate(); err != nil {
 			t.Errorf("request %+v: %v", r, err)

@@ -14,11 +14,8 @@ import (
 // owns (scheduler, store, surrogate, infogain, fleet), all registered
 // on one registry so GET /metrics is a single coherent scrape.
 //
-// The struct is always constructed — /v1/stats reads the counters — but
-// the parts with a measurable hot-path cost (per-task pool timing,
-// per-probe surrogate accounting, span recording) attach only when the
-// service runs with telemetry enabled. Counters themselves are one
-// atomic add and are never worth gating.
+// The struct is always constructed and attached in full; /v1/stats reads
+// its counters.
 type serviceMetrics struct {
 	reg *telemetry.Registry
 

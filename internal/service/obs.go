@@ -217,16 +217,13 @@ func RouteLabel(path string) string {
 
 // InstrumentHTTP wraps a handler with the per-route request counter and
 // latency histogram (vgx_http_requests_total / vgx_http_request_seconds,
-// labelled by RouteLabel, never the raw path). The timing observation is
-// gated like every timed instrument; the counter always runs.
+// labelled by RouteLabel, never the raw path).
 func (s *Service) InstrumentHTTP(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		route := RouteLabel(r.URL.Path)
 		start := time.Now()
 		next.ServeHTTP(w, r)
 		s.metrics.httpRequests.With(route).Inc()
-		if s.telemetryOn {
-			s.metrics.httpSeconds.With(route).Observe(time.Since(start).Seconds())
-		}
+		s.metrics.httpSeconds.With(route).Observe(time.Since(start).Seconds())
 	})
 }

@@ -1,7 +1,7 @@
 package service
 
-// The replay benchmark pair behind BENCH_store.json's replay-vs-live
-// speedup: the same fast extraction executed live against a fresh simulated
+// The replay benchmark pair behind README's replay-vs-live speedup: the
+// same fast extraction executed live against a fresh simulated
 // instrument (BenchmarkExtractionLive) and re-executed from its recorded
 // probe trace (BenchmarkExtractionReplay). Replay skips the physics and
 // noise synthesis entirely — it serves recorded samples — so it bounds how

@@ -50,20 +50,11 @@ type Config struct {
 	// path (bit-identical to the batch paths by contract, but without their
 	// parallel speed).
 	RecordTraces bool
-	// CompactEvery overrides the journal's appends-between-compactions
-	// cadence; 0 uses the store default.
-	CompactEvery int
 
 	// Telemetry, when set, registers every metric family on the given
 	// registry instead of a private one — embedders that expose one
 	// /metrics endpoint for several components share a registry this way.
 	Telemetry *telemetry.Registry
-	// DisableTelemetry turns off the timed instrumentation (per-task pool
-	// latency, job latency histograms, span recording, per-probe surrogate
-	// accounting). Counters keep working — /v1/stats reads them — but the
-	// probe and task hot paths run exactly as they would without the
-	// telemetry subsystem. Used by the overhead benchmarks.
-	DisableTelemetry bool
 	// MaxQueueDepth sheds load: when more than this many submissions are
 	// waiting for a worker slot, new extractions fail fast with
 	// ErrOverloaded (HTTP 429) instead of queueing. Cache hits and
@@ -93,13 +84,6 @@ type Config struct {
 	// IDs carry the shard that minted them, so routing a job poll or a
 	// session request needs no shared table — just the prefix.
 	InstanceID string
-	// EmuDwellScale, when positive, holds each job's worker slot for an
-	// extra EmuDwellScale × (virtual experiment seconds) of wall time
-	// after the extraction computes — emulating an instrument-attached
-	// node where probe dwell is real. Results are byte-identical with it
-	// on or off; the shard throughput benchmarks use it to reproduce the
-	// dwell-limited serving regime the paper targets.
-	EmuDwellScale float64
 }
 
 // ErrOverloaded rejects new extractions when the worker-pool queue is at
@@ -118,16 +102,12 @@ type Service struct {
 	traceDir   string       // empty when not recording traces
 	started    time.Time
 	jobHistory int
-	instanceID string  // Config.InstanceID: minted-ID prefix, "" outside a shard
-	emuDwell   float64 // Config.EmuDwellScale
+	instanceID string // Config.InstanceID: minted-ID prefix, "" outside a shard
 
 	// metrics is the registered metric surface (see metrics.go); always
-	// present. telemetryOn gates the timed parts — latency histograms,
-	// span recording, per-probe surrogate accounting — while the counters
-	// behind /v1/stats run unconditionally.
-	metrics     *serviceMetrics
-	telemetryOn bool
-	maxQueue    int // shed threshold; 0 = never
+	// present.
+	metrics  *serviceMetrics
+	maxQueue int // shed threshold; 0 = never
 
 	// obs is the self-watching layer: tsdb + alert engine + scrape loop
 	// (see obs.go); always present after New.
@@ -238,38 +218,29 @@ func New(cfg Config) (*Service, error) {
 	}
 	m := newServiceMetrics(treg)
 	pool := sched.New(cfg.Workers)
-	telemetryOn := !cfg.DisableTelemetry
-	if telemetryOn {
-		pool.SetMetrics(m.sched)
-	}
+	pool.SetMetrics(m.sched)
 	s := &Service{
-		pool:        pool,
-		cache:       newResultCache(cfg.CacheSize, m),
-		reg:         reg,
-		fleet:       fleet.New(pool, cfg.Fleet),
-		started:     time.Now(),
-		jobHistory:  history,
-		instanceID:  cfg.InstanceID,
-		emuDwell:    cfg.EmuDwellScale,
-		metrics:     m,
-		telemetryOn: telemetryOn,
-		maxQueue:    cfg.MaxQueueDepth,
-		jobs:        make(map[string]*job),
-		twins:       make(map[string]*twin),
+		pool:       pool,
+		cache:      newResultCache(cfg.CacheSize, m),
+		reg:        reg,
+		fleet:      fleet.New(pool, cfg.Fleet),
+		started:    time.Now(),
+		jobHistory: history,
+		instanceID: cfg.InstanceID,
+		metrics:    m,
+		maxQueue:   cfg.MaxQueueDepth,
+		jobs:       make(map[string]*job),
+		twins:      make(map[string]*twin),
 	}
 	reg.setIDPrefix(cfg.InstanceID)
 	m.attachReaders(pool, s.cache)
-	if telemetryOn {
-		s.fleet.AttachTelemetry(m.fleetTelemetry())
-	}
+	s.fleet.AttachTelemetry(m.fleetTelemetry())
 	if cfg.DataDir != "" {
-		st, err := store.Open(cfg.DataDir, store.Options{CompactEvery: cfg.CompactEvery})
+		st, err := store.Open(cfg.DataDir, store.Options{})
 		if err != nil {
 			return nil, err
 		}
-		if telemetryOn {
-			st.SetMetrics(m.store)
-		}
+		st.SetMetrics(m.store)
 		// Warm-start the cache oldest-first so the LRU order matches the
 		// journal's write order; entries past the cache capacity evict in
 		// that same order. Unreadable entries (a future format, a partial
@@ -411,13 +382,7 @@ func (s *Service) execute(ctx context.Context, nreq Request, hash string, onStar
 			if onStart != nil {
 				onStart()
 			}
-			res, err := s.runJob(jctx, nreq, hash)
-			if err == nil {
-				// Still inside the slot: an emulated instrument node is busy
-				// for the dwell, exactly like the hardware it stands in for.
-				err = s.emulateDwell(jctx, res)
-			}
-			return res, err
+			return s.runJob(jctx, nreq, hash)
 		}).Wait()
 		if err != nil {
 			return nil, err
@@ -465,23 +430,6 @@ func (s *Service) execute(ctx context.Context, nreq Request, hash string, onStar
 		return &c, nil
 	}
 	return res, nil
-}
-
-// emulateDwell sleeps Config.EmuDwellScale × the result's virtual
-// experiment time, bounded by ctx. A no-op at the default scale of 0.
-func (s *Service) emulateDwell(ctx context.Context, res *Result) error {
-	if s.emuDwell <= 0 || res == nil || res.ExperimentS <= 0 {
-		return nil
-	}
-	d := time.Duration(s.emuDwell * res.ExperimentS * float64(time.Second))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // Submit schedules a request asynchronously and returns a job view
@@ -681,20 +629,17 @@ func (s *Service) admit() error {
 }
 
 // runJob wraps one job execution in the telemetry envelope: the in-flight
-// gauge and per-kind counters always; the latency histogram, live-metric
-// context and span tree when telemetry is on. Spans are journaled under
-// the request hash as soon as the job settles.
+// gauge, per-kind counters, latency histogram and live-metric context
+// always; the span tree when the service is durable. Spans are journaled
+// under the request hash as soon as the job settles.
 func (s *Service) runJob(ctx context.Context, nreq Request, hash string) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	m := s.metrics
 	m.inflight.Add(1)
-	var start time.Time
-	if s.telemetryOn {
-		start = time.Now()
-		ctx = withLiveMetrics(ctx, m)
-	}
+	start := time.Now()
+	ctx = withLiveMetrics(ctx, m)
 	var sp *telemetry.Span
 	if s.spansOn() {
 		attrs := []telemetry.Attr{{K: "kind", V: string(nreq.Kind)}, {K: "hash", V: shortHash(hash)}}
@@ -710,9 +655,7 @@ func (s *Service) runJob(ctx context.Context, nreq Request, hash string) (*Resul
 	if err != nil {
 		m.jobErrors.Inc()
 	}
-	if s.telemetryOn {
-		m.jobSeconds.With(string(nreq.Kind)).Observe(time.Since(start).Seconds())
-	}
+	m.jobSeconds.With(string(nreq.Kind)).Observe(time.Since(start).Seconds())
 	if sp != nil {
 		sp.End()
 		if err != nil {

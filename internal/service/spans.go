@@ -59,11 +59,11 @@ func liveMetricsFrom(ctx context.Context) *serviceMetrics {
 	return m
 }
 
-// spansOn reports whether job span trees are recorded and journaled:
-// telemetry must be enabled and the service durable (spans persist
-// through the journal; without one there is nowhere to read them back).
+// spansOn reports whether job span trees are recorded and journaled: the
+// service must be durable (spans persist through the journal; without one
+// there is nowhere to read them back).
 func (s *Service) spansOn() bool {
-	return s.telemetryOn && s.store != nil
+	return s.store != nil
 }
 
 // journalSpan persists a finished span tree under the request hash.

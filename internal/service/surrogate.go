@@ -148,10 +148,7 @@ func (s *Service) runSurrogate(ctx context.Context, nreq Request, hash string, i
 		rec = trace.NewRecorder(inst)
 		backend = rec
 	}
-	hyb := &surrogate.Hybrid{Model: tw.model, Inner: backend, Threshold: sur.Threshold, Learn: !sur.NoLearn}
-	if s.telemetryOn {
-		hyb.Metrics = s.metrics.sur
-	}
+	hyb := &surrogate.Hybrid{Model: tw.model, Inner: backend, Threshold: sur.Threshold, Learn: !sur.NoLearn, Metrics: s.metrics.sur}
 	if err := runPipelines(ctx, nreq, hyb, win, truth, res); err != nil {
 		return err
 	}

@@ -454,22 +454,3 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	doJSON(t, "GET", srv.URL+"/v1/spans/deadbeef", nil, http.StatusNotFound, nil)
 }
-
-// TestDisableTelemetry checks the opt-out: counters still feed /v1/stats
-// but no spans are journaled.
-func TestDisableTelemetry(t *testing.T) {
-	svc, err := New(Config{Workers: 1, DataDir: t.TempDir(), DisableTelemetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close(context.Background())
-	if _, err := svc.Run(context.Background(), Request{Kind: KindFast, Sim: smallSim(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if hashes := svc.SpanHashes(); len(hashes) != 0 {
-		t.Errorf("spans journaled with telemetry disabled: %v", hashes)
-	}
-	if st := svc.Stats(); st.Cache.Misses != 1 {
-		t.Errorf("stats counters must still work when telemetry is off: %+v", st.Cache)
-	}
-}

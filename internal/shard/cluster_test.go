@@ -14,6 +14,7 @@ import (
 	"github.com/fastvg/fastvg/internal/alert"
 	"github.com/fastvg/fastvg/internal/device"
 	"github.com/fastvg/fastvg/internal/fleet"
+	"github.com/fastvg/fastvg/internal/noise"
 	"github.com/fastvg/fastvg/internal/service"
 	"github.com/fastvg/fastvg/internal/telemetry"
 	"github.com/fastvg/fastvg/internal/xrand"
@@ -195,36 +196,23 @@ func TestSubmitRoutesByIDPrefix(t *testing.T) {
 	}
 }
 
-// dwellScaleFor measures one extraction's virtual experiment time and
-// returns the EmuDwellScale that stretches it to the target wall clock.
-func dwellScaleFor(t *testing.T, req service.Request, target time.Duration) float64 {
-	t.Helper()
-	svc, err := service.New(service.Config{Workers: 1, ScrapeInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close(context.Background())
-	res, err := svc.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExperimentS <= 0 {
-		t.Fatalf("probe request has no dwell time: %+v", res)
-	}
-	return target.Seconds() / res.ExperimentS
-}
-
 // TestOverloadRetryAfterThroughRouter is the satellite regression: a
 // shard's 429 must cross the front door as a 429 with its Retry-After
 // hint — never remapped to a 5xx — and the typed service.ErrOverloaded
 // must survive the routed Submit path for errors.Is checks.
 func TestOverloadRetryAfterThroughRouter(t *testing.T) {
 	// Find 8 distinct requests that all route to shard 0 of 2, so one
-	// worker slot takes all the pressure.
+	// worker slot takes all the pressure. The first is a full-resolution
+	// baseline raster of a noisy device, slow enough to hold that slot for
+	// the whole test; the rest are small fast extractions.
 	ring := NewRing(2)
 	var reqs []service.Request
 	for seed := uint64(500); len(reqs) < 8; seed++ {
 		req := service.Request{Kind: service.KindFast, Sim: smallSpec(seed)}
+		if len(reqs) == 0 {
+			req = service.Request{Kind: service.KindBaseline,
+				Sim: &device.DoubleDotSpec{Pixels: device.MaxPixels, Noise: noise.PresetStandard(), Seed: seed}}
+		}
 		key, err := req.RouteKey()
 		if err != nil {
 			t.Fatal(err)
@@ -233,10 +221,9 @@ func TestOverloadRetryAfterThroughRouter(t *testing.T) {
 			reqs = append(reqs, req)
 		}
 	}
-	scale := dwellScaleFor(t, reqs[0], 400*time.Millisecond)
 
 	c := newTestCluster(t, Config{Shards: 2, Base: service.Config{
-		Workers: 1, MaxQueueDepth: 1, EmuDwellScale: scale, ScrapeInterval: -1,
+		Workers: 1, MaxQueueDepth: 1, ScrapeInterval: -1,
 	}})
 	h := c.Handler()
 

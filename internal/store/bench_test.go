@@ -1,7 +1,6 @@
 package store
 
-// The store benchmark trajectory (scripts/bench.sh renders these into
-// BENCH_store.json):
+// The store benchmarks (recorded in BENCH.txt by scripts/bench.sh):
 //
 //	BenchmarkJournalAppend   one Put per op with a result-sized payload
 //	BenchmarkWarmStartLoad   Open on a journal of 1024 persisted results

@@ -9,8 +9,7 @@ import (
 // BenchmarkSurrogateProbe compares the wall cost of one twin-served probe
 // against one live simulated probe (cold sensor evaluation, the honest
 // comparator — on hardware the gap is the 50 ms dwell, which the virtual
-// clock accounts separately). scripts/bench.sh collects both into
-// BENCH_surrogate.json.
+// clock accounts separately). scripts/bench.sh records both in BENCH.txt.
 func BenchmarkSurrogateProbe(b *testing.B) {
 	spec := device.DoubleDotSpec{Seed: 7}
 	spec.FillDefaults()

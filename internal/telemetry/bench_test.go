@@ -1,7 +1,6 @@
 package telemetry
 
-// Telemetry overhead benchmarks — the numbers behind BENCH_telemetry.json
-// (scripts/bench.sh):
+// Telemetry overhead benchmarks (recorded in BENCH.txt by scripts/bench.sh):
 //
 //	BenchmarkCounterInc        one atomic add, 0 allocs
 //	BenchmarkHistogramObserve  bucket binary search + atomics, 0 allocs

@@ -1,593 +1,13 @@
 #!/usr/bin/env bash
-# bench.sh — run the probe-path benchmark trajectory and emit
-# BENCH_probe.json, then the fleet-recalibration benchmark (BENCH_fleet.json),
-# the durable-store / trace-replay benchmarks (BENCH_store.json), the
-# n-dot chain extraction benchmarks (BENCH_chain.json), the surrogate
-# digital-twin benchmarks (BENCH_surrogate.json), the active-probing
-# scheduler benchmarks (BENCH_infogain.json), the telemetry overhead
-# benchmarks (BENCH_telemetry.json), the observability-store benchmarks
-# (BENCH_obs.json) and the sharded-serving benchmarks (BENCH_shard.json).
-#
-# Usage:
-#   scripts/bench.sh [-o BENCH_probe.json] [-f BENCH_fleet.json] [-t benchtime]
-#
-# The "after" block is measured on this machine by running the benchmarks in
-# internal/device (BenchmarkProbe*, BenchmarkGridRender*). The "before"
-# block records the pre-batch-path numbers; it is carried over from an
-# existing output file when present, so re-running keeps the original
-# baseline. To re-baseline (e.g. on new hardware), check out the commit
-# before the batch-probing PR, run the equivalent scalar benchmarks there,
-# and edit the file — or set BENCH_BEFORE_JSON to a JSON object to splice in.
+# bench.sh — run every benchmark in the module five times and record the
+# output, in Go's standard benchmark format, in BENCH.txt at the repository
+# root. Extra arguments pass through to go test, and later flags win:
+#   scripts/bench.sh -benchtime=1x -count=1   # one quick pass
+# Read medians and spread from the samples, or run `benchstat BENCH.txt`.
 set -euo pipefail
-
-out="BENCH_probe.json"
-fleet_out="BENCH_fleet.json"
-benchtime="2s"
-while getopts "o:f:t:" opt; do
-  case "$opt" in
-    o) out="$OPTARG" ;;
-    f) fleet_out="$OPTARG" ;;
-    t) benchtime="$OPTARG" ;;
-    *) echo "usage: $0 [-o file] [-f file] [-t benchtime]" >&2; exit 2 ;;
-  esac
-done
-
 cd "$(dirname "$0")/.."
-
-before=""
-if [ -n "${BENCH_BEFORE_JSON:-}" ]; then
-  before="$BENCH_BEFORE_JSON"
-elif [ -f "$out" ]; then
-  # Preserve the committed baseline block (everything inside "before": {...}).
-  before=$(awk '/"before": \{/{f=1;next} f&&/^  \}/{exit} f' "$out")
-fi
-if [ -z "$before" ]; then
-  before='    "note": "no baseline recorded — see header of scripts/bench.sh"'
-fi
-
-raw=$(go test ./internal/device/ -run '^$' -bench 'Probe|GridRender' \
-  -benchmem -benchtime "$benchtime" 2>&1)
-echo "$raw"
-
-# Columns: name  iters  ns/op "ns/op"  B/op "B/op"  allocs "allocs/op"
-field() { echo "$raw" | awk -v b="$1" '$1 ~ "^Benchmark"b"(-|$)" {print $3; exit}'; }
-allocs() { echo "$raw" | awk -v b="$1" '$1 ~ "^Benchmark"b"(-|$)" {print $7; exit}'; }
-ms() { awk -v ns="$1" 'BEGIN {printf "%.4f", ns / 1e6}'; }
-
-cpu=$(echo "$raw" | awk -F': ' '/^cpu:/{print $2; exit}')
-probe_scalar=$(field ProbeScalar)
-probe_batch=$(field ProbeBatch)
-probe_hit=$(field ProbeMemoHit)
-render_scalar=$(field GridRenderScalar)
-render_batch=$(field GridRenderBatch)
-render_noisy=$(field GridRenderNoisy)
-render_dataset=$(field GridRenderDataset)
-
-cat > "$out" <<JSON
 {
-  "schema": "fastvg-bench-probe/1",
-  "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "go": "$(go env GOVERSION)",
-  "cpu": "${cpu:-unknown}",
-  "gomaxprocs": $(nproc),
-  "benchtime": "$benchtime",
-  "units": {
-    "probe_*_ns": "nanoseconds per probe",
-    "probe_*_allocs_per_op": "heap allocations per probe",
-    "grid_render_*_ms": "milliseconds per full 100x100 window render"
-  },
-  "before": {
-$before
-  },
-  "after": {
-    "probe_scalar_ns": $probe_scalar,
-    "probe_scalar_allocs_per_op": $(allocs ProbeScalar),
-    "probe_batch_ns": $probe_batch,
-    "probe_batch_allocs_per_op": $(allocs ProbeBatch),
-    "probe_memo_hit_ns": $probe_hit,
-    "grid_render_scalar_ms": $(ms "$render_scalar"),
-    "grid_render_batch_ms": $(ms "$render_batch"),
-    "grid_render_noisy_ms": $(ms "$render_noisy"),
-    "grid_render_dataset_ms": $(ms "$render_dataset")
-  }
-}
-JSON
-echo "wrote $out"
-# ---- fleet calibration loop → BENCH_fleet.json ----------------------------
-# BenchmarkFleetRecalibration runs an 8-device heterogeneous fleet through
-# four virtual hours per iteration and reports the loop's economics as
-# custom metrics: probes per recalibration and the steady-state staleness
-# score the policy holds the fleet at.
-fraw=$(go test ./internal/fleet/ -run '^$' -bench 'FleetRecalibration' \
-  -benchtime "$benchtime" 2>&1)
-echo "$fraw"
-
-fline=$(echo "$fraw" | awk '$1 ~ /^BenchmarkFleetRecalibration(-|$)/ {print; exit}')
-fmetric() { echo "$fline" | awk -v u="$1" '{for (i = 2; i < NF; i++) if ($(i+1) == u) {print $i; exit}}'; }
-
-probes_per_recal=$(fmetric "probes/recal")
-steady_staleness=$(fmetric "staleness")
-fleet_ns=$(fmetric "ns/op")
-
-cat > "$fleet_out" <<JSON
-{
-  "schema": "fastvg-bench-fleet/1",
-  "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "go": "$(go env GOVERSION)",
-  "cpu": "${cpu:-unknown}",
-  "gomaxprocs": $(nproc),
-  "benchtime": "$benchtime",
-  "scenario": "8 heterogeneous devices (quiet/standard/wandering/jumpy), 4 virtual hours per iteration, 1800 s check interval, default policy",
-  "units": {
-    "probes_per_recal": "instrument probes per successful matrix refresh, spot-checks amortised in",
-    "steady_staleness": "mean finite device staleness at end of run (1.0 = drift tolerance)",
-    "sim_ms_per_virtual_day": "wall milliseconds to simulate one device-day of the loop"
-  },
-  "after": {
-    "probes_per_recal": ${probes_per_recal:-null},
-    "steady_staleness": ${steady_staleness:-null},
-    "sim_ms_per_virtual_day": $(awk -v ns="${fleet_ns:-0}" 'BEGIN {printf "%.2f", ns / 1e6 / (8 * 4 / 24)}')
-  }
-}
-JSON
-echo "wrote $fleet_out"
-# ---- durable store + trace replay → BENCH_store.json ----------------------
-# BenchmarkJournalAppend measures the per-record journal append (one write
-# syscall, CRC framing); BenchmarkWarmStartLoad the full Open of a journal
-# holding 1024 persisted results; BenchmarkExtractionLive/Replay the same
-# fast extraction against a live simulated instrument vs re-executed from
-# its recorded probe trace. Replay wall time includes reading and decoding
-# the trace file; the speedup is wall-clock only — on hardware a live
-# extraction additionally pays seconds of real dwell that replay avoids
-# entirely.
-sraw=$(go test ./internal/store/ -run '^$' -bench 'JournalAppend|WarmStartLoad' \
-  -benchmem -benchtime "$benchtime" 2>&1)
-echo "$sraw"
-rraw=$(go test ./internal/service/ -run '^$' -bench 'ExtractionLive|ExtractionReplay' \
-  -benchtime "$benchtime" 2>&1)
-echo "$rraw"
-
-sfield() { echo "$sraw" | awk -v b="$1" '$1 ~ "^Benchmark"b"(-|$)" {print $3; exit}'; }
-smbs() { echo "$sraw" | awk -v b="$1" '$1 ~ "^Benchmark"b"(-|$)" {for (i=2;i<NF;i++) if ($(i+1)=="MB/s") {print $i; exit}}'; }
-rfield() { echo "$rraw" | awk -v b="$1" '$1 ~ "^Benchmark"b"(-|$)" {print $3; exit}'; }
-rmetric() { echo "$rraw" | awk -v b="$1" -v u="$2" '$1 ~ "^Benchmark"b"(-|$)" {for (i=2;i<NF;i++) if ($(i+1)==u) {print $i; exit}}'; }
-
-append_ns=$(sfield JournalAppend)
-append_mbs=$(smbs JournalAppend)
-warm_ns=$(sfield WarmStartLoad)
-live_ns=$(rfield ExtractionLive)
-replay_ns=$(rfield ExtractionReplay)
-experiment_s=$(rmetric ExtractionReplay "virtual-s/op")
-
-store_out="BENCH_store.json"
-cat > "$store_out" <<JSON
-{
-  "schema": "fastvg-bench-store/1",
-  "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "go": "$(go env GOVERSION)",
-  "cpu": "${cpu:-unknown}",
-  "benchtime": "$benchtime",
-  "units": {
-    "journal_append_ns": "nanoseconds per persisted record (CRC frame + write syscall)",
-    "journal_append_mb_s": "journal append throughput on result-sized payloads",
-    "warm_start_load_ms": "Open() of a journal holding 1024 persisted results",
-    "extraction_live_ms": "fast extraction against a live 100x100 simulated instrument, wall clock",
-    "extraction_replay_ms": "same extraction re-executed from its recorded probe trace (file read + decode included)",
-    "replay_vs_live_speedup": "wall-clock ratio live/replay against the in-process simulator (dwell is virtual there, so this hovers near 1)",
-    "experiment_s_avoided": "instrument dwell seconds the recorded extraction cost; on hardware a live run pays this in wall time, a replay never does",
-    "replay_vs_hardware_speedup": "(experiment_s_avoided + live wall) / replay wall — the speedup replay delivers over re-running on a dwell-limited instrument"
-  },
-  "after": {
-    "journal_append_ns": ${append_ns:-null},
-    "journal_append_mb_s": ${append_mbs:-null},
-    "warm_start_load_ms": $(awk -v ns="${warm_ns:-0}" 'BEGIN {printf "%.3f", ns / 1e6}'),
-    "extraction_live_ms": $(awk -v ns="${live_ns:-0}" 'BEGIN {printf "%.3f", ns / 1e6}'),
-    "extraction_replay_ms": $(awk -v ns="${replay_ns:-0}" 'BEGIN {printf "%.3f", ns / 1e6}'),
-    "replay_vs_live_speedup": $(awk -v l="${live_ns:-0}" -v r="${replay_ns:-1}" 'BEGIN {printf "%.2f", l / r}'),
-    "experiment_s_avoided": ${experiment_s:-null},
-    "replay_vs_hardware_speedup": $(awk -v e="${experiment_s:-0}" -v l="${live_ns:-0}" -v r="${replay_ns:-1}" 'BEGIN {printf "%.0f", (e * 1e9 + l) / r}')
-  }
-}
-JSON
-echo "wrote $store_out"
-# ---- n-dot chain extraction → BENCH_chain.json ----------------------------
-# BenchmarkChainExtract runs the chainx planner sequentially (one worker)
-# and concurrently (eight workers) for N = 4/8/16 dots. The headline
-# "speedup" compares instrument dwell makespan — the wall-clock a
-# dwell-limited lab pays — between the two schedules; probes per pair and
-# the compute ns/op are reported alongside. BenchmarkChainPartialRecal
-# measures the fleet's partial-recalibration saving: probes to re-extract
-# one drifted pair of a 4-dot chain versus the whole device.
-craw=$(go test ./internal/chainx/ -run '^$' -bench 'ChainExtract' \
-  -benchtime "$benchtime" 2>&1)
-echo "$craw"
-praw=$(go test ./internal/fleet/ -run '^$' -bench 'ChainPartialRecal' \
-  -benchtime "$benchtime" 2>&1)
-echo "$praw"
-
-cmetric() { # cmetric <dots> <seq|conc> <unit>
-  echo "$craw" | awk -v b="BenchmarkChainExtract/dots-$1-$2" -v u="$3" \
-    '$1 ~ b"(-|$)" {for (i=2;i<NF;i++) if ($(i+1)==u) {print $i; exit}}'
-}
-cns() {
-  echo "$craw" | awk -v b="BenchmarkChainExtract/dots-$1-$2" \
-    '$1 ~ b"(-|$)" {print $3; exit}'
-}
-pmetric() {
-  echo "$praw" | awk -v u="$1" \
-    '$1 ~ /^BenchmarkChainPartialRecal(-|$)/ {for (i=2;i<NF;i++) if ($(i+1)==u) {print $i; exit}}'
-}
-
-chain_out="BENCH_chain.json"
-{
-  cat <<JSON
-{
-  "schema": "fastvg-bench-chain/1",
-  "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "go": "$(go env GOVERSION)",
-  "cpu": "${cpu:-unknown}",
-  "gomaxprocs": $(nproc),
-  "benchtime": "$benchtime",
-  "scenario": "N-dot chain extraction via internal/chainx: independent per-pair instruments, fast-method ladder, sequential (1 worker) vs concurrent (8 workers); partial recal on a 4-dot fleet chain device",
-  "units": {
-    "seq_dwell_s / conc_makespan_s": "instrument dwell wall-clock of the pair extractions, sequential sum vs concurrent list-schedule makespan (dwell dominates on hardware: 50 ms per probe)",
-    "dwell_speedup": "seq_dwell_s / conc_makespan_s — the lab wall-time win of concurrent pair extraction",
-    "probes_per_pair": "distinct configurations measured per pair (identical in both schedules: results are bit-identical)",
-    "compute_ms": "CPU wall per whole-chain extraction on this machine (simulation cost, not dwell)",
-    "partial_recal_probes / full_recal_probes": "probes to re-extract one drifted pair vs every pair of a 4-dot fleet chain device",
-    "partial_savings": "full / partial — the probe saving of per-pair staleness"
-  },
-  "after": {
-JSON
-  for dots in 4 8 16; do
-    seq_dwell=$(cmetric "$dots" seq "dwell-s/op")
-    conc_mk=$(cmetric "$dots" conc "makespan-s/op")
-    ppp=$(cmetric "$dots" conc "probes/pair")
-    seq_ns=$(cns "$dots" seq)
-    conc_ns=$(cns "$dots" conc)
-    cat <<JSON
-    "n${dots}": {
-      "seq_dwell_s": ${seq_dwell:-null},
-      "conc_makespan_s": ${conc_mk:-null},
-      "dwell_speedup": $(awk -v s="${seq_dwell:-0}" -v c="${conc_mk:-1}" 'BEGIN {printf "%.2f", s / c}'),
-      "probes_per_pair": ${ppp:-null},
-      "seq_compute_ms": $(awk -v ns="${seq_ns:-0}" 'BEGIN {printf "%.2f", ns / 1e6}'),
-      "conc_compute_ms": $(awk -v ns="${conc_ns:-0}" 'BEGIN {printf "%.2f", ns / 1e6}')
-    },
-JSON
-  done
-  cat <<JSON
-    "partial_recal_probes": $(pmetric "probes/partial" | awk '{printf "%d", $1}'),
-    "full_recal_probes": $(pmetric "probes/full" | awk '{printf "%d", $1}'),
-    "partial_savings": $(pmetric "full/partial")
-  }
-}
-JSON
-} > "$chain_out"
-echo "wrote $chain_out"
-# ---- surrogate digital twin → BENCH_surrogate.json ------------------------
-# BenchmarkFleetSurrogateRecalibration runs the same drift-only fleet loop
-# all-live and twin-first and compares steady-state probes per matrix
-# refresh — the headline: how many live probes a trained twin saves per
-# recalibration. BenchmarkSurrogateEscalation scales the drift amplitude and
-# reports the share of probing that must stay live; BenchmarkSurrogateProbe
-# is the raw model-vs-simulator probe latency.
-wraw=$(go test ./internal/fleet/ -run '^$' -bench 'FleetSurrogateRecalibration|SurrogateEscalation' \
-  -benchtime "$benchtime" 2>&1)
-echo "$wraw"
-uraw=$(go test ./internal/surrogate/ -run '^$' -bench 'SurrogateProbe' \
-  -benchtime "$benchtime" 2>&1)
-echo "$uraw"
-
-wmetric() { # wmetric <bench-suffix> <unit>
-  echo "$wraw" | awk -v b="$1" -v u="$2" \
-    '$1 ~ b"(-|$)" {for (i=2;i<NF;i++) if ($(i+1)==u) {print $i; exit}}'
-}
-uns() {
-  echo "$uraw" | awk -v b="BenchmarkSurrogateProbe/$1" '$1 ~ b"(-|$)" {print $3; exit}'
-}
-
-live_ppr=$(wmetric "BenchmarkFleetSurrogateRecalibration/live" "probes/recal")
-twin_ppr=$(wmetric "BenchmarkFleetSurrogateRecalibration/surrogate" "probes/recal")
-twin_saved=$(wmetric "BenchmarkFleetSurrogateRecalibration/surrogate" "saved-frac")
-
-surrogate_out="BENCH_surrogate.json"
-{
-  cat <<JSON
-{
-  "schema": "fastvg-bench-surrogate/1",
-  "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "go": "$(go env GOVERSION)",
-  "cpu": "${cpu:-unknown}",
-  "gomaxprocs": $(nproc),
-  "benchtime": "$benchtime",
-  "scenario": "8 wandering (drift-only) fleet devices, 2 virtual hours warm-up then 8 measured, 1800 s check interval; all-live vs twin-first at the default threshold",
-  "units": {
-    "live_probes_per_recal / surrogate_probes_per_recal": "live instrument probes per successful matrix refresh, spot-checks amortised in",
-    "probe_reduction": "live / surrogate — the headline probe saving of twin-first recalibration",
-    "surrogate_saved_frac": "share of all steady-state probing served by twins instead of the instrument",
-    "escalation_rate_by_drift": "live share of probing as the wandering drift amplitude scales (0 = static device)",
-    "probe_twin_ns / probe_sim_ns": "one surrogate model prediction vs one simulated-instrument probe"
-  },
-  "after": {
-    "live_probes_per_recal": ${live_ppr:-null},
-    "surrogate_probes_per_recal": ${twin_ppr:-null},
-    "probe_reduction": $(awk -v l="${live_ppr:-0}" -v s="${twin_ppr:-1}" 'BEGIN {printf "%.2f", l / s}'),
-    "surrogate_saved_frac": ${twin_saved:-null},
-    "escalation_rate_by_drift": {
-JSON
-  first=1
-  for drift in 0.00 0.06 0.12 0.24; do
-    rate=$(wmetric "BenchmarkSurrogateEscalation/drift=$drift" "escalation-rate")
-    [ "$first" = 1 ] && first=0 || echo ","
-    printf '      "%s": %s' "$drift" "${rate:-null}"
-  done
-  cat <<JSON
-
-    },
-    "probe_twin_ns": $(uns twin | awk '{printf "%s", $1+0}'),
-    "probe_sim_ns": $(uns sim | awk '{printf "%s", $1+0}')
-  }
-}
-JSON
-} > "$surrogate_out"
-echo "wrote $surrogate_out"
-# ---- active-probing scheduler → BENCH_infogain.json ------------------------
-# BenchmarkInfoGainVsFast runs the fast raster and the Bayesian active
-# scheduler on identically spec'd default double-dot windows (4 seeds each)
-# per noise preset and reports mean probes and matrix error for both; the
-# headline "probe_cut" is fast probes / infogain probes at no worse error.
-# BenchmarkInfoGainCurve traces probes spent and error reached as the CI
-# target tightens — the probes-to-target-accuracy curve.
-iraw=$(go test ./internal/infogain/ -run '^$' -bench 'InfoGainVsFast|InfoGainCurve' \
-  -benchtime "$benchtime" 2>&1)
-echo "$iraw"
-
-imetric() { # imetric <bench-path> <unit>
-  echo "$iraw" | awk -v b="$1" -v u="$2" \
-    '$1 ~ b"(-|$)" {for (i=2;i<NF;i++) if ($(i+1)==u) {print $i; exit}}'
-}
-
-infogain_out="BENCH_infogain.json"
-{
-  cat <<JSON
-{
-  "schema": "fastvg-bench-infogain/1",
-  "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "go": "$(go env GOVERSION)",
-  "cpu": "${cpu:-unknown}",
-  "benchtime": "$benchtime",
-  "scenario": "default 100x100 double-dot window, 4 seeds per preset; fast raster extraction vs Bayesian active scheduler at the default 0.030 CI target, plus the probes-vs-accuracy curve at looser targets",
-  "units": {
-    "fast_probes / infogain_probes": "mean distinct configurations measured per extraction",
-    "fast_err / infogain_err": "mean max-abs matrix-entry error vs the analytic truth",
-    "probe_cut": "fast_probes / infogain_probes at no worse error — the headline",
-    "curve": "per CI target: mean probes spent and error reached"
-  },
-  "after": {
-JSON
-  first=1
-  for preset in noiseless white lab; do
-    [ "$first" = 1 ] && first=0 || echo ","
-    cat <<JSON
-    "$preset": {
-      "fast_probes": $(imetric "BenchmarkInfoGainVsFast/$preset" "fast-probes" | awk '{print $1+0}'),
-      "fast_err": $(imetric "BenchmarkInfoGainVsFast/$preset" "fast-err" | awk '{print $1+0}'),
-      "infogain_probes": $(imetric "BenchmarkInfoGainVsFast/$preset" "ig-probes" | awk '{print $1+0}'),
-      "infogain_err": $(imetric "BenchmarkInfoGainVsFast/$preset" "ig-err" | awk '{print $1+0}'),
-      "probe_cut": $(imetric "BenchmarkInfoGainVsFast/$preset" "probe-cut" | awk '{print $1+0}'),
-      "curve": {
-JSON
-    cfirst=1
-    for ci in 0.090 0.060 0.045 0.030; do
-      [ "$cfirst" = 1 ] && cfirst=0 || echo ","
-      printf '        "%s": { "probes": %s, "err": %s }' "$ci" \
-        "$(imetric "BenchmarkInfoGainCurve/$preset/ci=$ci" "probes" | awk '{print $1+0}')" \
-        "$(imetric "BenchmarkInfoGainCurve/$preset/ci=$ci" "err" | awk '{print $1+0}')"
-    done
-    cat <<JSON
-
-      }
-    }
-JSON
-  done
-  cat <<JSON
-  }
-}
-JSON
-} > "$infogain_out"
-echo "wrote $infogain_out"
-# ---- telemetry overhead → BENCH_telemetry.json -----------------------------
-# The observability acceptance gate: metric primitives must be single
-# atomics with 0 allocs/op (internal/telemetry benchmarks), and the probe
-# hot path with the worst-case per-probe instrumentation (one counter inc
-# + one histogram observe, internal/device's BenchmarkProbeCounted) must
-# stay within 2% of the bare path.
-traw=$(go test ./internal/telemetry/ -run '^$' \
-  -bench 'CounterInc|HistogramObserve|GaugeSet|Exposition' \
-  -benchmem -benchtime "$benchtime" 2>&1)
-echo "$traw"
-# 5 repetitions, minimum taken per benchmark: the overhead headline is a
-# difference of two ~90 ns numbers, and single runs on a shared machine
-# jitter by more than the 2% gate.
-praw=$(go test ./internal/device/ -run '^$' -bench 'ProbeBare|ProbeCounted' \
-  -benchmem -benchtime "$benchtime" -count 5 2>&1)
-echo "$praw"
-
-tfield()  { echo "$traw" | awk -v b="$1" '$1 ~ "^Benchmark"b"(-|$)" {print $3; exit}'; }
-tallocs() { echo "$traw" | awk -v b="$1" '$1 ~ "^Benchmark"b"(-|$)" {print $7; exit}'; }
-pfield()  { echo "$praw" | awk -v b="$1" \
-  '$1 ~ "^Benchmark"b"(-|$)" && (min == "" || $3+0 < min) {min = $3+0} END {print min}'; }
-pallocs() { echo "$praw" | awk -v b="$1" \
-  '$1 ~ "^Benchmark"b"(-|$)" && $7+0 > max {max = $7+0} END {print max+0}'; }
-
-probe_bare=$(pfield ProbeBare)
-probe_counted=$(pfield ProbeCounted)
-overhead_pct=$(awk -v a="$probe_bare" -v b="$probe_counted" \
-  'BEGIN {printf "%.2f", (a > 0 ? 100 * (b - a) / a : 0)}')
-
-telemetry_out="BENCH_telemetry.json"
-cat > "$telemetry_out" <<JSON
-{
-  "schema": "fastvg-bench-telemetry/1",
-  "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "go": "$(go env GOVERSION)",
-  "cpu": "${cpu:-unknown}",
-  "benchtime": "$benchtime",
-  "scenario": "metric primitive cost (internal/telemetry), full-registry exposition render, and the scalar probe hot path bare vs with worst-case per-probe instrumentation (counter inc + histogram observe)",
-  "units": {
-    "*_ns": "ns/op",
-    "*_allocs": "allocs/op",
-    "probe_overhead_pct": "100 * (probe_counted_ns - probe_bare_ns) / probe_bare_ns"
-  },
-  "targets": {
-    "probe_overhead_pct": "< 2",
-    "counter_inc_allocs": 0,
-    "histogram_observe_allocs": 0
-  },
-  "after": {
-    "counter_inc_ns": $(tfield CounterInc),
-    "counter_inc_allocs": $(tallocs CounterInc),
-    "histogram_observe_ns": $(tfield HistogramObserve),
-    "histogram_observe_allocs": $(tallocs HistogramObserve),
-    "gauge_set_ns": $(tfield GaugeSet),
-    "gauge_set_allocs": $(tallocs GaugeSet),
-    "exposition_ns": $(tfield Exposition),
-    "probe_bare_ns": $probe_bare,
-    "probe_bare_allocs": $(pallocs ProbeBare),
-    "probe_counted_ns": $probe_counted,
-    "probe_counted_allocs": $(pallocs ProbeCounted),
-    "probe_overhead_pct": $overhead_pct
-  }
-}
-JSON
-echo "wrote $telemetry_out"
-# ---- observability store → BENCH_obs.json ---------------------------------
-# The tsdb acceptance gate: scraping the full ~164-sample registry into the
-# delta-encoded rings must cost well under 1% of a 10 s scrape interval,
-# ring appends stay allocation-free, and instant/range queries (the
-# /v1/query and alert-engine read path) stay in the microseconds.
-oraw=$(go test ./internal/tsdb/ -run '^$' \
-  -bench 'RingAppend|Scrape|QueryRate|QueryQuantile' \
-  -benchmem -benchtime "$benchtime" 2>&1)
-echo "$oraw"
-
-ofield()  { echo "$oraw" | awk -v b="$1" '$1 ~ "^Benchmark"b"(-|$)" {print $3; exit}'; }
-oallocs() { echo "$oraw" | awk -v b="$1" '$1 ~ "^Benchmark"b"(-|$)" {print $7; exit}'; }
-
-scrape_ns=$(ofield Scrape)
-# One scrape per 10 s interval: overhead = scrape_ns / 10e9 s, as percent.
-scrape_overhead_pct=$(awk -v ns="${scrape_ns:-0}" \
-  'BEGIN {printf "%.6f", 100 * ns / 10e9}')
-
-obs_out="BENCH_obs.json"
-# Carry the committed "before" block (the pre-planned-scrape numbers)
-# forward, as the probe section does.
-obs_before=""
-if [ -f "$obs_out" ]; then
-  obs_before=$(awk '/"before": \{/{f=1;next} f&&/^  \}/{exit} f' "$obs_out")
-fi
-if [ -z "$obs_before" ]; then
-  obs_before='    "note": "no baseline recorded"'
-fi
-cat > "$obs_out" <<JSON
-{
-  "schema": "fastvg-bench-obs/1",
-  "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "go": "$(go env GOVERSION)",
-  "cpu": "${cpu:-unknown}",
-  "benchtime": "$benchtime",
-  "scenario": "in-process tsdb over a daemon-sized registry (~164 samples): one full scrape into 512-point delta-encoded rings, a single ring append, and the query read path (rate over a counter window, p99 over a histogram window)",
-  "units": {
-    "*_ns": "ns/op",
-    "*_allocs": "allocs/op",
-    "scrape_overhead_pct": "100 * scrape_ns / 10s — scrape cost as a share of the default 10 s scrape interval"
-  },
-  "targets": {
-    "scrape_overhead_pct": "< 1",
-    "ring_append_allocs": 0,
-    "scrape_allocs": 0
-  },
-  "before": {
-$obs_before
-  },
-  "after": {
-    "ring_append_ns": $(ofield RingAppend),
-    "ring_append_allocs": $(oallocs RingAppend),
-    "scrape_ns": ${scrape_ns:-null},
-    "scrape_allocs": $(oallocs Scrape),
-    "query_rate_ns": $(ofield QueryRate),
-    "query_rate_allocs": $(oallocs QueryRate),
-    "query_quantile_ns": $(ofield QueryQuantile),
-    "query_quantile_allocs": $(oallocs QueryQuantile),
-    "scrape_overhead_pct": $scrape_overhead_pct
-  }
-}
-JSON
-echo "wrote $obs_out"
-# ---- sharded serving → BENCH_shard.json ------------------------------------
-# The sharded front-door acceptance gate: jobs/sec and per-job p99 as the
-# shard count grows 1 → 2 → 4 → 8 with one dwell-limited worker (one
-# emulated instrument) per shard, plus the scatter-gather batch path at
-# 1 vs 8 shards. Throughput at 8 shards must be ≥3× the 1-shard figure.
-# These iterations are dwell-bound (~1 s each at 1 shard), so the section
-# runs a fixed iteration count rather than the time-based -benchtime.
-shard_benchtime="${SHARD_BENCHTIME:-3x}"
-hraw=$(go test ./internal/shard/ -run '^$' -bench 'ShardThroughput|ScatterGather' \
-  -benchtime "$shard_benchtime" 2>&1)
-echo "$hraw"
-
-hmetric() { # hmetric <bench-path> <unit>
-  echo "$hraw" | awk -v b="$1" -v u="$2" \
-    '$1 ~ b"(-|$)" {for (i=2;i<NF;i++) if ($(i+1)==u) {print $i; exit}}'
-}
-
-tput1=$(hmetric "BenchmarkShardThroughput/shards-1" "jobs/s")
-tput8=$(hmetric "BenchmarkShardThroughput/shards-8" "jobs/s")
-sg1=$(hmetric "BenchmarkScatterGather/shards-1" "jobs/s")
-sg8=$(hmetric "BenchmarkScatterGather/shards-8" "jobs/s")
-
-shard_out="BENCH_shard.json"
-{
-  cat <<JSON
-{
-  "schema": "fastvg-bench-shard/1",
-  "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "go": "$(go env GOVERSION)",
-  "cpu": "${cpu:-unknown}",
-  "gomaxprocs": $(nproc),
-  "benchtime": "$shard_benchtime",
-  "scenario": "consistent-hash front door over N shards, one worker per shard with ~40 ms emulated instrument dwell per job; 24 concurrent jobs per iteration through Cluster.Run, and one 24-request batch per iteration through the scatter-gather path",
-  "units": {
-    "throughput.shards_N": "jobs/sec and per-job p99 ms through the router at N shards",
-    "throughput_speedup_8x": "jobs/s at 8 shards / jobs/s at 1 shard (target ≥ 3)",
-    "scatter_gather.shards_N": "batch jobs/sec: scattered by ring owner, merged in request order",
-    "scatter_gather_speedup_8x": "batch jobs/s at 8 shards / 1 shard"
-  },
-  "targets": {
-    "throughput_speedup_8x": ">= 3"
-  },
-  "after": {
-    "throughput": {
-JSON
-  first=1
-  for n in 1 2 4 8; do
-    [ "$first" = 1 ] && first=0 || echo ","
-    printf '      "shards_%d": { "jobs_per_s": %s, "p99_ms": %s }' "$n" \
-      "$(hmetric "BenchmarkShardThroughput/shards-$n" "jobs/s" | awk '{print $1+0}')" \
-      "$(hmetric "BenchmarkShardThroughput/shards-$n" "p99-ms" | awk '{print $1+0}')"
-  done
-  cat <<JSON
-
-    },
-    "throughput_speedup_8x": $(awk -v a="${tput1:-1}" -v b="${tput8:-0}" 'BEGIN {printf "%.2f", b / a}'),
-    "scatter_gather": {
-      "shards_1_jobs_per_s": ${sg1:-null},
-      "shards_8_jobs_per_s": ${sg8:-null}
-    },
-    "scatter_gather_speedup_8x": $(awk -v a="${sg1:-1}" -v b="${sg8:-0}" 'BEGIN {printf "%.2f", b / a}')
-  }
-}
-JSON
-} > "$shard_out"
-echo "wrote $shard_out"
+  echo "commit: $(git describe --always --dirty)"
+  echo "date: $(date -u +%Y-%m-%dT%H:%M:%SZ)"
+  go test -run '^$' -bench . -benchmem -count 5 "$@" ./...
+} | tee BENCH.txt
