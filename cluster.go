@@ -13,7 +13,12 @@ import (
 // journal; the router hashes device/session/spec identities onto the
 // ring, scatter-gathers batch and fleet-summary work, and merges /metrics
 // and /v1/query with a per-shard label. Identical requests share a shard,
-// whose cache coalesces them; single-process serving is a 1-shard cluster.
+// whose cache coalesces them. A cluster serves the same route table as a
+// single service (ServiceHandler); its replies differ only where there is
+// more than one shard to tell apart — per-shard tick reports, s<i>/ alert
+// names, shard labels on queries and metrics, the healthz rollup,
+// explicit fleet device IDs and s<i>- job and session IDs — and that
+// holds for a 1-shard cluster too.
 
 // Cluster is the sharded serving layer: N shard services behind one
 // consistent-hash router.
@@ -54,9 +59,9 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, *ClusterRebalanceReport, error) {
 	return shard.Open(cfg)
 }
 
-// ClusterHandler returns the front door: the same JSON HTTP surface a
-// single service serves, behind routing, scatter-gather and per-shard
-// scrape merging.
+// ClusterHandler returns the front door: the single service's route
+// table served over the cluster, with routing, scatter-gather and
+// per-shard scrape merging behind it.
 func ClusterHandler(c *Cluster) http.Handler { return c.Handler() }
 
 // CloseCluster drains every shard concurrently (bounded by ctx).

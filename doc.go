@@ -273,11 +273,22 @@
 // shard minted. The router scatter-gathers batches by ring owner and
 // merges in request order (results are byte-identical at any shard
 // count), leaves concurrent identical submissions to the owning shard's
-// result cache to coalesce, relays a saturated shard's
-// 429 + Retry-After verbatim (IsOverloaded holds through Cluster.Run
-// and Submit), and merges observability: /metrics and /v1/query label
-// every series with its shard, /v1/healthz rolls up with down shards
-// listed, and vgxtop folds the labels back into one fleet view.
+// result cache to coalesce, answers a saturated shard's overload with
+// the same 429 + Retry-After the shard would (IsOverloaded holds through
+// Cluster.Run and Submit), and merges observability: /metrics and
+// /v1/query label every series with its shard, /v1/healthz rolls up with
+// down shards listed, and vgxtop folds the labels back into one fleet
+// view.
+//
+// Both front doors serve one route table: ServiceHandler and
+// ClusterHandler pass a Service or a Cluster to the same handler, so a
+// route answers the same status codes on either. vgxd -shards 1 serves a
+// plain Service. A Cluster, even of one shard, answers in the sharded
+// dialect; its replies differ from a service's only in the tick reply's
+// per-shard "shards" list, s<i>/ alert rule names, shard labels on
+// /v1/query series and /metrics samples, the /v1/healthz rollup and the
+// per-shard /v1/stats breakdown, explicit device IDs for fleet
+// registration, and s<i>- prefixed job and session IDs.
 //
 // Durable clusters (ClusterConfig.DataDir) journal per shard under
 // shard-<i>/ and record the shard count in cluster.json; OpenCluster
@@ -289,7 +300,7 @@
 // shard with history intact. A shard dying takes out only its arc:
 // survivors keep serving while the victim's keys return 503, and a
 // restart warm-starts cache, fleet and alert state from the shard's
-// own journal. Single-process serving is exactly the 1-shard cluster.
+// own journal.
 //
 // # Performance
 //

@@ -1,16 +1,14 @@
 // Package evalx is the experiment harness: it runs the fast extraction and
 // the Hough baseline on qflow benchmarks, scores success against the
 // analytic ground truth (replacing the paper's manual inspection of the
-// warped diagram), accounts for probes and virtual runtime, and renders the
-// paper's Table 1.
+// warped diagram) and accounts for probes and virtual runtime — the rows
+// of the paper's Table 1, which internal/report renders.
 package evalx
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"strings"
 	"time"
 
 	"github.com/fastvg/fastvg/internal/baseline"
@@ -188,43 +186,6 @@ func RunTable1(fastCfg core.Config, baseCfg baseline.Config) ([]Table1Row, error
 		rows = append(rows, Table1Row{Benchmark: b, Fast: f, Baseline: bl})
 	}
 	return rows, nil
-}
-
-// RenderTable1 writes the paper-style result summary.
-func RenderTable1(w io.Writer, rows []Table1Row) error {
-	const hdr = "%-5s %-9s %-7s %-7s %-18s %-10s %-12s %-12s %-8s\n"
-	const fr = "%-5d %-9s %-7s %-7s %-18s %-10s %-12s %-12s %-8s\n"
-	if _, err := fmt.Fprintf(w, hdr, "CSD", "Size", "Fast", "Base",
-		"Probed (fast)", "Base pts", "Fast time", "Base time", "Speedup"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, strings.Repeat("-", 96)); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		sz := fmt.Sprintf("%dx%d", r.Benchmark.Size, r.Benchmark.Size)
-		probed := fmt.Sprintf("%d (%.2f%%)", r.Fast.Probes, r.Fast.ProbePct)
-		basePts := fmt.Sprintf("%d", r.Baseline.Probes)
-		sp := "N/A"
-		if v, ok := r.Speedup(); ok {
-			sp = fmt.Sprintf("%.2fx", v)
-		}
-		if _, err := fmt.Fprintf(w, fr, r.Benchmark.Index, sz,
-			passFail(r.Fast.Success), passFail(r.Baseline.Success),
-			probed, basePts,
-			fmt.Sprintf("%.2fs", r.Fast.TotalS), fmt.Sprintf("%.2fs", r.Baseline.TotalS),
-			sp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func passFail(ok bool) string {
-	if ok {
-		return "Success"
-	}
-	return "Fail"
 }
 
 // ProbeMask renders a run's probe map as a binary grid (1 = probed), the

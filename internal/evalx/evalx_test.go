@@ -1,9 +1,7 @@
 package evalx
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"github.com/fastvg/fastvg/internal/baseline"
@@ -149,35 +147,6 @@ func TestByIndex(t *testing.T) {
 	if b.Index != 7 {
 		t.Errorf("ByIndex(7) returned %d", b.Index)
 	}
-}
-
-func TestRenderTable1(t *testing.T) {
-	rows := []Table1Row{
-		{
-			Benchmark: mustBench(t, 3),
-			Fast:      &RunResult{Success: true, Probes: 643, ProbePct: 16.2, TotalS: 32.26},
-			Baseline:  &RunResult{Success: true, Probes: 3969, ProbePct: 100, TotalS: 198.96},
-		},
-	}
-	var buf bytes.Buffer
-	if err := RenderTable1(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"CSD", "63x63", "643 (16.20%)", "Success", "6.17x"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func mustBench(t *testing.T, idx int) *qflow.Benchmark {
-	t.Helper()
-	b, err := ByIndex(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 func TestSuccessCounts(t *testing.T) {

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"cmp"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -13,7 +16,58 @@ import (
 	"github.com/fastvg/fastvg/internal/tsdb"
 )
 
+// Backend is what the HTTP API serves: one Service, or a sharded cluster
+// of them (internal/shard). NewHandler owns the only route table; the
+// routes decode, call the backend and map its errors onto status codes.
+// Where the work lands and how scattered answers merge is the backend's
+// own business, so the sharded replies differ from a single service's in
+// exactly the places its methods answer differently.
+type Backend interface {
+	Submit(ctx context.Context, req Request) (JobView, error)
+	Jobs() []JobView
+	Job(id string) (JobView, bool)
+	Cancel(id string) bool
+	Batch(ctx context.Context, reqs []Request) []BatchItem
+	OpenSim(spec device.DoubleDotSpec) (SessionInfo, error)
+	Sessions() []SessionInfo
+	CloseSession(id string) bool
+	Surrogates() []SurrogateInfo
+	TrainSurrogates() (map[string]int, error)
+	// StatsBody is the GET /v1/stats reply.
+	StatsBody() map[string]any
+	RegisterDevice(cfg fleet.DeviceConfig) (fleet.DeviceView, error)
+	FleetStatus() fleet.Status
+	// FleetTick advances the fleet clock ticks times by advanceS virtual
+	// seconds, scrapes at the new instant and returns the reply.
+	FleetTick(ctx context.Context, advanceS float64, ticks int) (map[string]any, error)
+	Query(q tsdb.Query) (*tsdb.Result, error)
+	// Alerts is the GET /v1/alerts reply; false when alerts are disabled.
+	Alerts() (map[string]any, bool)
+	SpanHashes() []string
+	SpanTree(hash string) (*telemetry.Span, bool)
+	// Exposition renders GET /metrics in Prometheus text format.
+	Exposition() (string, error)
+	// Liveness is the GET /v1/healthz reply and whether it is healthy.
+	Liveness() (any, bool)
+
+	// DeviceOwner returns the member service that owns fleet device id;
+	// the per-device fleet routes run on it.
+	DeviceOwner(id string) (*Service, error)
+	// Member returns the member service named by a ?shard= value, for
+	// routes one process answers (the debug bundle, a pinned query, the
+	// suite listing); "" picks any live member.
+	Member(shard string) (*Service, error)
+}
+
+// ErrShardDown rejects work placed on a member that is down; the API
+// answers it with 503. internal/shard re-exports it.
+var ErrShardDown = errors.New("shard: routed shard is down")
+
 // Handler returns the service's HTTP API, the surface cmd/vgxd serves:
+// NewHandler over the service itself.
+func (s *Service) Handler() http.Handler { return NewHandler(s) }
+
+// NewHandler returns the HTTP API over b:
 //
 //	POST   /v1/jobs            submit one Request; returns the job view
 //	GET    /v1/jobs            list jobs in submission order
@@ -43,9 +97,10 @@ import (
 // a generated one); the ID rides the request context into job execution and
 // is recorded as the req_id attribute of the job's span tree.
 //
-// With Config.MaxQueueDepth set, submissions that would queue past the
-// limit fail fast with 429 and a Retry-After header; cache hits and
-// coalesced joins are still served under overload.
+// Errors map onto status codes in one place: overload (Config.MaxQueueDepth)
+// answers 429 with a Retry-After header, work placed on a down shard 503,
+// and any other backend error 400. Cache hits and coalesced joins are still
+// served under overload.
 //
 // A sim or chainSim spec with "surrogate": {"threshold": 0.35} probes
 // twin-first: the device's learned twin (internal/surrogate) serves
@@ -74,7 +129,7 @@ import (
 //	POST /v1/fleet/tick                         advance the virtual clock {advanceS, ticks?}
 //
 // All bodies and responses are JSON.
-func (s *Service) Handler() http.Handler {
+func NewHandler(b Backend) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -82,7 +137,7 @@ func (s *Service) Handler() http.Handler {
 		if !Decode(w, r, &req) {
 			return
 		}
-		jv, err := s.Submit(r.Context(), req)
+		jv, err := b.Submit(r.Context(), req)
 		if err != nil {
 			failErr(w, err)
 			return
@@ -91,11 +146,11 @@ func (s *Service) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		Reply(w, http.StatusOK, map[string]any{"jobs": s.Jobs()})
+		Reply(w, http.StatusOK, map[string]any{"jobs": b.Jobs()})
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		jv, ok := s.Job(r.PathValue("id"))
+		jv, ok := b.Job(r.PathValue("id"))
 		if !ok {
 			Fail(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 			return
@@ -104,7 +159,7 @@ func (s *Service) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if !s.Cancel(r.PathValue("id")) {
+		if !b.Cancel(r.PathValue("id")) {
 			Fail(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 			return
 		}
@@ -127,12 +182,18 @@ func (s *Service) Handler() http.Handler {
 			Fail(w, http.StatusBadRequest, errors.New("empty batch: set requests or table1"))
 			return
 		}
-		items := s.Batch(r.Context(), reqs)
+		items := b.Batch(r.Context(), reqs)
 		Reply(w, http.StatusOK, map[string]any{"items": items})
 	})
 
+	// The suite is identical on every member; any live one answers.
 	mux.HandleFunc("GET /v1/benchmarks", func(w http.ResponseWriter, r *http.Request) {
-		Reply(w, http.StatusOK, map[string]any{"benchmarks": s.BenchmarkList()})
+		svc, err := b.Member("")
+		if err != nil {
+			failErr(w, err)
+			return
+		}
+		Reply(w, http.StatusOK, map[string]any{"benchmarks": svc.BenchmarkList()})
 	})
 
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
@@ -142,20 +203,20 @@ func (s *Service) Handler() http.Handler {
 		if !Decode(w, r, &body) {
 			return
 		}
-		sess, err := s.reg.OpenSim(body.Spec)
+		info, err := b.OpenSim(body.Spec)
 		if err != nil {
-			Fail(w, http.StatusBadRequest, err)
+			failErr(w, err)
 			return
 		}
-		Reply(w, http.StatusCreated, sess.Info())
+		Reply(w, http.StatusCreated, info)
 	})
 
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
-		Reply(w, http.StatusOK, map[string]any{"sessions": s.reg.Sessions()})
+		Reply(w, http.StatusOK, map[string]any{"sessions": b.Sessions()})
 	})
 
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if !s.reg.CloseSession(r.PathValue("id")) {
+		if !b.CloseSession(r.PathValue("id")) {
 			Fail(w, http.StatusNotFound, fmt.Errorf("unknown session %q", r.PathValue("id")))
 			return
 		}
@@ -163,36 +224,20 @@ func (s *Service) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/surrogate", func(w http.ResponseWriter, r *http.Request) {
-		Reply(w, http.StatusOK, map[string]any{"twins": s.Surrogates()})
+		Reply(w, http.StatusOK, map[string]any{"twins": b.Surrogates()})
 	})
 
 	mux.HandleFunc("POST /v1/surrogate/train", func(w http.ResponseWriter, r *http.Request) {
-		fed, err := s.TrainSurrogates()
+		fed, err := b.TrainSurrogates()
 		if err != nil {
-			Fail(w, http.StatusBadRequest, err)
+			failErr(w, err)
 			return
 		}
 		Reply(w, http.StatusOK, map[string]any{"trained": fed})
 	})
 
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		st := s.Stats()
-		body := map[string]any{
-			"cache":     st.Cache,
-			"hitRate":   st.Cache.HitRate(),
-			"scheduler": st.Scheduler,
-			"jobs":      st.Jobs,
-			"sessions":  st.Sessions,
-			"surrogate": st.Surrogate,
-		}
-		if st.Store != nil {
-			body["store"] = st.Store
-			body["persistErrs"] = st.PersistErrs
-		}
-		if len(st.MethodProbes) > 0 {
-			body["methodProbes"] = st.MethodProbes
-		}
-		Reply(w, http.StatusOK, body)
+		Reply(w, http.StatusOK, b.StatsBody())
 	})
 
 	mux.HandleFunc("POST /v1/fleet/devices", func(w http.ResponseWriter, r *http.Request) {
@@ -200,44 +245,56 @@ func (s *Service) Handler() http.Handler {
 		if !Decode(w, r, &cfg) {
 			return
 		}
-		dv, err := s.fleet.Register(cfg)
+		dv, err := b.RegisterDevice(cfg)
 		if err != nil {
-			Fail(w, http.StatusBadRequest, err)
+			failErr(w, err)
 			return
 		}
 		Reply(w, http.StatusCreated, dv)
 	})
 
 	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		Reply(w, http.StatusOK, s.fleet.Status())
+		Reply(w, http.StatusOK, b.FleetStatus())
 	})
 
-	mux.HandleFunc("GET /v1/fleet/devices/{id}", func(w http.ResponseWriter, r *http.Request) {
-		dv, ok := s.fleet.Device(r.PathValue("id"))
+	// The per-device fleet routes run on the member that owns the device.
+	perDevice := func(route func(w http.ResponseWriter, r *http.Request, svc *Service)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			svc, err := b.DeviceOwner(r.PathValue("id"))
+			if err != nil {
+				failErr(w, err)
+				return
+			}
+			route(w, r, svc)
+		}
+	}
+
+	mux.HandleFunc("GET /v1/fleet/devices/{id}", perDevice(func(w http.ResponseWriter, r *http.Request, svc *Service) {
+		dv, ok := svc.fleet.Device(r.PathValue("id"))
 		if !ok {
 			Fail(w, http.StatusNotFound, fmt.Errorf("unknown fleet device %q", r.PathValue("id")))
 			return
 		}
 		Reply(w, http.StatusOK, dv)
-	})
+	}))
 
 	// History serves the bounded in-memory ring (Policy.HistoryCap, default
 	// 128 events). ?journal=1 reads the full persisted event log from the
 	// journal instead (durable services only); ?limit=N keeps the newest N.
-	mux.HandleFunc("GET /v1/fleet/devices/{id}/history", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/fleet/devices/{id}/history", perDevice(func(w http.ResponseWriter, r *http.Request, svc *Service) {
 		id := r.PathValue("id")
 		var evs []fleet.Event
 		var ok bool
 		if r.URL.Query().Get("journal") != "" {
-			if evs, ok = s.fleet.JournalHistory(id); !ok {
+			if evs, ok = svc.fleet.JournalHistory(id); !ok {
 				Fail(w, http.StatusBadRequest, errors.New("no journal attached: start the service with a data dir"))
 				return
 			}
-			if _, known := s.fleet.Device(id); !known {
+			if _, known := svc.fleet.Device(id); !known {
 				Fail(w, http.StatusNotFound, fmt.Errorf("unknown fleet device %q", id))
 				return
 			}
-		} else if evs, ok = s.fleet.History(id); !ok {
+		} else if evs, ok = svc.fleet.History(id); !ok {
 			Fail(w, http.StatusNotFound, fmt.Errorf("unknown fleet device %q", id))
 			return
 		}
@@ -252,11 +309,11 @@ func (s *Service) Handler() http.Handler {
 			}
 		}
 		Reply(w, http.StatusOK, map[string]any{"events": evs})
-	})
+	}))
 
 	// ?pair=N forces a single adjacent pair of a chain device (partial
 	// recalibration); without it every pair of the device is re-extracted.
-	mux.HandleFunc("POST /v1/fleet/devices/{id}/recalibrate", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/fleet/devices/{id}/recalibrate", perDevice(func(w http.ResponseWriter, r *http.Request, svc *Service) {
 		var ev fleet.Event
 		var err error
 		if p := r.URL.Query().Get("pair"); p != "" {
@@ -265,9 +322,9 @@ func (s *Service) Handler() http.Handler {
 				Fail(w, http.StatusBadRequest, fmt.Errorf("bad pair %q", p))
 				return
 			}
-			ev, err = s.fleet.ForceRecalibratePair(r.Context(), r.PathValue("id"), pair)
+			ev, err = svc.fleet.ForceRecalibratePair(r.Context(), r.PathValue("id"), pair)
 		} else {
-			ev, err = s.fleet.ForceRecalibrate(r.Context(), r.PathValue("id"))
+			ev, err = svc.fleet.ForceRecalibrate(r.Context(), r.PathValue("id"))
 		}
 		if err != nil {
 			code := http.StatusBadRequest
@@ -278,7 +335,7 @@ func (s *Service) Handler() http.Handler {
 			return
 		}
 		Reply(w, http.StatusOK, ev)
-	})
+	}))
 
 	mux.HandleFunc("POST /v1/fleet/tick", func(w http.ResponseWriter, r *http.Request) {
 		var body struct {
@@ -295,24 +352,12 @@ func (s *Service) Handler() http.Handler {
 			Fail(w, http.StatusBadRequest, errors.New("ticks out of range"))
 			return
 		}
-		if err := s.fleet.CheckAdvance(body.AdvanceS, body.Ticks); err != nil {
-			Fail(w, http.StatusBadRequest, err)
+		reply, err := b.FleetTick(r.Context(), body.AdvanceS, body.Ticks)
+		if err != nil {
+			failErr(w, err)
 			return
 		}
-		reports := make([]fleet.TickReport, 0, body.Ticks)
-		for i := 0; i < body.Ticks; i++ {
-			rep, err := s.fleet.Tick(r.Context(), body.AdvanceS)
-			if err != nil {
-				Fail(w, http.StatusBadRequest, err)
-				return
-			}
-			reports = append(reports, rep)
-		}
-		// Tick-driven scrape: the tsdb and alert engine advance on the
-		// same virtual instant the fleet just reached, so replaying a
-		// tick schedule replays the alert sequence exactly.
-		s.ScrapeNow(s.fleet.Now())
-		Reply(w, http.StatusOK, map[string]any{"now": s.fleet.Now(), "reports": reports})
+		Reply(w, http.StatusOK, reply)
 	})
 
 	// The observability surface: instant/range queries over the scraped
@@ -322,8 +367,19 @@ func (s *Service) Handler() http.Handler {
 	//	GET /v1/query?fn=quantile&series=vgx_service_job_seconds&window=300&q=0.99
 	//	GET /v1/alerts
 	//	GET /debug/bundle
+	//
+	// ?shard=i pins a query to one member's own, unmerged answer.
 	mux.HandleFunc("GET /v1/query", func(w http.ResponseWriter, r *http.Request) {
 		qs := r.URL.Query()
+		query := b.Query
+		if v := qs.Get("shard"); v != "" {
+			svc, err := b.Member(v)
+			if err != nil {
+				failErr(w, err)
+				return
+			}
+			query = svc.Query
+		}
 		q := tsdb.Query{Fn: qs.Get("fn"), Series: qs.Get("series")}
 		if v := qs.Get("window"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
@@ -341,42 +397,44 @@ func (s *Service) Handler() http.Handler {
 			}
 			q.Q = f
 		}
-		res, err := s.obs.db.Query(q)
+		res, err := query(q)
 		if err != nil {
-			Fail(w, http.StatusBadRequest, err)
+			failErr(w, err)
 			return
 		}
 		Reply(w, http.StatusOK, res)
 	})
 
 	mux.HandleFunc("GET /v1/alerts", func(w http.ResponseWriter, r *http.Request) {
-		eng := s.AlertEngine()
-		if eng == nil {
+		board, ok := b.Alerts()
+		if !ok {
 			Fail(w, http.StatusNotFound, errors.New("alerts disabled"))
 			return
 		}
-		Reply(w, http.StatusOK, map[string]any{
-			"alerts":  eng.Statuses(),
-			"firing":  eng.Firing(),
-			"history": eng.History(64),
-		})
+		Reply(w, http.StatusOK, board)
 	})
 
+	// A bundle is one process's flight recording: ?shard=i picks the
+	// member, shard 0 by default.
 	mux.HandleFunc("GET /debug/bundle", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/gzip")
-		w.Header().Set("Content-Disposition", `attachment; filename="vgx-bundle.tar.gz"`)
-		if err := s.WriteBundle(w); err != nil {
-			// Headers are gone; the truncated archive is the best signal left.
+		svc, err := b.Member(cmp.Or(r.URL.Query().Get("shard"), "0"))
+		if err != nil {
+			failErr(w, err)
 			return
 		}
+		w.Header().Set("Content-Type", "application/gzip")
+		w.Header().Set("Content-Disposition", `attachment; filename="vgx-bundle.tar.gz"`)
+		// On failure the headers are gone; the truncated archive is the
+		// best signal left.
+		_ = svc.WriteBundle(w)
 	})
 
 	mux.HandleFunc("GET /v1/spans", func(w http.ResponseWriter, r *http.Request) {
-		Reply(w, http.StatusOK, map[string]any{"hashes": s.SpanHashes()})
+		Reply(w, http.StatusOK, map[string]any{"hashes": b.SpanHashes()})
 	})
 
 	mux.HandleFunc("GET /v1/spans/{hash}", func(w http.ResponseWriter, r *http.Request) {
-		sp, ok := s.SpanTree(r.PathValue("hash"))
+		sp, ok := b.SpanTree(r.PathValue("hash"))
 		if !ok {
 			Fail(w, http.StatusNotFound, fmt.Errorf("no span tree for %q", r.PathValue("hash")))
 			return
@@ -384,12 +442,20 @@ func (s *Service) Handler() http.Handler {
 		Reply(w, http.StatusOK, sp)
 	})
 
-	mux.Handle("GET /metrics", telemetry.Handler(s.metrics.reg))
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		body, err := b.Exposition()
+		if err != nil {
+			Fail(w, http.StatusInternalServerError, err)
+			return
+		}
+		w.Header().Set("Content-Type", telemetry.ContentType)
+		_, _ = io.WriteString(w, body)
+	})
 
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		h := s.Health()
+		h, ok := b.Liveness()
 		code := http.StatusOK
-		if h.Draining {
+		if !ok {
 			code = http.StatusServiceUnavailable
 		}
 		Reply(w, code, h)
@@ -412,8 +478,108 @@ func (s *Service) Handler() http.Handler {
 	})
 }
 
-// Decode, Reply and Fail are the JSON dialect of the HTTP API, shared by
-// the shard router so clients cannot tell one process from many.
+// The Backend calls a single service answers itself; the rest (Submit,
+// Jobs, Batch, Surrogates, SpanTree, ...) are its own API.
+
+// OpenSim opens a live sim session from a device spec.
+func (s *Service) OpenSim(spec device.DoubleDotSpec) (SessionInfo, error) {
+	sess, err := s.reg.OpenSim(spec)
+	if err != nil {
+		return SessionInfo{}, err
+	}
+	return sess.Info(), nil
+}
+
+// Sessions lists open sessions sorted by ID.
+func (s *Service) Sessions() []SessionInfo { return s.reg.Sessions() }
+
+// CloseSession closes a session; false if it is unknown.
+func (s *Service) CloseSession(id string) bool { return s.reg.CloseSession(id) }
+
+// StatsBody is the GET /v1/stats reply: Stats with the hit rate, and the
+// store accounting only when durable.
+func (s *Service) StatsBody() map[string]any {
+	st := s.Stats()
+	body := map[string]any{
+		"cache":     st.Cache,
+		"hitRate":   st.Cache.HitRate(),
+		"scheduler": st.Scheduler,
+		"jobs":      st.Jobs,
+		"sessions":  st.Sessions,
+		"surrogate": st.Surrogate,
+	}
+	if st.Store != nil {
+		body["store"] = st.Store
+		body["persistErrs"] = st.PersistErrs
+	}
+	if len(st.MethodProbes) > 0 {
+		body["methodProbes"] = st.MethodProbes
+	}
+	return body
+}
+
+// RegisterDevice adds a device to the fleet.
+func (s *Service) RegisterDevice(cfg fleet.DeviceConfig) (fleet.DeviceView, error) {
+	return s.fleet.Register(cfg)
+}
+
+// FleetStatus is the fleet-wide snapshot.
+func (s *Service) FleetStatus() fleet.Status { return s.fleet.Status() }
+
+// FleetTick ticks the fleet and replies {now, reports}. The scrape that
+// follows is tick-driven: the tsdb and alert engine advance on the same
+// virtual instant the fleet just reached, so replaying a tick schedule
+// replays the alert sequence exactly.
+func (s *Service) FleetTick(ctx context.Context, advanceS float64, ticks int) (map[string]any, error) {
+	if err := s.fleet.CheckAdvance(advanceS, ticks); err != nil {
+		return nil, err
+	}
+	reports := make([]fleet.TickReport, 0, ticks)
+	for i := 0; i < ticks; i++ {
+		rep, err := s.fleet.Tick(ctx, advanceS)
+		if err != nil {
+			return nil, err
+		}
+		reports = append(reports, rep)
+	}
+	s.ScrapeNow(s.fleet.Now())
+	return map[string]any{"now": s.fleet.Now(), "reports": reports}, nil
+}
+
+// Query evaluates one query over the service's tsdb.
+func (s *Service) Query(q tsdb.Query) (*tsdb.Result, error) { return s.obs.db.Query(q) }
+
+// Alerts is the alert board: rule statuses, the firing set and the 64
+// newest transitions.
+func (s *Service) Alerts() (map[string]any, bool) {
+	eng := s.AlertEngine()
+	if eng == nil {
+		return nil, false
+	}
+	return map[string]any{
+		"alerts":  eng.Statuses(),
+		"firing":  eng.Firing(),
+		"history": eng.History(64),
+	}, true
+}
+
+// Exposition renders the service's metric registry.
+func (s *Service) Exposition() (string, error) { return s.metrics.reg.Expose(), nil }
+
+// Liveness is Health, healthy until Close begins draining.
+func (s *Service) Liveness() (any, bool) {
+	h := s.Health()
+	return h, !h.Draining
+}
+
+// DeviceOwner returns s: a single service owns its whole fleet.
+func (s *Service) DeviceOwner(string) (*Service, error) { return s, nil }
+
+// Member returns s, whatever the shard: a single service is its only
+// member.
+func (s *Service) Member(string) (*Service, error) { return s, nil }
+
+// Decode, Reply and Fail are the JSON dialect of the HTTP API.
 
 // Decode parses a JSON body into v, rejecting unknown fields so client
 // typos surface as 400s instead of silently-defaulted jobs. On failure it
@@ -449,13 +615,18 @@ func Fail(w http.ResponseWriter, code int, err error) {
 	Reply(w, code, map[string]any{"error": err.Error()})
 }
 
-// failErr maps service errors onto status codes: overload sheds with 429
-// and a Retry-After hint, everything else is a caller error.
+// failErr maps backend errors onto status codes: overload sheds with 429
+// and a Retry-After hint — a shard's overload leaves a cluster exactly as
+// it would leave the shard — a down shard is a 503, and everything else
+// is a caller error.
 func failErr(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrOverloaded) {
+	switch {
+	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "1")
 		Fail(w, http.StatusTooManyRequests, err)
-		return
+	case errors.Is(err, ErrShardDown):
+		Fail(w, http.StatusServiceUnavailable, err)
+	default:
+		Fail(w, http.StatusBadRequest, err)
 	}
-	Fail(w, http.StatusBadRequest, err)
 }

@@ -31,9 +31,8 @@ import (
 
 // Config tunes a Service; the zero value is production-reasonable.
 type Config struct {
-	Workers    int // extraction worker-pool slots; default one per CPU
-	CacheSize  int // result-cache capacity in entries; default 1024
-	JobHistory int // max retained finished async job records; default 4096
+	Workers   int // extraction worker-pool slots; default one per CPU
+	CacheSize int // result-cache capacity in entries; default 1024
 
 	// Fleet tunes the fleet calibration manager (staleness thresholds,
 	// probe budget, check cadence); the zero value uses fleet defaults.
@@ -51,10 +50,6 @@ type Config struct {
 	// parallel speed).
 	RecordTraces bool
 
-	// Telemetry, when set, registers every metric family on the given
-	// registry instead of a private one — embedders that expose one
-	// /metrics endpoint for several components share a registry this way.
-	Telemetry *telemetry.Registry
 	// MaxQueueDepth sheds load: when more than this many submissions are
 	// waiting for a worker slot, new extractions fail fast with
 	// ErrOverloaded (HTTP 429) instead of queueing. Cache hits and
@@ -86,6 +81,9 @@ type Config struct {
 	InstanceID string
 }
 
+// jobHistoryCap bounds the finished async job records a service retains.
+const jobHistoryCap = 4096
+
 // ErrOverloaded rejects new extractions when the worker-pool queue is at
 // Config.MaxQueueDepth; the API layer maps it to 429 with a Retry-After.
 var ErrOverloaded = errors.New("service: overloaded, queue depth limit reached")
@@ -101,7 +99,7 @@ type Service struct {
 	store      *store.Store // nil when not durable
 	traceDir   string       // empty when not recording traces
 	started    time.Time
-	jobHistory int
+	jobHistory int    // finished job records retained (jobHistoryCap)
 	instanceID string // Config.InstanceID: minted-ID prefix, "" outside a shard
 
 	// metrics is the registered metric surface (see metrics.go); always
@@ -208,15 +206,7 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	history := cfg.JobHistory
-	if history <= 0 {
-		history = 4096
-	}
-	treg := cfg.Telemetry
-	if treg == nil {
-		treg = telemetry.NewRegistry()
-	}
-	m := newServiceMetrics(treg)
+	m := newServiceMetrics(telemetry.NewRegistry())
 	pool := sched.New(cfg.Workers)
 	pool.SetMetrics(m.sched)
 	s := &Service{
@@ -225,7 +215,7 @@ func New(cfg Config) (*Service, error) {
 		reg:        reg,
 		fleet:      fleet.New(pool, cfg.Fleet),
 		started:    time.Now(),
-		jobHistory: history,
+		jobHistory: jobHistoryCap,
 		instanceID: cfg.InstanceID,
 		metrics:    m,
 		maxQueue:   cfg.MaxQueueDepth,

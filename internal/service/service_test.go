@@ -217,10 +217,11 @@ func TestMixedSyncAsyncSingleWorker(t *testing.T) {
 // TestJobHistoryBounded checks finished async job records are pruned once
 // the history cap is exceeded.
 func TestJobHistoryBounded(t *testing.T) {
-	svc, err := New(Config{Workers: 2, JobHistory: 2})
+	svc, err := New(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.jobHistory = 2
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	for i := 0; i < 5; i++ {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,8 +16,9 @@ import (
 
 // Config configures a Cluster.
 type Config struct {
-	// Shards is the worker count; < 1 means 1 (plain single-process
-	// serving behind the same front door).
+	// Shards is the worker count; < 1 means 1. A 1-shard cluster still
+	// answers in the sharded dialect (see Handler); vgxd serves a plain
+	// service instead.
 	Shards int
 	// DataDir, when set, makes every shard durable: shard i journals
 	// under DataDir/shard-i, and DataDir/cluster.json records the shard
@@ -26,10 +26,10 @@ type Config struct {
 	// changes). Empty runs the whole cluster in memory.
 	DataDir string
 	// Base is the per-shard service configuration template. The cluster
-	// overrides the placement fields per shard — InstanceID becomes
-	// "s<i>", DataDir becomes the shard directory (or empty), and
-	// Telemetry is cleared so every shard owns its own registry (the
-	// router scrapes and merges them).
+	// overrides the placement fields per shard: InstanceID becomes "s<i>"
+	// and DataDir becomes the shard directory (or empty). Every shard
+	// owns its own metric registry; the front door scrapes and merges
+	// them.
 	Base service.Config
 }
 
@@ -51,8 +51,6 @@ type Cluster struct {
 	tel      *telemetry.Registry
 	mRouted  *telemetry.CounterVec // vgx_router_requests_total{shard}
 	mScatter *telemetry.Counter
-
-	reqID uint64 // router-minted X-Request-ID counter
 }
 
 // node is one shard slot. svc is nil while the shard is down (KillShard
@@ -60,17 +58,17 @@ type Cluster struct {
 type node struct {
 	mu  sync.RWMutex
 	svc *service.Service
-	h   http.Handler
 }
 
-func (n *node) get() (*service.Service, http.Handler) {
+func (n *node) get() *service.Service {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.svc, n.h
+	return n.svc
 }
 
-// ErrShardDown rejects work routed to a killed shard.
-var ErrShardDown = errors.New("shard: routed shard is down")
+// ErrShardDown rejects work routed to a killed shard; the front door
+// answers it with 503.
+var ErrShardDown = service.ErrShardDown
 
 // New builds the cluster and starts every shard. With Config.DataDir set
 // the caller is responsible for the layout matching Config.Shards — use
@@ -96,12 +94,11 @@ func New(cfg Config) (*Cluster, error) {
 		svc, err := service.New(c.shardConfig(i))
 		if err != nil {
 			for j := 0; j < i; j++ {
-				s, _ := c.nodes[j].get()
-				s.Close(context.Background())
+				c.nodes[j].get().Close(context.Background())
 			}
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		c.nodes[i] = &node{svc: svc, h: svc.Handler()}
+		c.nodes[i] = &node{svc: svc}
 	}
 	return c, nil
 }
@@ -141,7 +138,6 @@ func Open(cfg Config) (*Cluster, *RebalanceReport, error) {
 func (c *Cluster) shardConfig(i int) service.Config {
 	sc := c.cfg.Base
 	sc.InstanceID = fmt.Sprintf("s%d", i)
-	sc.Telemetry = nil
 	sc.DataDir = ""
 	if c.cfg.DataDir != "" {
 		sc.DataDir = ShardDir(c.cfg.DataDir, i)
@@ -159,22 +155,33 @@ func (c *Cluster) Ring() *Ring { return c.ring }
 func (c *Cluster) Telemetry() *telemetry.Registry { return c.tel }
 
 // shard returns shard i's live service, or ErrShardDown.
-func (c *Cluster) shard(i int) (*service.Service, http.Handler, error) {
+func (c *Cluster) shard(i int) (*service.Service, error) {
 	if i < 0 || i >= len(c.nodes) {
-		return nil, nil, fmt.Errorf("shard: no shard %d (cluster has %d)", i, len(c.nodes))
+		return nil, fmt.Errorf("shard: no shard %d (cluster has %d)", i, len(c.nodes))
 	}
-	svc, h := c.nodes[i].get()
+	svc := c.nodes[i].get()
 	if svc == nil {
-		return nil, nil, fmt.Errorf("%w: shard %d", ErrShardDown, i)
+		return nil, fmt.Errorf("%w: shard %d", ErrShardDown, i)
 	}
-	return svc, h, nil
+	return svc, nil
+}
+
+// routed returns shard i's live service and counts the request routed
+// to it.
+func (c *Cluster) routed(i int) (*service.Service, error) {
+	svc, err := c.shard(i)
+	if err != nil {
+		return nil, err
+	}
+	c.mRouted.With(strconv.Itoa(i)).Inc()
+	return svc, nil
 }
 
 // each calls fn for every live shard in index order; down shards are
 // skipped (the scatter paths degrade instead of failing outright).
 func (c *Cluster) each(fn func(i int, svc *service.Service)) {
 	for i := range c.nodes {
-		if svc, _ := c.nodes[i].get(); svc != nil {
+		if svc := c.nodes[i].get(); svc != nil {
 			fn(i, svc)
 		}
 	}
@@ -225,11 +232,10 @@ func (c *Cluster) Run(ctx context.Context, req service.Request) (*service.Result
 	if err != nil {
 		return nil, err
 	}
-	svc, _, err := c.shard(idx)
+	svc, err := c.routed(idx)
 	if err != nil {
 		return nil, err
 	}
-	c.mRouted.With(strconv.Itoa(idx)).Inc()
 	return svc.Run(ctx, req)
 }
 
@@ -240,11 +246,10 @@ func (c *Cluster) Submit(ctx context.Context, req service.Request) (service.JobV
 	if err != nil {
 		return service.JobView{}, err
 	}
-	svc, _, err := c.shard(idx)
+	svc, err := c.routed(idx)
 	if err != nil {
 		return service.JobView{}, err
 	}
-	c.mRouted.With(strconv.Itoa(idx)).Inc()
 	return svc.Submit(ctx, req)
 }
 
@@ -269,7 +274,7 @@ func (c *Cluster) Batch(ctx context.Context, reqs []service.Request) []service.B
 	}
 	var wg sync.WaitGroup
 	for idx, positions := range groups {
-		svc, _, err := c.shard(idx)
+		svc, err := c.shard(idx)
 		if err != nil {
 			for _, p := range positions {
 				out[p] = service.BatchItem{Error: err.Error()}
@@ -308,7 +313,7 @@ func (c *Cluster) Job(id string) (service.JobView, bool) {
 	if !ok {
 		return service.JobView{}, false
 	}
-	svc, _, err := c.shard(i)
+	svc, err := c.shard(i)
 	if err != nil {
 		return service.JobView{}, false
 	}
@@ -321,7 +326,7 @@ func (c *Cluster) Cancel(id string) bool {
 	if !ok {
 		return false
 	}
-	svc, _, err := c.shard(i)
+	svc, err := c.shard(i)
 	if err != nil {
 		return false
 	}
@@ -338,22 +343,17 @@ func (c *Cluster) OpenSim(spec device.DoubleDotSpec) (service.SessionInfo, error
 	if err != nil {
 		return service.SessionInfo{}, err
 	}
-	idx := c.ring.Owner(key)
-	svc, _, err := c.shard(idx)
+	svc, err := c.shard(c.ring.Owner(key))
 	if err != nil {
 		return service.SessionInfo{}, err
 	}
-	sess, err := svc.Registry().OpenSim(spec)
-	if err != nil {
-		return service.SessionInfo{}, err
-	}
-	return sess.Info(), nil
+	return svc.OpenSim(spec)
 }
 
 // Sessions merges every shard's session listing, sorted by ID.
 func (c *Cluster) Sessions() []service.SessionInfo {
 	var out []service.SessionInfo
-	c.each(func(_ int, svc *service.Service) { out = append(out, svc.Registry().Sessions()...) })
+	c.each(func(_ int, svc *service.Service) { out = append(out, svc.Sessions()...) })
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
@@ -364,11 +364,11 @@ func (c *Cluster) CloseSession(id string) bool {
 	if !ok {
 		return false
 	}
-	svc, _, err := c.shard(i)
+	svc, err := c.shard(i)
 	if err != nil {
 		return false
 	}
-	return svc.Registry().CloseSession(id)
+	return svc.CloseSession(id)
 }
 
 // Health merges shard healths: OK only when every shard is up and
@@ -390,7 +390,7 @@ type Health struct {
 func (c *Cluster) Health() Health {
 	h := Health{OK: true, Shards: len(c.nodes), PerShard: make([]service.Health, len(c.nodes))}
 	for i := range c.nodes {
-		svc, _ := c.nodes[i].get()
+		svc := c.nodes[i].get()
 		if svc == nil {
 			h.OK = false
 			h.Down = append(h.Down, i)
@@ -426,7 +426,7 @@ func (c *Cluster) KillShard(i int) bool {
 	if n.svc == nil {
 		return false
 	}
-	n.svc, n.h = nil, nil
+	n.svc = nil
 	return true
 }
 
@@ -447,7 +447,7 @@ func (c *Cluster) RestartShard(i int) error {
 	if err != nil {
 		return err
 	}
-	n.svc, n.h = svc, svc.Handler()
+	n.svc = svc
 	return nil
 }
 
@@ -456,7 +456,7 @@ func (c *Cluster) Close(ctx context.Context) error {
 	errs := make([]error, len(c.nodes))
 	var wg sync.WaitGroup
 	for i := range c.nodes {
-		svc, _ := c.nodes[i].get()
+		svc := c.nodes[i].get()
 		if svc == nil {
 			continue
 		}

@@ -140,7 +140,7 @@ func TestRouterCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, _, err := c.shard(idx)
+	svc, err := c.shard(idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestKillRestartShardE2E(t *testing.T) {
 	}
 	deviceIDs := []string{"dev-alpha", "dev-beta", "dev-gamma", "dev-delta"}
 	for _, id := range deviceIDs {
-		svc, _, err := c.shard(c.ring.Owner(id))
+		svc, err := c.shard(c.ring.Owner(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func TestKillRestartShardE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victimSvc, _, err := c.shard(victim)
+	victimSvc, err := c.shard(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestKillRestartShardE2E(t *testing.T) {
 		}
 	}
 	// Fleet slice recovered.
-	restarted, _, err := c.shard(victim)
+	restarted, err := c.shard(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestRouterInfoGainOptionRanges(t *testing.T) {
 func TestRouterFleetTickRejectsClockOverflow(t *testing.T) {
 	c := newTestCluster(t, Config{Shards: 2, Base: service.Config{Workers: 2, ScrapeInterval: -1}})
 	for _, id := range []string{"dev-alpha", "dev-beta"} {
-		svc, _, err := c.shard(c.ring.Owner(id))
+		svc, err := c.shard(c.ring.Owner(id))
 		if err != nil {
 			t.Fatal(err)
 		}

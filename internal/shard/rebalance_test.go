@@ -47,7 +47,7 @@ func TestRebalanceShipsOnlyMovedRanges(t *testing.T) {
 	}
 	deviceIDs := []string{"dev-a", "dev-b", "dev-c", "dev-d", "dev-e", "dev-f"}
 	for _, id := range deviceIDs {
-		svc, _, err := c.shard(c.ring.Owner(id))
+		svc, err := c.shard(c.ring.Owner(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestRebalanceShipsOnlyMovedRanges(t *testing.T) {
 	}
 	for _, id := range deviceIDs {
 		owner := r3.Owner(id)
-		svc, _, err := c3.shard(owner)
+		svc, err := c3.shard(owner)
 		if err != nil {
 			t.Fatal(err)
 		}

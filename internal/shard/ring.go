@@ -1,11 +1,12 @@
 // Package shard is the sharded serving layer: a stateless front-door
 // router that consistent-hashes device, session and spec identities onto
 // N shard workers, each a full single-process service — its own worker
-// pool, result cache, twin registry, fleet slice and journal. Single-
-// process mode is just N=1. The router adds scatter-gather fan-out for
-// batch and fleet-summary work, per-shard scrape aggregation for /metrics
-// and /v1/query, and journal-range rebalance when the shard count changes;
-// identical requests coalesce in their shared shard's result cache.
+// pool, result cache, twin registry, fleet slice and journal. A Cluster is
+// a service.Backend: it serves the service API's one route table, and
+// adds scatter-gather fan-out for batch and fleet-summary work, per-shard
+// scrape aggregation for /metrics and /v1/query, and journal-range
+// rebalance when the shard count changes; identical requests coalesce in
+// their shared shard's result cache.
 package shard
 
 import (

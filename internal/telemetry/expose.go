@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"io"
-	"net/http"
-	"strings"
-)
+import "strings"
 
 // ContentType is the Prometheus text exposition format version this
 // package emits.
@@ -42,19 +38,4 @@ func escapeHelp(h string) string {
 		return h
 	}
 	return strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace(h)
-}
-
-// WriteTo writes the exposition text to w.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	n, err := io.WriteString(w, r.Expose())
-	return int64(n), err
-}
-
-// Handler returns an http.Handler serving the registry in Prometheus
-// text format — the body behind GET /metrics.
-func Handler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", ContentType)
-		_, _ = r.WriteTo(w)
-	})
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -197,20 +196,6 @@ func TestHistogramStats(t *testing.T) {
 	}
 	if h.Sum() != 5+100+1e6 {
 		t.Errorf("sum = %v", h.Sum())
-	}
-}
-
-// TestHandler checks the /metrics handler body and content type.
-func TestHandler(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("vgx_hits_total", "h").Inc()
-	rec := httptest.NewRecorder()
-	Handler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != ContentType {
-		t.Errorf("content type = %q", ct)
-	}
-	if !strings.Contains(rec.Body.String(), "vgx_hits_total 1") {
-		t.Errorf("body missing sample:\n%s", rec.Body.String())
 	}
 }
 

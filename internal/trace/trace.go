@@ -6,7 +6,7 @@
 // virtual-gate matrix byte for byte.
 //
 // Recording deliberately exposes only the scalar probing interface
-// (GetCurrent / GetCurrentN plus Stats): the batch fast paths are hidden
+// (GetCurrent plus Stats): the batch fast paths are hidden
 // from the pipelines, which therefore fall back to per-probe calls. By the
 // batch contract of internal/device that fallback is bit-identical to the
 // batched paths — same currents, same Stats, same noise realisation — so a
@@ -140,46 +140,6 @@ func (r *Recorder) Samples() []Sample { return r.samples }
 // Base returns the wrapped instrument's accounting at recording start.
 func (r *Recorder) Base() device.Stats { return r.base }
 
-// RecorderN wraps a device.MultiInstrument-shaped N-gate instrument.
-type RecorderN struct {
-	inst interface {
-		GetCurrentN(v []float64) float64
-		Stats() device.Stats
-	}
-	base    device.Stats
-	last    device.Stats
-	samples []Sample
-}
-
-// NewRecorderN returns a recorder over an N-gate instrument.
-func NewRecorderN(inst interface {
-	GetCurrentN(v []float64) float64
-	Stats() device.Stats
-}) *RecorderN {
-	st := inst.Stats()
-	return &RecorderN{inst: inst, base: st, last: st}
-}
-
-// GetCurrentN probes the wrapped instrument and records the sample.
-func (r *RecorderN) GetCurrentN(v []float64) float64 {
-	i := r.inst.GetCurrentN(v)
-	after := r.inst.Stats()
-	r.samples = append(r.samples, Sample{
-		V:         append([]float64(nil), v...),
-		I:         i,
-		Unique:    after.UniqueProbes > r.last.UniqueProbes,
-		VirtualNS: int64(after.Virtual),
-	})
-	r.last = after
-	return i
-}
-
-// Stats delegates to the wrapped instrument.
-func (r *RecorderN) Stats() device.Stats { return r.inst.Stats() }
-
-// Samples returns the recorded samples (shared, not copied).
-func (r *RecorderN) Samples() []Sample { return r.samples }
-
 // Replayer serves a recorded sample stream back as an Instrument. Probes
 // must arrive in recorded order with exactly the recorded voltages — the
 // pipelines are deterministic, so a faithful re-execution does — and each
@@ -207,33 +167,21 @@ func NewReplayer(meta Meta, samples []Sample) *Replayer {
 
 // GetCurrent implements device.Instrument over the recorded stream.
 func (p *Replayer) GetCurrent(v1, v2 float64) float64 {
-	return p.next(v1, v2)
-}
-
-// GetCurrentN replays an N-gate recording (the RecorderN counterpart),
-// mirroring device.MultiInstrument's probing contract.
-func (p *Replayer) GetCurrentN(v []float64) float64 {
-	return p.next(v...)
-}
-
-func (p *Replayer) next(v ...float64) float64 {
 	if p.err != nil {
 		return 0
 	}
 	if p.pos >= len(p.samples) {
-		p.err = fmt.Errorf("trace: exhausted after %d samples (extra probe at %v)", len(p.samples), v)
+		p.err = fmt.Errorf("trace: exhausted after %d samples (extra probe at %v)", len(p.samples), []float64{v1, v2})
 		return 0
 	}
 	s := p.samples[p.pos]
-	if len(s.V) != len(v) {
-		p.err = fmt.Errorf("trace: probe %d mismatch: requested %d gates, recorded %d", p.pos, len(v), len(s.V))
+	if len(s.V) != 2 {
+		p.err = fmt.Errorf("trace: probe %d mismatch: requested 2 gates, recorded %d", p.pos, len(s.V))
 		return 0
 	}
-	for i := range v {
-		if s.V[i] != v[i] {
-			p.err = fmt.Errorf("trace: probe %d mismatch: requested %v, recorded %v", p.pos, v, s.V)
-			return 0
-		}
+	if s.V[0] != v1 || s.V[1] != v2 {
+		p.err = fmt.Errorf("trace: probe %d mismatch: requested %v, recorded %v", p.pos, []float64{v1, v2}, s.V)
+		return 0
 	}
 	p.pos++
 	p.stats.RawCalls++

@@ -174,13 +174,10 @@ func ListTraces(dir string) ([]string, error) { return trace.List(dir) }
 // internal/telemetry for the registry semantics and the metric catalogue
 // in README.md.
 
-// TelemetryRegistry is the process metric registry; obtain a service's
-// via Service.Telemetry(), or pass one in ServiceConfig.Telemetry to
-// share a registry (and one /metrics endpoint) across components.
+// TelemetryRegistry is a service's metric registry, obtained via
+// Service.Telemetry(); embedders register their own families on it to
+// share the service's /metrics endpoint.
 type TelemetryRegistry = telemetry.Registry
-
-// NewTelemetryRegistry builds an empty metric registry.
-func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
 
 // JobSpan is one node of a job's recorded timing tree: name, attributes,
 // wall-clock and virtual durations, children. Render writes the indented
