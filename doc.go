@@ -46,7 +46,11 @@
 //
 // Command vgxd serves the same service over a JSON HTTP API (submit, batch,
 // status, sessions, stats); see README.md for endpoints and a curl
-// quickstart, and examples/serving for a self-contained client. The daemon
+// quickstart, and examples/serving for a self-contained client. A
+// repeated batch of cached results costs one cache lookup per request:
+// the batch route remembers each all-cached body's requests in canonical
+// form, with their hashes and ring keys, and writes the encodings the
+// cache entries keep. The daemon
 // exposes liveness at /v1/healthz and shuts down gracefully: the scheduler
 // drains (running extractions finish, queued jobs settle as cancelled) and
 // sessions close, bounded by -draintimeout.
@@ -272,7 +276,8 @@
 // device ID, and sessions and job handles by the s<i>- prefix their
 // shard minted. The router scatter-gathers batches by ring owner and
 // merges in request order (results are byte-identical at any shard
-// count), leaves concurrent identical submissions to the owning shard's
+// count; a batch that lands on one shard runs inline), leaves concurrent
+// identical submissions to the owning shard's
 // result cache to coalesce, answers a saturated shard's overload with
 // the same 429 + Retry-After the shard would (IsOverloaded holds through
 // Cluster.Run and Submit), and merges observability: /metrics and

@@ -93,13 +93,16 @@ func (s ChainSpec) Validate() error {
 const MaxDots = 64
 
 // CheckLimits checks the bounds a spec that arrives as input must respect,
-// as DoubleDotSpec.CheckLimits does: at most MaxDots dots, at most
-// MaxPixels pair-window pixels and bounded noise models for the sensor and
-// every pair drift. Build, BuildPair and Validate do not call it, so specs
-// journaled before these bounds existed still build.
+// as DoubleDotSpec.CheckLimits does: at most MaxDots dots, pair-window
+// pixels in [0, MaxPixels] (0 means the default) and bounded noise models
+// for the sensor and every pair drift. Build, BuildPair and Validate do not
+// call it, so specs journaled before these bounds existed still build.
 func (s ChainSpec) CheckLimits() error {
 	if s.Dots > MaxDots {
 		return fmt.Errorf("device: chain dots %d exceeds %d", s.Dots, MaxDots)
+	}
+	if s.Pixels < 0 {
+		return fmt.Errorf("device: chain pixels %d is negative", s.Pixels)
 	}
 	if s.Pixels > MaxPixels {
 		return fmt.Errorf("device: chain pixels %d exceeds %d", s.Pixels, MaxPixels)

@@ -144,12 +144,19 @@ func (s *DoubleDotSpec) FillDefaults() {
 const MaxPixels = 1024
 
 // CheckLimits checks the bounds a spec that arrives as input must respect:
-// at most MaxPixels pixels and bounded noise models (noise.Params.Validate)
-// for the sensor and every drift channel. Build does not call it, so specs
-// journaled before these bounds existed still build.
+// pixels in [0, MaxPixels], a non-negative spanMV (0 means the default for
+// both) and bounded noise models (noise.Params.Validate) for the sensor and
+// every drift channel. Build does not call it, so specs journaled before
+// these bounds existed still build.
 func (s DoubleDotSpec) CheckLimits() error {
+	if s.Pixels < 0 {
+		return fmt.Errorf("device: pixels %d is negative", s.Pixels)
+	}
 	if s.Pixels > MaxPixels {
 		return fmt.Errorf("device: pixels %d exceeds %d", s.Pixels, MaxPixels)
+	}
+	if s.SpanMV < 0 {
+		return fmt.Errorf("device: spanMV %g is negative", s.SpanMV)
 	}
 	if err := s.Noise.Validate(); err != nil {
 		return fmt.Errorf("device: %w", err)

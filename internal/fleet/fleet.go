@@ -761,15 +761,23 @@ func (m *Manager) checkConfig() virtualgate.VerifyConfig {
 // monitoring round: freshness spot-checks for calibrated pairs whose check
 // interval elapsed, then budget-admitted re-extractions for stale pairs in
 // priority order — for a chain device that usually means re-extracting only
-// the drifted pair. A dt that CheckAdvance rejects is an error and changes
-// nothing. Ticks are serialised; concurrent Status/Register calls
-// interleave safely.
+// the drifted pair. A dt that CheckAdvance rejects, a done ctx and a
+// closed pool are errors that change nothing: the clock, the budget
+// window and the instruments stay where they were. Ticks are serialised;
+// concurrent Status/Register calls interleave safely.
 func (m *Manager) Tick(ctx context.Context, dt float64) (TickReport, error) {
 	m.tickMu.Lock()
 	defer m.tickMu.Unlock()
 
 	m.mu.Lock()
-	if err := m.checkAdvanceLocked(dt, 1); err != nil {
+	err := m.checkAdvanceLocked(dt, 1)
+	if err == nil && m.pool.Closed() {
+		err = sched.ErrClosed
+	}
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
 		m.mu.Unlock()
 		return TickReport{}, err
 	}

@@ -27,6 +27,8 @@ type Backend interface {
 	Jobs() []JobView
 	Job(id string) (JobView, bool)
 	Cancel(id string) bool
+	// Batch runs reqs in order. The batch route may pass requests it
+	// prepared and shares across calls: they must not be modified.
 	Batch(ctx context.Context, reqs []Request) []BatchItem
 	OpenSim(spec device.DoubleDotSpec) (SessionInfo, error)
 	Sessions() []SessionInfo
@@ -166,24 +168,9 @@ func NewHandler(b Backend) http.Handler {
 		Reply(w, http.StatusOK, map[string]any{"cancelled": true})
 	})
 
+	memo := newBatchMemo()
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var body struct {
-			Requests []Request `json:"requests"`
-			Table1   bool      `json:"table1"`
-		}
-		if !Decode(w, r, &body) {
-			return
-		}
-		reqs := body.Requests
-		if body.Table1 {
-			reqs = append(reqs, Table1Requests()...)
-		}
-		if len(reqs) == 0 {
-			Fail(w, http.StatusBadRequest, errors.New("empty batch: set requests or table1"))
-			return
-		}
-		items := b.Batch(r.Context(), reqs)
-		Reply(w, http.StatusOK, map[string]any{"items": items})
+		serveBatch(w, r, b, memo)
 	})
 
 	// The suite is identical on every member; any live one answers.
@@ -585,7 +572,12 @@ func (s *Service) Member(string) (*Service, error) { return s, nil }
 // typos surface as 400s instead of silently-defaulted jobs. On failure it
 // has already answered 400 and returns false.
 func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	return decode(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+}
+
+// decode is Decode over the body reader src.
+func decode(w http.ResponseWriter, src io.Reader, v any) bool {
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		Fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
@@ -604,10 +596,15 @@ func Reply(w http.ResponseWriter, code int, v any) {
 		// A map of one string always encodes.
 		body, _ = json.Marshal(map[string]string{"error": fmt.Sprintf("encoding reply: %v", err)})
 	}
+	writeJSON(w, code, append(body, '\n'))
+}
+
+// writeJSON answers code with an encoded JSON body.
+func writeJSON(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	// A failed write means the client has gone; there is no one to tell.
-	_, _ = w.Write(append(body, '\n'))
+	_, _ = w.Write(body)
 }
 
 // Fail answers code with {"error": err}.

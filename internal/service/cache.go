@@ -3,8 +3,10 @@ package service
 import (
 	"container/list"
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"github.com/fastvg/fastvg/internal/telemetry"
 )
@@ -60,9 +62,31 @@ type resultCache struct {
 	evictions *telemetry.Counter
 }
 
+// cacheEntry is one completed result. An entry never changes once
+// inserted: replacing a key's result inserts a new entry.
 type cacheEntry struct {
 	key string
 	res *Result
+	// hit is res encoded as a hit serves it, built by hitJSON on first
+	// use; it lives and dies with the entry.
+	hit atomic.Pointer[[]byte]
+}
+
+// hitJSON returns the JSON of the entry's result with Cached set, as a
+// hit serves it, encoding it on first use. Nil if the result does not
+// encode.
+func (e *cacheEntry) hitJSON() []byte {
+	if b := e.hit.Load(); b != nil {
+		return *b
+	}
+	c := *e.res
+	c.Cached = true
+	b, err := json.Marshal(&c)
+	if err != nil {
+		return nil
+	}
+	e.hit.Store(&b)
+	return b
 }
 
 func newResultCache(capacity int, m *serviceMetrics) *resultCache {
@@ -83,22 +107,23 @@ func newResultCache(capacity int, m *serviceMetrics) *resultCache {
 
 // Do returns the result for key, running fn at most once across all
 // concurrent callers. The bool reports whether the result was served without
-// invoking fn (cache hit or coalesced join). The returned Result is shared
-// and must be treated as immutable.
+// invoking fn (cache hit or coalesced join); hit is the entry that served a
+// cache hit, nil otherwise. The returned Result is shared and must be
+// treated as immutable.
 //
 // A caller's own ctx only abandons its wait. If a flight fails because its
 // owner was cancelled, the work itself is still wanted by everyone else
 // attached to it, so a waiter re-drives it under its own context instead of
 // inheriting the stranger's cancellation.
-func (c *resultCache) Do(ctx context.Context, key string, fn func() (*Result, error)) (*Result, bool, error) {
+func (c *resultCache) Do(ctx context.Context, key string, fn func() (*Result, error)) (res *Result, hit *cacheEntry, served bool, err error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.items[key]; ok {
 			c.ll.MoveToFront(el)
-			res := el.Value.(*cacheEntry).res
+			e := el.Value.(*cacheEntry)
 			c.mu.Unlock()
 			c.hits.Inc()
-			return res, true, nil
+			return e.res, e, true, nil
 		}
 		if fl, ok := c.inflight[key]; ok {
 			c.mu.Unlock()
@@ -115,12 +140,12 @@ func (c *resultCache) Do(ctx context.Context, key string, fn func() (*Result, er
 				}
 				if fl.err != nil {
 					uncount()
-					return nil, false, fl.err
+					return nil, nil, false, fl.err
 				}
-				return fl.res, true, nil
+				return fl.res, nil, true, nil
 			case <-ctx.Done():
 				uncount()
-				return nil, false, context.Cause(ctx)
+				return nil, nil, false, context.Cause(ctx)
 			}
 		}
 		fl := &flight{done: make(chan struct{})}
@@ -137,7 +162,7 @@ func (c *resultCache) Do(ctx context.Context, key string, fn func() (*Result, er
 		}
 		c.mu.Unlock()
 		close(fl.done)
-		return fl.res, false, fl.err
+		return fl.res, nil, false, fl.err
 	}
 }
 
@@ -172,7 +197,7 @@ func (c *resultCache) Len() int {
 // insert adds a completed result, evicting from the LRU tail. Caller holds mu.
 func (c *resultCache) insert(key string, res *Result) {
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
+		el.Value = &cacheEntry{key: key, res: res}
 		c.ll.MoveToFront(el)
 		return
 	}

@@ -21,10 +21,10 @@ func TestCacheHitMiss(t *testing.T) {
 	calls := 0
 	fn := func() (*Result, error) { calls++; return res(KindFast), nil }
 
-	if _, served, err := c.Do(ctx, "a", fn); err != nil || served {
+	if _, _, served, err := c.Do(ctx, "a", fn); err != nil || served {
 		t.Fatalf("first Do = served %v, err %v; want miss", served, err)
 	}
-	if _, served, err := c.Do(ctx, "a", fn); err != nil || !served {
+	if _, _, served, err := c.Do(ctx, "a", fn); err != nil || !served {
 		t.Fatalf("second Do = served %v, err %v; want hit", served, err)
 	}
 	if calls != 1 {
@@ -44,7 +44,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2, newServiceMetrics(telemetry.NewRegistry()))
 	ctx := context.Background()
 	fill := func(key string) {
-		if _, _, err := c.Do(ctx, key, func() (*Result, error) { return res(KindFast), nil }); err != nil {
+		if _, _, _, err := c.Do(ctx, key, func() (*Result, error) { return res(KindFast), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestCacheCoalescing(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		close(first)
-		if _, served, err := c.Do(ctx, "k", fn); err != nil || served {
+		if _, _, served, err := c.Do(ctx, "k", fn); err != nil || served {
 			t.Errorf("leader Do = served %v, err %v", served, err)
 		}
 	}()
@@ -98,7 +98,7 @@ func TestCacheCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, served, err := c.Do(ctx, "k", func() (*Result, error) {
+			r, _, served, err := c.Do(ctx, "k", func() (*Result, error) {
 				t.Error("coalesced caller ran the function")
 				return nil, nil
 			})
@@ -133,7 +133,7 @@ func TestCacheWaiterRedrivesCancelledOwner(t *testing.T) {
 	release := make(chan struct{})
 	ownerErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(ownerCtx, "k", func() (*Result, error) {
+		_, _, _, err := c.Do(ownerCtx, "k", func() (*Result, error) {
 			close(started)
 			<-release
 			return nil, ownerCtx.Err()
@@ -150,7 +150,7 @@ func TestCacheWaiterRedrivesCancelledOwner(t *testing.T) {
 	}
 	waited := make(chan outcome, 1)
 	go func() {
-		r, served, err := c.Do(context.Background(), "k", func() (*Result, error) { return want, nil })
+		r, _, served, err := c.Do(context.Background(), "k", func() (*Result, error) { return want, nil })
 		waited <- outcome{r, served, err}
 	}()
 	for c.Stats().Coalesced < 1 { // the waiter is parked on the owner's flight
@@ -177,10 +177,10 @@ func TestCacheErrorNotCached(t *testing.T) {
 	ctx := context.Background()
 	boom := errors.New("boom")
 	calls := 0
-	if _, _, err := c.Do(ctx, "k", func() (*Result, error) { calls++; return nil, boom }); !errors.Is(err, boom) {
+	if _, _, _, err := c.Do(ctx, "k", func() (*Result, error) { calls++; return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if r, _, err := c.Do(ctx, "k", func() (*Result, error) { calls++; return res(KindFast), nil }); err != nil || r == nil {
+	if r, _, _, err := c.Do(ctx, "k", func() (*Result, error) { calls++; return res(KindFast), nil }); err != nil || r == nil {
 		t.Fatalf("retry = (%v, %v), want success", r, err)
 	}
 	if calls != 2 {
@@ -200,7 +200,7 @@ func TestCacheConcurrentDistinctKeys(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 64; i++ {
 				key := fmt.Sprintf("k%d", i%16)
-				if _, _, err := c.Do(ctx, key, func() (*Result, error) { return res(KindFast), nil }); err != nil {
+				if _, _, _, err := c.Do(ctx, key, func() (*Result, error) { return res(KindFast), nil }); err != nil {
 					t.Error(err)
 					return
 				}

@@ -164,6 +164,17 @@ type Request struct {
 	Verify     *VerifyOptions     `json:"verify,omitempty"`
 	Chain      *ChainOptions      `json:"chain,omitempty"`
 	InfoGain   *InfoGainOptions   `json:"infoGain,omitempty"`
+
+	// canon is set only on a request the batch route prepared: the
+	// request is then in canonical form, canon holds its cache hash and
+	// ring key, and nothing writes to it (see prepare).
+	canon *canonical
+}
+
+// canonical is what serving derives from a request's canonical form.
+type canonical struct {
+	hash string // Hash
+	key  string // RouteKey
 }
 
 // SuiteSize is the qflow benchmark count (Table 1's 12 CSDs).
@@ -436,13 +447,11 @@ func (r Request) Canonical() ([]byte, error) {
 }
 
 // Hash returns the canonical request hash (hex SHA-256 prefix) used as the
-// result-cache and deduplication key.
+// result-cache and deduplication key; a request the batch route prepared
+// answers the hash computed then.
 func (r Request) Hash() (string, error) {
-	n, err := r.Normalized()
-	if err != nil {
-		return "", err
-	}
-	return hashNormalized(n)
+	_, hash, err := r.canonicalForm()
+	return hash, err
 }
 
 // hashNormalized hashes a request that is already in canonical form, saving
@@ -453,8 +462,50 @@ func hashNormalized(n Request) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return hashCanonical(b), nil
+}
+
+// hashCanonical hashes a canonical JSON encoding.
+func hashCanonical(b []byte) string {
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:16]), nil
+	return hex.EncodeToString(sum[:16])
+}
+
+// canonicalForm returns the normalized request and its hash: read off a
+// prepared request, derived for any other.
+func (r Request) canonicalForm() (Request, string, error) {
+	if r.canon != nil {
+		return r, r.canon.hash, nil
+	}
+	n, err := r.Normalized()
+	if err != nil {
+		return Request{}, "", err
+	}
+	hash, err := hashNormalized(n)
+	return n, hash, err
+}
+
+// prepare returns r in canonical form carrying its cache hash and ring
+// key, and the length of its canonical JSON, the measure the batch memo
+// bounds. ok is false for a request without a ring key (a session
+// request) or one that does not normalise. Normalized copies the specs
+// and option blocks, so once the caller drops r, a prepared request can
+// be shared read-only.
+func (r Request) prepare() (p Request, size int, ok bool) {
+	n, err := r.Normalized()
+	if err != nil {
+		return Request{}, 0, false
+	}
+	b, err := json.Marshal(n)
+	if err != nil {
+		return Request{}, 0, false
+	}
+	key, err := n.routeKey()
+	if err != nil {
+		return Request{}, 0, false
+	}
+	n.canon = &canonical{hash: hashCanonical(b), key: key}
+	return n, len(b), true
 }
 
 // VerifyReport is the verify-job extension of a Result.

@@ -25,9 +25,9 @@ var craftedNoise = []noise.Params{
 
 // TestCraftedSpecsRejected: every route that builds a device from a spec
 // in the request body answers 400 for a spec outside its limits — sim,
-// lever-drift, chain and pair-drift noise, pixel counts, chain dot counts,
-// chain pair windows and windowfind pixels. A batch reports the error on
-// its item.
+// lever-drift, chain and pair-drift noise, pixel counts (too many or
+// negative), negative spans, chain dot counts, chain pair windows and
+// windowfind pixels. A batch reports the error on its item.
 func TestCraftedSpecsRejected(t *testing.T) {
 	svc, srv := newTestServer(t)
 	var sims []device.DoubleDotSpec
@@ -42,31 +42,42 @@ func TestCraftedSpecsRejected(t *testing.T) {
 	}
 	sims = append(sims, device.DoubleDotSpec{Pixels: 1000000})
 	chains = append(chains, device.ChainSpec{Pixels: 1000000}, device.ChainSpec{Dots: 1000000})
+	// Negative sizes come last, so the subtests above keep their numbers.
+	negSims := []device.DoubleDotSpec{{Pixels: -5}, {SpanMV: -3}}
+	negChains := []device.ChainSpec{{Pixels: -3}}
 
 	type route struct {
 		name, path string
 		body       any
 	}
 	var routes []route
-	for _, s := range sims {
-		for _, k := range []Kind{KindFast, KindBaseline} {
-			routes = append(routes, route{"job " + string(k), "/v1/jobs", Request{Kind: k, Sim: &s}})
+	simRoutes := func(specs []device.DoubleDotSpec) {
+		for _, s := range specs {
+			for _, k := range []Kind{KindFast, KindBaseline} {
+				routes = append(routes, route{"job " + string(k), "/v1/jobs", Request{Kind: k, Sim: &s}})
+			}
+			routes = append(routes,
+				route{"session", "/v1/sessions", map[string]any{"spec": s}},
+				route{"fleet device", "/v1/fleet/devices", fleet.DeviceConfig{ID: "bad", Spec: s}})
 		}
-		routes = append(routes,
-			route{"session", "/v1/sessions", map[string]any{"spec": s}},
-			route{"fleet device", "/v1/fleet/devices", fleet.DeviceConfig{ID: "bad", Spec: s}})
 	}
-	for _, c := range chains {
-		routes = append(routes,
-			route{"chain job", "/v1/jobs", Request{Kind: KindChain, ChainSim: &c}},
-			route{"fleet chain", "/v1/fleet/devices", fleet.DeviceConfig{ID: "bad", Chain: &c}})
+	chainRoutes := func(specs []device.ChainSpec) {
+		for _, c := range specs {
+			routes = append(routes,
+				route{"chain job", "/v1/jobs", Request{Kind: KindChain, ChainSim: &c}},
+				route{"fleet chain", "/v1/fleet/devices", fleet.DeviceConfig{ID: "bad", Chain: &c}})
+		}
 	}
+	simRoutes(sims)
+	chainRoutes(chains)
 	wide := csd.NewSquareWindow(0, 0, 40, 2000)
 	routes = append(routes,
 		route{"chain windows", "/v1/jobs", Request{Kind: KindChain, ChainSim: &device.ChainSpec{Dots: 3},
 			Chain: &ChainOptions{Windows: []csd.Window{wide, wide}}}},
 		route{"windowfind pixels", "/v1/jobs", Request{Kind: KindWindowFind, Sim: &device.DoubleDotSpec{},
 			WindowFind: &WindowFindOptions{V1Max: 50, V2Max: 50, Pixels: 1000000}}})
+	simRoutes(negSims)
+	chainRoutes(negChains)
 	for i, r := range routes {
 		t.Run(fmt.Sprintf("%02d-%s", i, r.name), func(t *testing.T) {
 			doJSON(t, "POST", srv.URL+r.path, r.body, http.StatusBadRequest, nil)
@@ -84,6 +95,33 @@ func TestCraftedSpecsRejected(t *testing.T) {
 	if len(batch.Items) != 2 || !strings.Contains(batch.Items[0].Error, "sim spec") ||
 		!strings.Contains(batch.Items[1].Error, "chain dots") {
 		t.Fatalf("batch of crafted specs answered %+v", batch.Items)
+	}
+	// Every crafted spec fails its batch item; a negative size is refused,
+	// not replaced by its default, and the error names the field.
+	var batchReqs []Request
+	for _, s := range append(sims, negSims...) {
+		batchReqs = append(batchReqs, Request{Kind: KindFast, Sim: &s})
+	}
+	for _, c := range append(chains, negChains...) {
+		batchReqs = append(batchReqs, Request{Kind: KindChain, ChainSim: &c})
+	}
+	for _, req := range batchReqs {
+		doJSON(t, "POST", srv.URL+"/v1/batch", map[string]any{"requests": []Request{req}}, http.StatusOK, &batch)
+		if len(batch.Items) != 1 || batch.Items[0].Error == "" {
+			t.Fatalf("batch of %+v answered %+v", req, batch.Items)
+		}
+	}
+	for _, tc := range []struct {
+		req   Request
+		field string
+	}{
+		{Request{Kind: KindFast, Sim: &device.DoubleDotSpec{Pixels: -5}}, "pixels -5"},
+		{Request{Kind: KindFast, Sim: &device.DoubleDotSpec{SpanMV: -3}}, "spanMV -3"},
+		{Request{Kind: KindChain, ChainSim: &device.ChainSpec{Pixels: -3}}, "chain pixels -3"},
+	} {
+		if err := tc.req.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("negative spec: %v, want an error naming %q", err, tc.field)
+		}
 	}
 	if n := svc.Fleet().DeviceCount(); n != 0 {
 		t.Fatalf("%d crafted fleet devices registered", n)

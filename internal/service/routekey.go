@@ -23,13 +23,22 @@ var ErrSessionRoute = errors.New("service: session requests route by session id 
 //	                  every per-pair twin key "chain/<hash>/<pair>"
 //
 // The key is computed from the normalized request, so equivalent
-// requests (defaults explicit or not) route identically. Session
-// requests return ErrSessionRoute.
+// requests (defaults explicit or not) route identically; a request the
+// batch route prepared answers the key computed then. Session requests
+// return ErrSessionRoute.
 func (r Request) RouteKey() (string, error) {
+	if r.canon != nil {
+		return r.canon.key, nil
+	}
 	n, err := r.Normalized()
 	if err != nil {
 		return "", err
 	}
+	return n.routeKey()
+}
+
+// routeKey is RouteKey of a request already in canonical form.
+func (n Request) routeKey() (string, error) {
 	switch {
 	case n.Session != "":
 		return "", ErrSessionRoute

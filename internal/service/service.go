@@ -345,13 +345,16 @@ func (s *Service) Stats() Stats {
 // and returns its result. Identical concurrent Runs coalesce onto one
 // extraction.
 func (s *Service) Run(ctx context.Context, req Request) (*Result, error) {
-	nreq, err := req.Normalized()
+	res, _, err := s.run(ctx, req)
+	return res, err
+}
+
+// run is Run, also returning the cache entry that served a hit (nil for
+// anything else).
+func (s *Service) run(ctx context.Context, req Request) (*Result, *cacheEntry, error) {
+	nreq, hash, err := req.canonicalForm()
 	if err != nil {
-		return nil, err
-	}
-	hash, err := hashNormalized(nreq)
-	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return s.execute(ctx, nreq, hash, nil)
 }
@@ -362,8 +365,9 @@ func (s *Service) Run(ctx context.Context, req Request) (*Result, error) {
 // cache-hit and coalesced callers never occupy one, so waiting on another
 // caller's flight can never starve the flight of the slot it needs.
 // onStart, if non-nil, fires when the extraction itself begins (it does not
-// fire for cache hits or coalesced joins).
-func (s *Service) execute(ctx context.Context, nreq Request, hash string, onStart func()) (*Result, error) {
+// fire for cache hits or coalesced joins). hit is the cache entry that
+// served a hit, nil otherwise.
+func (s *Service) execute(ctx context.Context, nreq Request, hash string, onStart func()) (res *Result, hit *cacheEntry, err error) {
 	runPooled := func() (*Result, error) {
 		if err := s.admit(); err != nil {
 			return nil, err
@@ -399,11 +403,12 @@ func (s *Service) execute(ctx context.Context, nreq Request, hash string, onStar
 		}
 	}
 	if !nreq.Cacheable() {
-		return runPooled()
+		res, err = runPooled()
+		return res, nil, err
 	}
-	res, served, err := s.cache.Do(ctx, hash, runPooled)
+	res, hit, served, err := s.cache.Do(ctx, hash, runPooled)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !served && s.store != nil {
 		// This caller ran the extraction (coalesced waiters see served):
@@ -417,19 +422,15 @@ func (s *Service) execute(ctx context.Context, nreq Request, hash string, onStar
 		// shared across callers and must stay immutable.
 		c := *res
 		c.Cached = true
-		return &c, nil
+		return &c, hit, nil
 	}
-	return res, nil
+	return res, nil, nil
 }
 
 // Submit schedules a request asynchronously and returns a job view
 // immediately; poll Job or block on Wait for the outcome.
 func (s *Service) Submit(ctx context.Context, req Request) (JobView, error) {
-	nreq, err := req.Normalized()
-	if err != nil {
-		return JobView{}, err
-	}
-	hash, err := hashNormalized(nreq)
+	nreq, hash, err := req.canonicalForm()
 	if err != nil {
 		return JobView{}, err
 	}
@@ -458,7 +459,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (JobView, error) {
 	// as submitted, even if a tiny extraction finishes immediately.
 	view := j.view()
 	go func() {
-		res, err := s.execute(jctx, nreq, hash, func() {
+		res, _, err := s.execute(jctx, nreq, hash, func() {
 			j.mu.Lock()
 			j.status = StatusRunning
 			j.mu.Unlock()
@@ -567,29 +568,42 @@ func (s *Service) Cancel(id string) bool {
 type BatchItem struct {
 	Result *Result `json:"result,omitempty"`
 	Error  string  `json:"error,omitempty"`
+
+	// hit is the cache entry that served Result, for the batch route's
+	// stored-encoding reply; nil unless the item was a cache hit.
+	hit *cacheEntry
 }
 
 // Batch executes requests concurrently on the worker pool and returns
 // outcomes in request order — deterministic regardless of scheduling.
 // Identical requests within (or across) batches are served once and
-// deduplicated through the cache.
+// deduplicated through the cache. A one-request batch runs on the
+// caller's goroutine.
 func (s *Service) Batch(ctx context.Context, reqs []Request) []BatchItem {
 	out := make([]BatchItem, len(reqs))
+	if len(reqs) == 1 {
+		out[0] = s.batchItem(ctx, reqs[0])
+		return out
+	}
 	var wg sync.WaitGroup
 	for i, req := range reqs {
 		wg.Add(1)
 		go func(i int, req Request) {
 			defer wg.Done()
-			res, err := s.Run(ctx, req)
-			if err != nil {
-				out[i].Error = err.Error()
-				return
-			}
-			out[i].Result = res
+			out[i] = s.batchItem(ctx, req)
 		}(i, req)
 	}
 	wg.Wait()
 	return out
+}
+
+// batchItem runs one batch request.
+func (s *Service) batchItem(ctx context.Context, req Request) BatchItem {
+	res, hit, err := s.run(ctx, req)
+	if err != nil {
+		return BatchItem{Error: err.Error()}
+	}
+	return BatchItem{Result: res, hit: hit}
 }
 
 // Table1Requests builds the paper's full evaluation as a batch: every suite
@@ -682,7 +696,9 @@ func (s *Service) runJobKind(ctx context.Context, nreq Request, hash string) (*R
 			return nil, err
 		}
 	case nreq.Sim != nil:
-		inst, win, err := nreq.Sim.Build()
+		// Build from a copy: a prepared request is shared read-only.
+		spec := *nreq.Sim
+		inst, win, err := spec.Build()
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,12 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -123,5 +127,44 @@ func BenchmarkScatterGather(b *testing.B) {
 					b.ReportMetric(float64(b.N*batchSize)/elapsed.Seconds(), "jobs/s")
 				}
 			})
+	}
+}
+
+// newCachedBatch returns a 2-shard cluster's front door and a one-request
+// POST /v1/batch body it has served twice: the owning shard caches the
+// result and the batch route has seen the body come back cached.
+func newCachedBatch(tb testing.TB) (http.Handler, string) {
+	tb.Helper()
+	c, err := New(Config{Shards: 2, Base: service.Config{Workers: 1, ScrapeInterval: -1}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close(context.Background()) })
+	h := c.Handler()
+	body := `{"requests":[{"kind":"fast","sim":{"pixels":64,"seed":7}}]}`
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body)))
+	serveCachedBatch(tb, h, body)
+	return h, body
+}
+
+// serveCachedBatch sends body through h and fails unless it answers 200
+// with a cache hit.
+func serveCachedBatch(tb testing.TB, h http.Handler, body string) {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body)))
+	if w.Code != http.StatusOK || !bytes.Contains(w.Body.Bytes(), []byte(`"cached":true`)) {
+		tb.Fatalf("cached batch = %d %s", w.Code, w.Body.String())
+	}
+}
+
+// BenchmarkCachedBatchHTTP times a repeated, cached one-request POST
+// /v1/batch through a 2-shard front door, httptest's recorder included:
+// the hot-repeat workload's op without the network.
+func BenchmarkCachedBatchHTTP(b *testing.B) {
+	h, body := newCachedBatch(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveCachedBatch(b, h, body)
 	}
 }

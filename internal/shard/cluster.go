@@ -207,7 +207,7 @@ func (c *Cluster) shardOfID(id string) (int, bool) {
 
 // route places a request: session-bound jobs go to the shard named in
 // the session ID prefix, everything else hashes its RouteKey on the
-// ring.
+// ring (a request the batch route prepared carries its key).
 func (c *Cluster) route(req service.Request) (int, error) {
 	key, err := req.RouteKey()
 	if err == nil {
@@ -256,18 +256,38 @@ func (c *Cluster) Submit(ctx context.Context, req service.Request) (service.JobV
 // Batch is the scatter-gather path: requests are grouped by owning
 // shard, each group runs as one shard-local batch concurrently, and the
 // outcomes are merged back into request order — deterministic regardless
-// of shard count or scheduling. Routing errors and down shards surface
+// of shard count or scheduling. A batch that routes entirely to one shard
+// runs on the caller's goroutine. Routing errors and down shards surface
 // as per-item errors, exactly like per-item execution errors.
 func (c *Cluster) Batch(ctx context.Context, reqs []service.Request) []service.BatchItem {
 	out := make([]service.BatchItem, len(reqs))
-	groups := make(map[int][]int)
+	owners := make([]int, len(reqs))
+	oneShard := len(reqs) > 0
 	for i, req := range reqs {
 		idx, err := c.route(req)
 		if err != nil {
 			out[i] = service.BatchItem{Error: err.Error()}
-			continue
+			idx = -1
 		}
-		groups[idx] = append(groups[idx], i)
+		owners[i] = idx
+		oneShard = oneShard && idx >= 0 && idx == owners[0]
+	}
+	if oneShard {
+		svc, err := c.shard(owners[0])
+		if err != nil {
+			for i := range out {
+				out[i] = service.BatchItem{Error: err.Error()}
+			}
+			return out
+		}
+		c.mRouted.With(strconv.Itoa(owners[0])).Add(int64(len(reqs)))
+		return svc.Batch(ctx, reqs)
+	}
+	groups := make(map[int][]int)
+	for i, idx := range owners {
+		if idx >= 0 {
+			groups[idx] = append(groups[idx], i)
+		}
 	}
 	if len(groups) > 1 {
 		c.mScatter.Inc()

@@ -276,3 +276,70 @@ func TestClusterTickShardErrorsOfMixedTypes(t *testing.T) {
 		t.Fatalf("tick error = %q, want shard 0's %q", body.Error, sched.ErrClosed)
 	}
 }
+
+// TestExpiredTickChangesNothing: a fleet tick whose request deadline has
+// passed answers 400 and leaves the fleet as it was, on both front doors:
+// every shard's clock stays at 0, and the next live tick replies exactly
+// as the first tick of a twin fleet that never saw the failed one.
+func TestExpiredTickChangesNothing(t *testing.T) {
+	ctx := context.Background()
+	cfg := service.Config{Workers: 2, ScrapeInterval: -1}
+	const tick = `{"advanceS":300,"ticks":3}`
+	for _, door := range []struct {
+		name string
+		open func(t *testing.T) (http.Handler, []*service.Service)
+	}{
+		{"service", func(t *testing.T) (http.Handler, []*service.Service) {
+			svc, err := service.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { svc.Close(ctx) })
+			return svc.Handler(), []*service.Service{svc}
+		}},
+		{"cluster", func(t *testing.T) (http.Handler, []*service.Service) {
+			c, err := New(Config{Shards: 2, Base: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close(ctx) })
+			return c.Handler(), []*service.Service{member(c, 0), member(c, 1)}
+		}},
+	} {
+		t.Run(door.name, func(t *testing.T) {
+			h, members := door.open(t)
+			twin, _ := door.open(t)
+			ring := NewRing(2)
+			for _, fleet := range []http.Handler{h, twin} {
+				for shard := 0; shard < 2; shard++ {
+					for _, id := range deviceIDs() {
+						if ring.Owner(id) == shard {
+							expectRoute(t, fleet, "POST", "/v1/fleet/devices", `{"id":"`+id+`","spec":{"pixels":64,"seed":5}}`, http.StatusCreated, nil)
+							break
+						}
+					}
+				}
+			}
+
+			expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+			defer cancel()
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/fleet/tick", strings.NewReader(tick)).WithContext(expired))
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("expired tick = %d %s, want 400", w.Code, w.Body.String())
+			}
+			for i, svc := range members {
+				if now := svc.Fleet().Now(); now != 0 {
+					t.Fatalf("member %d clock at %v after a failed tick, want 0", i, now)
+				}
+			}
+
+			live, first := httptest.NewRecorder(), httptest.NewRecorder()
+			h.ServeHTTP(live, httptest.NewRequest("POST", "/v1/fleet/tick", strings.NewReader(tick)))
+			twin.ServeHTTP(first, httptest.NewRequest("POST", "/v1/fleet/tick", strings.NewReader(tick)))
+			if live.Code != http.StatusOK || live.Body.String() != first.Body.String() {
+				t.Fatalf("tick after a failed one:\n%d %s\ntwin's first tick:\n%d %s", live.Code, live.Body.String(), first.Code, first.Body.String())
+			}
+		})
+	}
+}
