@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"github.com/fastvg/fastvg/internal/chainx"
+	"github.com/fastvg/fastvg/internal/core"
+	"github.com/fastvg/fastvg/internal/method"
 	"github.com/fastvg/fastvg/internal/sched"
 )
 
@@ -71,11 +73,15 @@ func ExtractChainSpec(ctx context.Context, spec ChainSpec, opts ChainExtractOpti
 	}
 	pool := sched.New(opts.Workers)
 	defer pool.Close(context.WithoutCancel(ctx))
+	fast := opts.Options.coreConfig()
 	cfg := chainx.Config{
 		Methods: opts.Methods,
 		Budget:  opts.Budget,
-		Fast:    opts.Options.coreConfig(),
-		Rays:    raysConfig(opts.Rays),
+		Options: method.Options{
+			Fast:     fast,
+			Adaptive: core.AdaptiveConfig{Config: fast},
+			Rays:     raysConfig(opts.Rays),
+		},
 	}
 	res, err := chainx.Extract(ctx, pool, src, cfg)
 	if err != nil {
@@ -105,7 +111,7 @@ func ExtractChain(sim *ChainSim, windows []Window, base []float64, opts Options)
 	defer pool.Close(context.Background())
 	res, err := chainx.Extract(context.Background(), pool, src, chainx.Config{
 		Methods: []ChainMethod{ChainMethodFast},
-		Fast:    opts.coreConfig(),
+		Options: method.Options{Fast: opts.coreConfig()},
 	})
 	if err != nil {
 		return nil, nil, err

@@ -149,8 +149,10 @@
 // cutting the steady-state cost of a matrix refresh by ~6.2× on drift-only
 // devices (BenchmarkFleetSurrogateRecalibration's live over surrogate
 // probes/recal in BENCH.txt). Twins journal into the store for
-// warm-starts, and traces of surrogate jobs carry the pre-extraction twin
-// snapshot so replay reproduces the hybrid's decisions bit for bit.
+// warm-starts. The twin sits on top of a job's probe stack, above the
+// trace recorder, so a trace holds exactly the escalated probes plus the
+// twin snapshot taken before the first probe, and replay reproduces the
+// hybrid's decisions bit for bit.
 //
 // # Active probing
 //
@@ -204,15 +206,18 @@
 // back through full re-extraction. Recovery is crash-safe: a torn trailing
 // frame (the signature of dying mid-append) is truncated, never fatal.
 //
-// With RecordTraces (vgxd -record-traces) every executed extraction also
-// writes a probe trace (internal/trace): each (voltages, time, current)
-// sample, content-addressed under DataDir/traces. Command vgxreplay
-// re-executes recordings offline — traces against the recorded samples
-// with zero live-instrument probes, journal entries against fresh
-// simulated instruments — and diffs the reproduced virtual-gate matrices
-// bit-for-bit against the recorded ones (ReplayTrace / ReplayJournal in
-// the library). Recorded device responses thereby become regression tests:
-// any divergence is an extraction-code change or a corrupted recording.
+// Every extraction — a job, or one pair of a chain job — probes through
+// one probe stack: the instrument, a trace recorder over it with
+// RecordTraces (vgxd -record-traces), and the device's twin over that for
+// a twin-first spec. The recorder's probe trace (internal/trace) holds each
+// (voltages, time, current) sample that reached the instrument,
+// content-addressed under DataDir/traces. Command vgxreplay re-executes
+// recordings offline — traces through the one trace replay, ReplayTrace,
+// against the recorded samples with zero live-instrument probes, journal
+// entries (ReplayJournal) against fresh simulated instruments — and diffs
+// the reproduced virtual-gate matrices bit-for-bit against the recorded
+// ones. Recorded device responses thereby become regression tests: any
+// divergence is an extraction-code change or a corrupted recording.
 //
 // # Observability
 //
@@ -250,9 +255,9 @@
 // restored on restart, and readable offline (LoadAlertHistory,
 // vgxreplay -alerts). The stock catalogue (DefaultAlertRules — load
 // shedding, fleet staleness, persist errors, surrogate escalation
-// ratio, pool saturation) is replaced via ServiceConfig.AlertRules or a
-// JSON file on vgxd. Instant and range queries (last/avg/min/max/sum,
-// windowed rate, histogram quantile) are served at GET /v1/query, the
+// ratio, pool saturation) is replaced via ServiceConfig.AlertRules.
+// Instant and range queries (last/avg/min/max/sum, windowed rate,
+// histogram quantile) are served at GET /v1/query, the
 // alert board at GET /v1/alerts, and GET /debug/bundle snapshots a
 // flight-recorder tar.gz (metrics, tsdb windows, alerts, stats, fleet
 // state, build info, span trees) for bug reports. Command vgxtop is the

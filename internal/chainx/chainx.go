@@ -34,14 +34,11 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/fastvg/fastvg/internal/core"
 	"github.com/fastvg/fastvg/internal/csd"
 	"github.com/fastvg/fastvg/internal/device"
 	"github.com/fastvg/fastvg/internal/evalx"
-	"github.com/fastvg/fastvg/internal/infogain"
 	"github.com/fastvg/fastvg/internal/method"
 	"github.com/fastvg/fastvg/internal/qflow"
-	"github.com/fastvg/fastvg/internal/rays"
 	"github.com/fastvg/fastvg/internal/sched"
 	"github.com/fastvg/fastvg/internal/virtualgate"
 )
@@ -118,16 +115,14 @@ type Config struct {
 	// Budget caps the probes the whole chain may spend; 0 means unlimited.
 	Budget int
 
-	// Fast tunes the fast and adaptive methods; CoarseFactor the adaptive
-	// coarse pass (0 uses the core default); Rays the ray method; InfoGain
-	// the active probe scheduler.
-	Fast         core.Config
-	CoarseFactor int
-	Rays         rays.Config
-	InfoGain     infogain.Config
+	// Options tunes the pair methods, one block per method. The adaptive
+	// rung reads only Options.Adaptive, so a caller tuning the fast block
+	// passes it there too (core.AdaptiveConfig{Config: fast}).
+	Options method.Options
 
 	// Wrap, if non-nil, wraps each pair's instrument before probing — the
-	// extraction service's per-pair trace recording hook.
+	// extraction service builds each pair's probe stack (trace recorder,
+	// twin) here.
 	Wrap func(pair int, inst PairInstrument) PairInstrument
 
 	// run overrides the method dispatch in tests.
@@ -325,14 +320,8 @@ func ExtractPair(ctx context.Context, pair int, inst PairInstrument, win csd.Win
 // runLadder runs the escalation ladder on inst, filling pr. Deterministic
 // pipeline failures escalate; cancellation aborts.
 func runLadder(ctx context.Context, inst PairInstrument, win csd.Window, cfg *Config, truth TruthSource, pr *PairResult) error {
-	opts := &method.Options{
-		Fast:     cfg.Fast,
-		Adaptive: core.AdaptiveConfig{Config: cfg.Fast, CoarseFactor: cfg.CoarseFactor},
-		Rays:     cfg.Rays,
-		InfoGain: cfg.InfoGain,
-	}
 	out, err := method.Ladder(ctx, inst, cfg.Methods, func(ctx context.Context, m Method) (*method.Fit, error) {
-		return cfg.run(ctx, m, inst, win, opts)
+		return cfg.run(ctx, m, inst, win, &cfg.Options)
 	})
 	if err != nil {
 		return err

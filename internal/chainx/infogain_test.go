@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/fastvg/fastvg/internal/infogain"
+	"github.com/fastvg/fastvg/internal/method"
 )
 
 // TestInfoGainBitIdenticalAcrossWorkers extends the determinism contract to
@@ -54,8 +55,8 @@ func TestInfoGainBitIdenticalAcrossWorkers(t *testing.T) {
 func TestInfoGainLadderFallback(t *testing.T) {
 	spec := testSpec(3)
 	cfg := Config{
-		Methods:  InfoGainLadder(),
-		InfoGain: infogain.Config{TargetCI: 1e-9, MaxProbes: 40},
+		Methods: InfoGainLadder(),
+		Options: method.Options{InfoGain: infogain.Config{TargetCI: 1e-9, MaxProbes: 40}},
 	}
 	res := extractSpec(t, spec, 2, cfg)
 	if res.Chain == nil {

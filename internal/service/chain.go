@@ -9,19 +9,18 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/fastvg/fastvg/internal/chainx"
-	"github.com/fastvg/fastvg/internal/surrogate"
+	"github.com/fastvg/fastvg/internal/qflow"
 	"github.com/fastvg/fastvg/internal/telemetry"
-	"github.com/fastvg/fastvg/internal/trace"
 )
 
 // runChain executes a normalized chain request through the planner on the
-// service's worker pool and fills res. Pair failures (ladder exhausted,
+// service's worker pool and fills res. Each pair probes through its own
+// probe stack (newProbeStack); once the planner returns, the stacks settle
+// and write their traces in pair order. Pair failures (ladder exhausted,
 // budget denied) are deterministic outcomes recorded on the result;
 // cancellation and instrument faults propagate as errors.
 func (s *Service) runChain(ctx context.Context, nreq Request, hash string, res *Result) error {
@@ -29,35 +28,13 @@ func (s *Service) runChain(ctx context.Context, nreq Request, hash string, res *
 	if err != nil {
 		return err
 	}
-	cfg := chainConfig(ctx, nreq)
-	var recMu sync.Mutex
-	var recorders map[int]*trace.Recorder
-	if s.traceDir != "" {
-		recorders = make(map[int]*trace.Recorder, src.Dots()-1)
-		cfg.Wrap = func(pair int, inst chainx.PairInstrument) chainx.PairInstrument {
-			rec := trace.NewRecorder(inst)
-			recMu.Lock()
-			recorders[pair] = rec
-			recMu.Unlock()
-			return rec
-		}
-	}
-	// Surrogate-enabled chain jobs probe every pair twin-first: the pair's
-	// twin is acquired (and held) for the whole job, snapshotted into the
-	// pair's trace meta before any probe, and the Hybrid wraps outside the
-	// recorder so the trace holds exactly the escalated probes.
-	var (
-		twinKeys []string
-		twins    []*twin
-		hybs     []*surrogate.Hybrid
-		snaps    []*trace.SurrogateMeta
-	)
-	if sur := nreq.ChainSim.Surrogate; sur != nil && sur.Threshold > 0 {
-		n := src.Dots() - 1
-		twinKeys = make([]string, n)
-		twins = make([]*twin, n)
-		hybs = make([]*surrogate.Hybrid, n)
-		snaps = make([]*trace.SurrogateMeta, n)
+	n := src.Dots() - 1
+	sur := nreq.ChainSim.Surrogate
+	twins := make([]*twin, n)
+	if twinFirst(sur) {
+		// Take every pair's twin before the planner starts, in pair order, so
+		// concurrent chain jobs on one device cannot deadlock, and hold them
+		// until they settle.
 		defer func() {
 			for _, tw := range twins {
 				if tw != nil {
@@ -65,26 +42,19 @@ func (s *Service) runChain(ctx context.Context, nreq Request, hash string, res *
 				}
 			}
 		}()
-		for i := 0; i < n; i++ {
+		for i := range twins {
 			key, err := chainTwinKey(*nreq.ChainSim, i)
 			if err != nil {
 				return err
 			}
-			twinKeys[i] = key
 			twins[i] = s.acquireTwin(key, nreq.Chain.Windows[i])
-			if s.traceDir != "" {
-				snaps[i] = &trace.SurrogateMeta{Model: twins[i].model.Encode(), Threshold: sur.Threshold, Learn: !sur.NoLearn}
-			}
 		}
-		prev := cfg.Wrap
-		cfg.Wrap = func(pair int, inst chainx.PairInstrument) chainx.PairInstrument {
-			if prev != nil {
-				inst = prev(pair, inst)
-			}
-			h := &surrogate.Hybrid{Model: twins[pair].model, Inner: inst, Threshold: sur.Threshold, Learn: !sur.NoLearn, Metrics: s.metrics.sur}
-			hybs[pair] = h // distinct index per planner goroutine: race-free
-			return h
-		}
+	}
+	stacks := make([]*probeStack, n)
+	cfg := chainConfig(ctx, nreq)
+	cfg.Wrap = func(pair int, inst chainx.PairInstrument) chainx.PairInstrument {
+		stacks[pair] = s.newProbeStack(inst, sur, twins[pair]) // distinct index per planner goroutine: race-free
+		return stacks[pair].top
 	}
 	var psp *telemetry.Span
 	if parent := telemetry.SpanFromContext(ctx); parent != nil {
@@ -116,13 +86,20 @@ func (s *Service) runChain(ctx context.Context, nreq Request, hash string, res *
 		}
 	}
 	rep := &ChainReport{Dots: cres.Dots, Pairs: cres.Pairs, BudgetDenied: cres.BudgetDenied}
-	if hybs != nil {
-		rep.Surrogate = make([]SurrogateReport, len(hybs))
-		for i, h := range hybs {
-			if h == nil {
-				continue // pair denied before its instrument was wrapped
-			}
-			rep.Surrogate[i] = *s.settleTwin(twinKeys[i], twins[i], h)
+	if twinFirst(sur) {
+		rep.Surrogate = make([]SurrogateReport, n)
+	}
+	for i, st := range stacks {
+		if st == nil {
+			continue // denied by the budget: never probed, so no trace
+		}
+		if sr := s.settleTwin(st); sr != nil {
+			rep.Surrogate[i] = *sr
+		}
+		steep, shallow := src.PairTruth(i)
+		truth := qflow.Truth{SteepSlope: steep, ShallowSlope: shallow}
+		if err := s.writeTrace(st, nreq, hash, src.Windows()[i], &truth, &i, &cres.Pairs[i]); err != nil {
+			s.metrics.persistErrs.Inc()
 		}
 	}
 	if cres.Chain != nil {
@@ -146,58 +123,15 @@ func (s *Service) runChain(ctx context.Context, nreq Request, hash string, res *
 		res.Error = fmt.Sprintf("chain: %d of %d pairs failed (first: pair %d: %s)",
 			len(failed), len(cres.Pairs), failed[0], cres.Pairs[failed[0]].Error)
 	}
-	for pair, rec := range recorders {
-		var sur *trace.SurrogateMeta
-		if snaps != nil {
-			sur = snaps[pair]
-		}
-		if err := s.writeChainPairTrace(rec, nreq, hash, src, pair, &cres.Pairs[pair], sur); err != nil {
-			s.metrics.persistErrs.Inc()
-		}
-	}
 	return nil
-}
-
-// writeChainPairTrace renders one pair's probe trace. The trace carries the
-// full normalized chain request plus the pair index, so vgxreplay re-executes
-// exactly that pair's escalation ladder against the recorded samples.
-func (s *Service) writeChainPairTrace(rec *trace.Recorder, nreq Request, hash string, src *chainx.SpecSource, pair int, pres *chainx.PairResult, sur *trace.SurrogateMeta) error {
-	reqJSON, err := json.Marshal(nreq)
-	if err != nil {
-		return err
-	}
-	resJSON, err := json.Marshal(pres)
-	if err != nil {
-		return err
-	}
-	p := pair
-	steep, shallow := src.PairTruth(pair)
-	meta := trace.Meta{
-		Hash:             hash,
-		Request:          reqJSON,
-		Result:           resJSON,
-		Window:           src.Windows()[pair],
-		Pair:             &p,
-		Surrogate:        sur,
-		Truth:            &trace.Truth{Steep: steep, Shallow: shallow},
-		BaseUniqueProbes: rec.Base().UniqueProbes,
-		BaseRawCalls:     rec.Base().RawCalls,
-		BaseVirtualNS:    int64(rec.Base().Virtual),
-	}
-	_, err = trace.Write(s.traceDir, meta, rec.Samples())
-	return err
 }
 
 // chainConfig maps a normalized chain request onto the planner's config.
 // Infogain rungs count into the live metric set on ctx; replay carries none.
 func chainConfig(ctx context.Context, nreq Request) chainx.Config {
-	o := methodOptions(ctx, nreq)
 	return chainx.Config{
-		Methods:      nreq.Chain.Methods,
-		Budget:       nreq.Chain.Budget,
-		Fast:         o.Fast,
-		CoarseFactor: o.Adaptive.CoarseFactor,
-		Rays:         o.Rays,
-		InfoGain:     o.InfoGain,
+		Methods: nreq.Chain.Methods,
+		Budget:  nreq.Chain.Budget,
+		Options: *methodOptions(ctx, nreq),
 	}
 }

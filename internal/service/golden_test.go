@@ -1,18 +1,22 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"runtime"
+	"sort"
 	"testing"
 
 	"github.com/fastvg/fastvg/internal/chainx"
 	"github.com/fastvg/fastvg/internal/device"
 	"github.com/fastvg/fastvg/internal/noise"
 	"github.com/fastvg/fastvg/internal/surrogate"
+	"github.com/fastvg/fastvg/internal/trace"
 )
 
 // goldenServiceDigest pins every result of the golden catalogue below,
@@ -136,5 +140,108 @@ func TestGoldenServiceDigest(t *testing.T) {
 			t.Logf("%d %s: %s", i, res.Kind, fmt.Sprintf("%x", sha256.Sum256(goldenEncode(t, res)))[:12])
 		}
 		t.Errorf("digest %s, want %s", got, goldenServiceDigest)
+	}
+}
+
+// goldenTraceDigest pins every probe trace TestGoldenTraceDigest records,
+// recorded on linux/amd64. Any change to a trace's header, meta fields or
+// samples changes it.
+const goldenTraceDigest = "4fe3e18f869ef4e018597afaff06da74b3265a7e055538fed6aa308e9292ec4d"
+
+// TestGoldenTraceDigest pins trace bytes for one request of each probe-stack
+// shape: a benchmark job, a plain sim job, two jobs on one session, a
+// twin-first sim job twice, a 3-dot chain and a twin-first 3-dot chain twice.
+// Every trace's meta and samples are digested with the result's wall-clock
+// computeS zeroed, in the order of that masked content (file names hash the
+// unmasked bytes).
+func TestGoldenTraceDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests were recorded on amd64; %s may fuse multiply-adds differently", runtime.GOARCH)
+	}
+	dir := t.TempDir()
+	svc, err := New(Config{Workers: 2, DataDir: dir, RecordTraces: true, ScrapeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run := func(req Request) {
+		t.Helper()
+		if _, err := svc.Run(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twinFirst := &device.SurrogateSpec{Threshold: surrogate.DefaultThreshold}
+	chain := func(sur *device.SurrogateSpec) Request {
+		return Request{Kind: KindChain, ChainSim: &device.ChainSpec{Dots: 3, Noise: noise.PresetStandard(), Seed: 22, Surrogate: sur}}
+	}
+	run(Request{Kind: KindFast, Benchmark: 3})
+	run(Request{Kind: KindFast, Sim: &device.DoubleDotSpec{Noise: noise.PresetStandard(), Seed: 23}})
+	sess, err := svc.Registry().OpenSim(device.DoubleDotSpec{Pixels: 64, Noise: noise.PresetStandard(), Seed: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		run(Request{Kind: KindFast, Session: sess.ID()})
+	}
+	for i := 0; i < 2; i++ {
+		run(Request{Kind: KindFast, Sim: &device.DoubleDotSpec{Pixels: 64, Noise: noise.PresetQuiet(), Seed: 21, Surrogate: twinFirst}})
+	}
+	run(chain(nil))
+	for i := 0; i < 2; i++ {
+		run(chain(twinFirst))
+	}
+	if err := svc.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	paths, err := trace.List(filepath.Join(dir, "traces"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + 1 + 2 + 2 + 2 + 2*2; len(paths) != want {
+		t.Fatalf("%d traces recorded, want %d", len(paths), want)
+	}
+	var traces [][]byte
+	var pairs, twins int
+	for _, path := range paths {
+		meta, samples, err := trace.Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Pair != nil {
+			pairs++
+		}
+		if meta.Surrogate != nil {
+			twins++
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(meta.Result, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fields["computeS"]; ok {
+			fields["computeS"] = json.RawMessage("0")
+		}
+		if meta.Result, err = json.Marshal(fields); err != nil {
+			t.Fatal(err)
+		}
+		b, err := trace.Encode(meta, samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, b)
+	}
+	if pairs != 6 || twins != 6 {
+		t.Errorf("%d pair traces and %d twin-first traces, want 6 and 6", pairs, twins)
+	}
+	sort.Slice(traces, func(i, j int) bool { return bytes.Compare(traces[i], traces[j]) < 0 })
+	h := sha256.New()
+	for _, b := range traces {
+		h.Write(b)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenTraceDigest {
+		for i, b := range traces {
+			t.Logf("%d: %x", i, sha256.Sum256(b))
+		}
+		t.Errorf("digest %s, want %s", got, goldenTraceDigest)
 	}
 }

@@ -12,6 +12,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 
@@ -57,32 +58,38 @@ func (s *Service) persistResult(nreq Request, hash string, res *Result) {
 	}
 }
 
-// writeTrace renders and writes the probe trace of one executed extraction.
-// sur, when non-nil, records the surrogate composition (twin snapshot and
-// escalation knobs) that sat between the pipeline and this recorder.
-func (s *Service) writeTrace(rec *trace.Recorder, nreq Request, hash string, win csd.Window, truth *qflow.Truth, res *Result, sur *trace.SurrogateMeta) error {
+// writeTrace writes the probe trace st recorded, if it recorded one: result
+// is the job's Result, or with pair set a chain pair's PairResult. The
+// caller passes the identity the replay needs; the stack adds its base
+// accounting and twin snapshot.
+func (s *Service) writeTrace(st *probeStack, nreq Request, hash string, win csd.Window, truth *qflow.Truth, pair *int, result any) error {
+	if st.rec == nil {
+		return nil
+	}
 	reqJSON, err := json.Marshal(nreq)
 	if err != nil {
 		return err
 	}
-	resJSON, err := json.Marshal(res)
+	resJSON, err := json.Marshal(result)
 	if err != nil {
 		return err
 	}
+	base := st.rec.Base()
 	meta := trace.Meta{
 		Hash:             hash,
 		Request:          reqJSON,
 		Result:           resJSON,
 		Window:           win,
-		Surrogate:        sur,
-		BaseUniqueProbes: rec.Base().UniqueProbes,
-		BaseRawCalls:     rec.Base().RawCalls,
-		BaseVirtualNS:    int64(rec.Base().Virtual),
+		Pair:             pair,
+		Surrogate:        st.snap,
+		BaseUniqueProbes: base.UniqueProbes,
+		BaseRawCalls:     base.RawCalls,
+		BaseVirtualNS:    int64(base.Virtual),
 	}
 	if truth != nil {
 		meta.Truth = &trace.Truth{Steep: truth.SteepSlope, Shallow: truth.ShallowSlope}
 	}
-	_, err = trace.Write(s.traceDir, meta, rec.Samples())
+	_, err = trace.Write(s.traceDir, meta, st.rec.Samples())
 	return err
 }
 
@@ -246,7 +253,9 @@ func ComparePairResults(got, want *chainx.PairResult) []string {
 // ReplayTrace re-executes the extraction recorded in the trace file at
 // path: the recorded request runs through the same pipeline code against a
 // replayer serving the recorded probe samples, with zero live-instrument
-// probes, and the reproduced result must come back byte-identical.
+// probes, and the reproduced result must come back byte-identical. A chain
+// pair's trace re-runs that pair's escalation ladder and compares its
+// PairResult.
 func ReplayTrace(path string) (*ReplayOutcome, error) {
 	meta, samples, err := trace.Read(path)
 	if err != nil {
@@ -265,27 +274,13 @@ func ReplayTrace(path string) (*ReplayOutcome, error) {
 	if hash, err := hashNormalized(nreq); err != nil || hash != meta.Hash {
 		return nil, fmt.Errorf("service: trace %s: request does not hash to the recorded %q", path, meta.Hash)
 	}
-	if meta.Pair != nil {
-		return replayChainPairTrace(path, meta, samples, nreq)
+	if err := checkTraceWindow(nreq, meta); err != nil {
+		return nil, fmt.Errorf("service: trace %s: %w", path, err)
 	}
-	var recorded Result
-	if err := json.Unmarshal(meta.Result, &recorded); err != nil {
-		return nil, fmt.Errorf("service: trace result: %w", err)
-	}
-	var truth *qflow.Truth
-	if meta.Truth != nil {
-		truth = &qflow.Truth{SteepSlope: meta.Truth.Steep, ShallowSlope: meta.Truth.Shallow}
-	}
-	rp := trace.NewReplayer(meta, samples)
-	res := &Result{
-		Kind:      nreq.Kind,
-		Benchmark: nreq.Benchmark,
-		Session:   nreq.Session,
-		Hash:      meta.Hash,
-	}
-	// A surrogate trace holds only the escalated probes: rebuild the same
+	// A twin-first trace holds only the escalated probes: rebuild the same
 	// Hybrid over the recorded twin snapshot so every serve/escalate decision
 	// replays identically and the replayer sees exactly the recorded stream.
+	rp := trace.NewReplayer(meta, samples)
 	var inst device.Metered = rp
 	var hyb *surrogate.Hybrid
 	if meta.Surrogate != nil {
@@ -296,23 +291,45 @@ func ReplayTrace(path string) (*ReplayOutcome, error) {
 		hyb = &surrogate.Hybrid{Model: model, Inner: rp, Threshold: meta.Surrogate.Threshold, Learn: meta.Surrogate.Learn}
 		inst = hyb
 	}
-	out := &ReplayOutcome{Source: path, Kind: nreq.Kind, Hash: meta.Hash, Recorded: &recorded}
-	if err := runPipelines(context.Background(), nreq, inst, meta.Window, truth, res); err != nil {
-		return nil, err
-	}
-	if hyb != nil && nreq.Sim != nil {
-		// Mirror settleTwin's post-job refit so Cells/Fitted reproduce.
-		if hyb.Learn {
-			_ = hyb.Model.Fit()
+	ctx := context.Background()
+	out := &ReplayOutcome{Source: path, Kind: nreq.Kind, Hash: meta.Hash, Pair: meta.Pair}
+	if meta.Pair != nil {
+		var recorded chainx.PairResult
+		if err := json.Unmarshal(meta.Result, &recorded); err != nil {
+			return nil, fmt.Errorf("service: trace pair result: %w", err)
 		}
-		key, err := specTwinKey(*nreq.Sim)
+		pres, err := chainx.ExtractPair(ctx, *meta.Pair, inst, meta.Window, chainConfig(ctx, nreq))
 		if err != nil {
 			return nil, err
 		}
-		res.Surrogate = surrogateReport(key, hyb)
+		out.Diffs = ComparePairResults(pres, &recorded)
+	} else {
+		var recorded Result
+		if err := json.Unmarshal(meta.Result, &recorded); err != nil {
+			return nil, fmt.Errorf("service: trace result: %w", err)
+		}
+		var truth *qflow.Truth
+		if meta.Truth != nil {
+			truth = &qflow.Truth{SteepSlope: meta.Truth.Steep, ShallowSlope: meta.Truth.Shallow}
+		}
+		res := &Result{Kind: nreq.Kind, Benchmark: nreq.Benchmark, Session: nreq.Session, Hash: meta.Hash}
+		if err := runPipelines(ctx, nreq, inst, meta.Window, truth, res); err != nil {
+			return nil, err
+		}
+		if hyb != nil && nreq.Sim != nil {
+			// Mirror settleTwin's post-job refit so Cells/Fitted reproduce.
+			if hyb.Learn {
+				_ = hyb.Model.Fit()
+			}
+			key, err := specTwinKey(*nreq.Sim)
+			if err != nil {
+				return nil, err
+			}
+			res.Surrogate = surrogateReport(key, hyb)
+		}
+		out.Recorded, out.Reproduced = &recorded, res
+		out.Diffs = CompareResults(res, &recorded)
 	}
-	out.Reproduced = res
-	out.Diffs = CompareResults(res, &recorded)
 	if err := rp.Err(); err != nil {
 		out.ReplayErr = err.Error()
 	} else if rem := rp.Remaining(); rem != 0 {
@@ -322,40 +339,45 @@ func ReplayTrace(path string) (*ReplayOutcome, error) {
 	return out, nil
 }
 
-// replayChainPairTrace re-executes one pair of a recorded chain job: the
-// pair's escalation ladder runs against the recorded samples and must
-// reproduce the recorded PairResult bit for bit.
-func replayChainPairTrace(path string, meta trace.Meta, samples []trace.Sample, nreq Request) (*ReplayOutcome, error) {
-	if nreq.Kind != KindChain {
-		return nil, fmt.Errorf("service: trace %s: pair index on a non-chain request", path)
-	}
-	pair := *meta.Pair
-	var recorded chainx.PairResult
-	if err := json.Unmarshal(meta.Result, &recorded); err != nil {
-		return nil, fmt.Errorf("service: trace pair result: %w", err)
-	}
-	out := &ReplayOutcome{Source: path, Kind: nreq.Kind, Hash: meta.Hash, Pair: meta.Pair}
-	rp := trace.NewReplayer(meta, samples)
-	var inst chainx.PairInstrument = rp
-	if meta.Surrogate != nil {
-		model, err := surrogate.Decode(meta.Surrogate.Model)
-		if err != nil {
-			return nil, fmt.Errorf("service: trace surrogate model: %w", err)
+// checkTraceWindow refuses a trace window replay must not size grids by:
+// no hash covers it. A benchmark, sim or chain-pair request fixes the
+// window, so the trace's must equal it; a session request does not, so the
+// trace's must be a valid window within device.MaxPixels on each axis.
+func checkTraceWindow(nreq Request, meta trace.Meta) error {
+	var want csd.Window
+	switch {
+	case meta.Pair != nil:
+		if nreq.Kind != KindChain {
+			return errors.New("pair index on a non-chain request")
 		}
-		inst = &surrogate.Hybrid{Model: model, Inner: rp, Threshold: meta.Surrogate.Threshold, Learn: meta.Surrogate.Learn}
+		if p := *meta.Pair; p < 0 || p >= len(nreq.Chain.Windows) {
+			return fmt.Errorf("pair %d outside the %d-dot chain", p, nreq.ChainSim.Dots)
+		}
+		want = nreq.Chain.Windows[*meta.Pair]
+	case nreq.Kind == KindChain:
+		return errors.New("chain request without a pair index")
+	case nreq.Benchmark != 0:
+		suite, err := qflow.Suite()
+		if err != nil {
+			return err
+		}
+		want = suite[nreq.Benchmark-1].Window
+	case nreq.Sim != nil:
+		want = nreq.Sim.Window()
+	default:
+		w := meta.Window
+		if err := w.Validate(); err != nil {
+			return err
+		}
+		if w.Cols > device.MaxPixels || w.Rows > device.MaxPixels {
+			return fmt.Errorf("session window %dx%d exceeds %d pixels", w.Cols, w.Rows, device.MaxPixels)
+		}
+		return nil
 	}
-	pres, err := chainx.ExtractPair(context.Background(), pair, inst, meta.Window, chainConfig(context.Background(), nreq))
-	if err != nil {
-		return nil, err
+	if meta.Window != want {
+		return fmt.Errorf("window %+v is not the request's %+v", meta.Window, want)
 	}
-	out.Diffs = ComparePairResults(pres, &recorded)
-	if err := rp.Err(); err != nil {
-		out.ReplayErr = err.Error()
-	} else if rem := rp.Remaining(); rem != 0 {
-		out.ReplayErr = fmt.Sprintf("trace: %d recorded samples never replayed", rem)
-	}
-	out.Match = len(out.Diffs) == 0 && out.ReplayErr == ""
-	return out, nil
+	return nil
 }
 
 // ReplayJournal re-executes every extraction journaled under dir against

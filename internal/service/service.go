@@ -24,6 +24,7 @@ import (
 	"github.com/fastvg/fastvg/internal/rays"
 	"github.com/fastvg/fastvg/internal/sched"
 	"github.com/fastvg/fastvg/internal/store"
+	"github.com/fastvg/fastvg/internal/surrogate"
 	"github.com/fastvg/fastvg/internal/telemetry"
 	"github.com/fastvg/fastvg/internal/trace"
 	"github.com/fastvg/fastvg/internal/virtualgate"
@@ -703,11 +704,7 @@ func (s *Service) runJobKind(ctx context.Context, nreq Request, hash string) (*R
 			return nil, err
 		}
 		truth := qflow.Truth{SteepSlope: nreq.Sim.SteepSlope, ShallowSlope: nreq.Sim.ShallowSlope}
-		run := s.runInstrumented
-		if sur := nreq.Sim.Surrogate; sur != nil && sur.Threshold > 0 {
-			run = s.runSurrogate
-		}
-		if err := run(ctx, nreq, hash, inst, win, &truth, res); err != nil {
+		if err := s.runInstrumented(ctx, nreq, hash, inst, win, &truth, res); err != nil {
 			return nil, err
 		}
 	default:
@@ -745,19 +742,61 @@ func (s *Service) countMethodProbes(res *Result) {
 	vec.With(string(kindMethod(res.Kind))).Add(int64(res.Probes))
 }
 
-// runInstrumented executes the request's pipeline against inst, recording a
-// probe trace around it when trace recording is on. The recorder exposes
-// only the scalar probing contract, so the pipelines fall back to per-probe
-// calls — bit-identical to the batch paths by the internal/device contract.
-func (s *Service) runInstrumented(ctx context.Context, nreq Request, hash string, inst device.Metered, win csd.Window, truth *qflow.Truth, res *Result) error {
-	if s.traceDir == "" {
-		return runPipelines(ctx, nreq, inst, win, truth, res)
+// probeStack is what one extraction probes, built bottom up: the
+// instrument, a trace recorder over it when the service records traces, and
+// the device's twin over that when the request is twin-first. The twin sits
+// outside the recorder, so a trace holds exactly the probes that reached the
+// instrument. Every job and every chain pair probes through one.
+type probeStack struct {
+	top  device.Metered       // what the pipeline probes
+	rec  *trace.Recorder      // nil unless recording traces
+	tw   *twin                // held by the job until it settles; nil unless twin-first
+	hyb  *surrogate.Hybrid    // tw's model over rec, or over the instrument
+	snap *trace.SurrogateMeta // tw before the first probe, when recording
+}
+
+// newProbeStack stacks a recorder over inst when the service records
+// traces, then, when tw is non-nil, tw's model with sur's knobs. The
+// recorder hides the batch probing paths, so a recorded pipeline probes
+// point by point — bit-identical to the batch paths by the internal/device
+// contract. The caller holds tw.mu until the stack settles.
+func (s *Service) newProbeStack(inst device.Metered, sur *device.SurrogateSpec, tw *twin) *probeStack {
+	st := &probeStack{top: inst, tw: tw}
+	if s.traceDir != "" {
+		st.rec = trace.NewRecorder(inst)
+		st.top = st.rec
 	}
-	rec := trace.NewRecorder(inst)
-	if err := runPipelines(ctx, nreq, rec, win, truth, res); err != nil {
+	if tw != nil {
+		if st.rec != nil {
+			// Snapshot before any probe: replay rebuilds this exact model.
+			st.snap = &trace.SurrogateMeta{Model: tw.model.Encode(), Threshold: sur.Threshold, Learn: !sur.NoLearn}
+		}
+		st.hyb = &surrogate.Hybrid{Model: tw.model, Inner: st.top, Threshold: sur.Threshold, Learn: !sur.NoLearn, Metrics: s.metrics.sur}
+		st.top = st.hyb
+	}
+	return st
+}
+
+// runInstrumented executes the request's pipeline through inst's probe
+// stack — a twin-first sim request holds its device's twin for the run —
+// then settles the twin and writes the trace.
+func (s *Service) runInstrumented(ctx context.Context, nreq Request, hash string, inst device.Metered, win csd.Window, truth *qflow.Truth, res *Result) error {
+	var sur *device.SurrogateSpec
+	var tw *twin
+	if nreq.Sim != nil && twinFirst(nreq.Sim.Surrogate) {
+		key, err := specTwinKey(*nreq.Sim)
+		if err != nil {
+			return err
+		}
+		sur, tw = nreq.Sim.Surrogate, s.acquireTwin(key, win)
+		defer tw.mu.Unlock()
+	}
+	st := s.newProbeStack(inst, sur, tw)
+	if err := runPipelines(ctx, nreq, st.top, win, truth, res); err != nil {
 		return err
 	}
-	if err := s.writeTrace(rec, nreq, hash, win, truth, res, nil); err != nil {
+	res.Surrogate = s.settleTwin(st)
+	if err := s.writeTrace(st, nreq, hash, win, truth, nil, res); err != nil {
 		s.metrics.persistErrs.Inc()
 	}
 	return nil

@@ -2,8 +2,8 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -41,7 +41,18 @@ var reqIDSeq atomic.Int64
 
 // nextRequestID generates a request ID for callers that sent none.
 func nextRequestID() string {
-	return fmt.Sprintf("req-%06d", reqIDSeq.Add(1))
+	return requestID(reqIDSeq.Add(1))
+}
+
+// requestID renders the n-th generated request ID, fmt's "req-%06d" for
+// n >= 0, in one allocation: fmt would box n once it passes 255.
+func requestID(n int64) string {
+	var buf [32]byte
+	b := append(buf[:0], "req-"...)
+	for p := int64(100000); p > 1 && n < p; p /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, n, 10))
 }
 
 // liveMetricsKey carries the service metric set to call sites reached

@@ -21,7 +21,6 @@ package service
 // for bit.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -34,7 +33,6 @@ import (
 
 	"github.com/fastvg/fastvg/internal/csd"
 	"github.com/fastvg/fastvg/internal/device"
-	"github.com/fastvg/fastvg/internal/qflow"
 	"github.com/fastvg/fastvg/internal/store"
 	"github.com/fastvg/fastvg/internal/surrogate"
 	"github.com/fastvg/fastvg/internal/trace"
@@ -46,6 +44,7 @@ import (
 // device they model.
 type twin struct {
 	mu          sync.Mutex
+	key         string // registry and journal key
 	model       *surrogate.Model
 	hits        int64
 	escalations int64
@@ -89,7 +88,7 @@ func (s *Service) acquireTwin(key string, win csd.Window) *twin {
 	s.twinMu.Lock()
 	tw, ok := s.twins[key]
 	if !ok {
-		tw = &twin{}
+		tw = &twin{key: key}
 		s.twins[key] = tw
 	}
 	s.twinMu.Unlock()
@@ -127,62 +126,35 @@ func surrogateReport(key string, hyb *surrogate.Hybrid) *SurrogateReport {
 	}
 }
 
-// runSurrogate is runInstrumented for a surrogate-enabled sim target: the
-// pipeline probes a Hybrid over the spec's twin, with the instrument (or its
-// trace recorder, so the trace holds exactly the escalated probes) as the
-// escalation backend.
-func (s *Service) runSurrogate(ctx context.Context, nreq Request, hash string, inst device.Metered, win csd.Window, truth *qflow.Truth, res *Result) error {
-	sur := nreq.Sim.Surrogate
-	key, err := specTwinKey(*nreq.Sim)
-	if err != nil {
-		return err
-	}
-	tw := s.acquireTwin(key, win)
-	defer tw.mu.Unlock()
-	backend := inst
-	var rec *trace.Recorder
-	var meta *trace.SurrogateMeta
-	if s.traceDir != "" {
-		// Snapshot before any probe: replay rebuilds this exact model.
-		meta = &trace.SurrogateMeta{Model: tw.model.Encode(), Threshold: sur.Threshold, Learn: !sur.NoLearn}
-		rec = trace.NewRecorder(inst)
-		backend = rec
-	}
-	hyb := &surrogate.Hybrid{Model: tw.model, Inner: backend, Threshold: sur.Threshold, Learn: !sur.NoLearn, Metrics: s.metrics.sur}
-	if err := runPipelines(ctx, nreq, hyb, win, truth, res); err != nil {
-		return err
-	}
-	res.Surrogate = s.settleTwin(key, tw, hyb)
-	if rec != nil {
-		if err := s.writeTrace(rec, nreq, hash, win, truth, res, meta); err != nil {
-			s.metrics.persistErrs.Inc()
-		}
-	}
-	return nil
-}
+// twinFirst reports whether sur asks for twin-first probing.
+func twinFirst(sur *device.SurrogateSpec) bool { return sur != nil && sur.Threshold > 0 }
 
-// settleTwin finishes a surrogate job against its twin: refit from whatever
-// the job escalated, accumulate the lifetime counters, journal the model and
-// return the job's report. Callers hold tw.mu.
-func (s *Service) settleTwin(key string, tw *twin, hyb *surrogate.Hybrid) *SurrogateReport {
-	if hyb.Learn {
+// settleTwin finishes a twin-first stack's job on its twin: refit from
+// whatever the job escalated, accumulate the lifetime counters, journal the
+// model and return the job's report; nil for a stack without a twin. The
+// caller still holds the twin.
+func (s *Service) settleTwin(st *probeStack) *SurrogateReport {
+	if st.tw == nil {
+		return nil
+	}
+	if st.hyb.Learn {
 		// Refit is best-effort: too few cells or no clear transition just
 		// leaves the previous fit (or none) in place.
-		_ = tw.model.Fit()
+		_ = st.tw.model.Fit()
 	}
-	rep := surrogateReport(key, hyb)
-	tw.hits += int64(rep.Hits)
-	tw.escalations += int64(rep.Escalations)
-	s.persistTwin(key, tw)
+	rep := surrogateReport(st.tw.key, st.hyb)
+	st.tw.hits += int64(rep.Hits)
+	st.tw.escalations += int64(rep.Escalations)
+	s.persistTwin(st.tw)
 	return rep
 }
 
 // persistTwin journals a twin's current model. Callers hold tw.mu.
-func (s *Service) persistTwin(key string, tw *twin) {
+func (s *Service) persistTwin(tw *twin) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.Put(store.KindSurrogateModel, key, tw.model.Encode()); err != nil {
+	if err := s.store.Put(store.KindSurrogateModel, tw.key, tw.model.Encode()); err != nil {
 		s.metrics.persistErrs.Inc()
 	}
 }
@@ -199,7 +171,7 @@ func (s *Service) restoreTwins(st *store.Store) {
 		if err != nil {
 			continue
 		}
-		s.twins[rec.Key] = &twin{model: model}
+		s.twins[rec.Key] = &twin{key: rec.Key, model: model}
 	}
 }
 
@@ -286,8 +258,14 @@ func (s *Service) TrainSurrogates() (map[string]int, error) {
 		if err != nil {
 			continue // unreadable or foreign file: not this trace dir's problem
 		}
-		var nreq Request
-		if json.Unmarshal(meta.Request, &nreq) != nil {
+		var req Request
+		if json.Unmarshal(meta.Request, &req) != nil {
+			continue
+		}
+		// The window sizes the twin's grid, and no hash covers it: train
+		// only from a trace replay would accept.
+		nreq, err := req.Normalized()
+		if err != nil || checkTraceWindow(nreq, meta) != nil {
 			continue
 		}
 		var key string
@@ -310,7 +288,7 @@ func (s *Service) TrainSurrogates() (map[string]int, error) {
 		}
 		fed[key] += len(samples)
 		_ = tw.model.Fit()
-		s.persistTwin(key, tw)
+		s.persistTwin(tw)
 		tw.mu.Unlock()
 	}
 	return fed, nil

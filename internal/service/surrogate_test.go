@@ -2,11 +2,13 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/fastvg/fastvg/internal/csd"
 	"github.com/fastvg/fastvg/internal/device"
 	"github.com/fastvg/fastvg/internal/noise"
 	"github.com/fastvg/fastvg/internal/surrogate"
@@ -233,6 +235,40 @@ func TestSurrogateTrainFromTraces(t *testing.T) {
 	}
 	if !res.Success {
 		t.Errorf("trace-trained extraction failed the accuracy criterion: %+v", res)
+	}
+}
+
+// TestSurrogateTrainSkipsCraftedWindow: training sizes a twin by its
+// trace's window, which no hash covers. A sim trace whose window is not the
+// spec's is skipped — a 3 × 2^62 window panicked inside acquireTwin and
+// left the device's twin locked — and the device's twin-first jobs still
+// run.
+func TestSurrogateTrainSkipsCraftedWindow(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := New(Config{Workers: 1, DataDir: dir, RecordTraces: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	req, err := Request{Kind: KindFast, Sim: surrogateSpec(17)}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqJSON, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := csd.Window{V1Max: 1, V2Max: 1, Cols: 3, Rows: 1 << 62}
+	if _, err := trace.Write(filepath.Join(dir, "traces"), trace.Meta{Hash: "crafted", Request: reqJSON,
+		Result: json.RawMessage(`{}`), Window: huge}, nil); err != nil {
+		t.Fatal(err)
+	}
+	fed, err := svc.TrainSurrogates()
+	if err != nil || len(fed) != 0 {
+		t.Fatalf("trained %v (err %v), want nothing from the crafted trace", fed, err)
+	}
+	if _, err := svc.Run(context.Background(), req); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -390,6 +391,19 @@ func TestRequestIDEcho(t *testing.T) {
 	resp2.Body.Close()
 	if got := resp2.Header.Get("X-Request-ID"); !regexp.MustCompile(`^req-\d{6}$`).MatchString(got) {
 		t.Errorf("minted id = %q, want req-NNNNNN", got)
+	}
+}
+
+// TestRequestIDFormat pins minted request IDs to fmt's "req-%06d" and to
+// one allocation each, also past 255, where fmt starts boxing the counter.
+func TestRequestIDFormat(t *testing.T) {
+	for _, n := range []int64{1, 255, 256, 999999, 1000000, 1234567890123456789} {
+		if got, want := requestID(n), fmt.Sprintf("req-%06d", n); got != want {
+			t.Errorf("requestID(%d) = %q, want %q", n, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = requestID(256) }); allocs != 1 {
+		t.Errorf("requestID(256) allocates %.1f objects, want 1", allocs)
 	}
 }
 

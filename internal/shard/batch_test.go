@@ -321,7 +321,7 @@ func TestCachedBatchAllocs(t *testing.T) {
 	h, body := newCachedBatch(t)
 	allocs := testing.AllocsPerRun(200, func() { serveCachedBatch(t, h, body) })
 	t.Logf("%.1f allocs per cached batch", allocs)
-	if allocs > 35 {
-		t.Fatalf("cached batch allocates %.1f objects, want at most 35", allocs)
+	if allocs > 34 {
+		t.Fatalf("cached batch allocates %.1f objects, want at most 34", allocs)
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 // FormatVersion is the on-disk format version of every file this repository
@@ -122,44 +121,6 @@ func NextFrame(b []byte) (payload, rest []byte, err error) {
 		return nil, nil, fmt.Errorf("%w: CRC mismatch", ErrTorn)
 	}
 	return payload, b[frameHeaderLen+int(n):], nil
-}
-
-// ReadFileHeader reads and validates the magic + version header from r —
-// the streaming counterpart of CheckFileHeader, for readers that must not
-// load a whole file (trace sample iteration).
-func ReadFileHeader(r io.Reader, magic string) error {
-	var hdr [fileHeaderLen]byte
-	n, err := io.ReadFull(r, hdr[:])
-	if err != nil {
-		return fmt.Errorf("%w: %d-byte header", ErrTorn, n)
-	}
-	_, err = CheckFileHeader(hdr[:], magic)
-	return err
-}
-
-// ReadFrame reads and verifies one frame from r — the streaming counterpart
-// of NextFrame. A clean end of stream returns (nil, nil); a partial frame,
-// an oversized length or a CRC mismatch return ErrTorn.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("%w: frame header: %v", ErrTorn, err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFramePayload {
-		return nil, fmt.Errorf("%w: frame length %d exceeds limit", ErrTorn, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: frame payload: %v", ErrTorn, err)
-	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrTorn)
-	}
-	return payload, nil
 }
 
 // appendRecordPayload encodes a record as a frame payload.
