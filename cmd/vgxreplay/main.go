@@ -187,11 +187,7 @@ func main() {
 				}
 			case o.Match:
 				if *verbose {
-					probes := 0
-					if o.Recorded != nil {
-						probes = o.Recorded.Probes
-					}
-					fmt.Printf("OK    %-9s %s probes=%d live=%d\n", kind, o.Source, probes, o.LiveProbes)
+					fmt.Printf("OK    %-9s %s probes=%d live=%d\n", kind, o.Source, o.RecordedProbes(), o.LiveProbes)
 				}
 			default:
 				fmt.Printf("FAIL  %-9s %s\n", kind, o.Source)

@@ -1,0 +1,40 @@
+package core
+
+import (
+	"testing"
+
+	"github.com/fastvg/fastvg/internal/csd"
+	"github.com/fastvg/fastvg/internal/device"
+	"github.com/fastvg/fastvg/internal/noise"
+)
+
+// raceEnabled is set in race builds, where sync.Pool drops items at random
+// and allocation counts differ.
+var raceEnabled bool
+
+// extractAllocs is what one fast extraction on a freshly built spec sim
+// allocates: device build, anchor search, sweeps, filter, knee fit and
+// refinement. Row segments, memo rows and the knee fit's optimisers no
+// longer allocate per probe, per row growth or per iteration.
+const extractAllocs = 580
+
+// TestExtractAllocs pins the allocation count of one fast extraction on a
+// spec-built sim, the work behind every cold fast request and chain pair.
+func TestExtractAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	run := func() {
+		spec := device.DoubleDotSpec{Pixels: 100, Seed: 21, Noise: noise.Params{WhiteSigma: 0.01, PinkAmp: 0.012, PinkN: 12}}
+		inst, win, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Extract(csd.PixelSource{Src: inst, Win: win}, win, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, run); allocs > extractAllocs {
+		t.Fatalf("one fast extraction allocates %.0f objects, want at most %d", allocs, extractAllocs)
+	}
+}

@@ -6,6 +6,7 @@ package csd
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/fastvg/fastvg/internal/grid"
 )
@@ -105,7 +106,7 @@ type CurrentGetter interface {
 // one call, bit-identically to the equivalent GetCurrent sequence (same
 // currents, same accounting, same noise realisation). Acquisition routes
 // through it when available, replacing per-pixel interface dispatch with
-// one call per row.
+// one call per row. Implementations must not retain v1s or out.
 type RowGetter interface {
 	CurrentRow(v2 float64, v1s, out []float64)
 }
@@ -172,17 +173,26 @@ func (p PixelSource) Current(x, y int) float64 {
 	return p.Src.GetCurrent(p.Win.V1At(x), p.Win.V2At(y))
 }
 
+// rowVoltages holds the voltage lists Row hands to a RowGetter, so that a
+// row segment costs no heap allocation.
+var rowVoltages = sync.Pool{New: func() any { return new([]float64) }}
+
 // Row probes the len(out) pixels of row y starting at column x0 into out,
 // pulling the whole row through the instrument's RowGetter fast path when
 // it has one. Results are bit-identical to per-pixel Current calls in
 // column order.
 func (p PixelSource) Row(y, x0 int, out []float64) {
 	if rg, ok := p.Src.(RowGetter); ok {
-		v1s := make([]float64, len(out))
+		buf := rowVoltages.Get().(*[]float64)
+		if cap(*buf) < len(out) {
+			*buf = make([]float64, len(out))
+		}
+		v1s := (*buf)[:len(out)]
 		for i := range v1s {
 			v1s[i] = p.Win.V1At(x0 + i)
 		}
 		rg.CurrentRow(p.Win.V2At(y), v1s, out)
+		rowVoltages.Put(buf)
 		return
 	}
 	v2 := p.Win.V2At(y)

@@ -197,3 +197,26 @@ func TestPixelSourceRowMatchesCurrent(t *testing.T) {
 		t.Fatalf("Row did not route through CurrentRow (row %d, scalar %d)", rowed.rowCalls, rowed.calls)
 	}
 }
+
+// raceEnabled is set in race builds, where sync.Pool drops items at random
+// and allocation counts differ.
+var raceEnabled bool
+
+// TestPixelSourceRowAllocs pins Row over a RowGetter to no allocation: the
+// anchor search's mask sweeps call it once per 5- and 3-pixel segment.
+func TestPixelSourceRowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	ps := PixelSource{Src: &rowSrc{}, Win: NewSquareWindow(0, 0, 50, 100)}
+	seg5, seg3 := make([]float64, 5), make([]float64, 3)
+	y := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		y = (y + 1) % 100
+		ps.Row(y, 10, seg5)
+		ps.Row(y, 0, seg3)
+	})
+	if allocs != 0 {
+		t.Fatalf("PixelSource.Row allocates %.1f objects per two rows, want 0", allocs)
+	}
+}

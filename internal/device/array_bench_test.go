@@ -7,6 +7,9 @@ package device
 
 import (
 	"testing"
+	"time"
+
+	"github.com/fastvg/fastvg/internal/noise"
 )
 
 func benchMultiInstrument(b *testing.B, n int) (*MultiInstrument, [][]float64) {
@@ -68,5 +71,42 @@ func TestMultiMemoHitAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() { inst.GetCurrentN(v) })
 	if allocs != 0 {
 		t.Fatalf("memo hit allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// BenchmarkPairViewRaster measures the instrument chain jobs and fleet
+// chains probe: a PairView from a 6-dot ChainSpec.BuildPair, rastered over
+// its 100×100 window through GetCurrent. Every probe is fresh, because the
+// memo opens a new epoch before each raster, so one op is 10,000 ground-
+// state searches, sensor responses and noise samples; ns/probe prices one.
+func BenchmarkPairViewRaster(b *testing.B) {
+	for _, preset := range []struct {
+		name  string
+		noise noise.Params
+	}{{"quiet", noise.PresetQuiet()}, {"standard", noise.PresetStandard()}} {
+		b.Run(preset.name, func(b *testing.B) {
+			spec := ChainSpec{Dots: 6, Noise: preset.noise, Seed: 9}
+			pv, win, err := spec.BuildPair(2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			v1s, v2s := make([]float64, win.Cols), make([]float64, win.Rows)
+			for x := range v1s {
+				v1s[x] = win.V1At(x)
+			}
+			for y := range v2s {
+				v2s[y] = win.V2At(y)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				pv.M.Advance(time.Second)
+				for _, v2 := range v2s {
+					for _, v1 := range v1s {
+						pv.GetCurrent(v1, v2)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(v1s)*len(v2s)), "ns/probe")
+		})
 	}
 }

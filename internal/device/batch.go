@@ -48,6 +48,11 @@ type BatchInstrument interface {
 // replace. When the epoch wraps, a stamp from 255 epochs ago could read as
 // current, so each row clears its stamps on its first use after a wrap
 // (and rows not yet used since are skipped as empty).
+//
+// A store sized for a scan window (fitWindow) starts each row at the
+// window's first column cell, so a row never grows leftward within the
+// window, and caps a row's growth at the window's width, so it grows at
+// most once for windows up to twice memoRowCells wide.
 type memoRows struct {
 	rows    map[int64]*memoRow
 	lastKey int64
@@ -55,7 +60,13 @@ type memoRows struct {
 	count   int    // cells memoised in the current epoch
 	epoch   uint8  // stamp of the current epoch's cells; never 0
 	wraps   uint64 // times epoch has wrapped
+	lo      int64  // first column cell of the sized window
+	width   int    // the sized window's width in cells; 0 = unsized
 }
+
+// memoRowCells is a row's first allocation, so that a row probed only near
+// the window's left edge stays small.
+const memoRowCells = 64
 
 // memoRow is one quantised-v2 row: vals[i] holds the current of v1 cell
 // base+i where stamp[i] is the store's current epoch.
@@ -68,6 +79,16 @@ type memoRow struct {
 
 func newMemoRows() memoRows {
 	return memoRows{rows: make(map[int64]*memoRow), epoch: 1}
+}
+
+// fitWindow sizes the store for probes on win's pixels at pitch q1 along
+// v1: rows start at the window's first column cell and grow at most to its
+// width, and the row map is presized for the window's rows. Call it before
+// the first probe.
+func (m *memoRows) fitWindow(win csd.Window, q1 float64) {
+	m.lo = quantKey(win.V1At(0), q1)
+	m.width = int(quantKey(win.V1At(win.Cols-1), q1) - m.lo + 1)
+	m.rows = make(map[int64]*memoRow, win.Rows)
 }
 
 // row returns the bucket for a quantised-v2 key, creating it on first use
@@ -111,7 +132,13 @@ func (m *memoRows) get(r *memoRow, c int64) (float64, bool) {
 // put records v as the current epoch's value of cell c in row r, which get
 // has just reported unset.
 func (m *memoRows) put(r *memoRow, c int64, v float64) {
-	i := r.grow(c)
+	if len(r.vals) == 0 && c >= m.lo && c-m.lo < int64(m.width) {
+		n := min(m.width, memoRowCells)
+		r.base = m.lo
+		r.vals = make([]float64, n)
+		r.stamp = make([]uint8, n)
+	}
+	i := r.grow(c, m.width)
 	r.vals[i] = v
 	r.stamp[i] = m.epoch
 	m.count++
@@ -142,12 +169,13 @@ func (m *memoRows) cellsSorted() [][2]int64 {
 }
 
 // grow extends the row to cover cell c and returns c's index. New cells
-// carry stamp 0, which no epoch uses.
-func (r *memoRow) grow(c int64) int64 {
+// carry stamp 0, which no epoch uses. A row growing rightward to a cell
+// within width cells of its base stops at width cells.
+func (r *memoRow) grow(c int64, width int) int64 {
 	if len(r.vals) == 0 {
 		r.base = c
-		r.vals = make([]float64, 1, 64)
-		r.stamp = make([]uint8, 1, 64)
+		r.vals = make([]float64, 1, memoRowCells)
+		r.stamp = make([]uint8, 1, memoRowCells)
 		return 0
 	}
 	i := c - r.base
@@ -178,6 +206,9 @@ func (r *memoRow) grow(c int64) int64 {
 			}
 		} else {
 			newCap := 2 * cap(r.vals)
+			if newCap > width && need <= width {
+				newCap = width
+			}
 			if newCap < need {
 				newCap = need
 			}

@@ -197,10 +197,12 @@ func (s *ChainSpec) BuildPair(i int) (*PairView, csd.Window, error) {
 	if err != nil {
 		return nil, csd.Window{}, err
 	}
+	win := s.Window()
+	inst.plane.fitWindow(win, inst.Quant)
 	if i < len(s.PairDrift) {
 		pv.Drift = s.PairDrift[i].build(pairSeed)
 	}
-	return pv, s.Window(), nil
+	return pv, win, nil
 }
 
 // PairTruth returns the analytic (steep, shallow) transition-line slopes of

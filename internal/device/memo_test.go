@@ -282,8 +282,8 @@ func TestPlaneReach(t *testing.T) {
 	if rows, n := len(pv.M.plane.rows), len(pv.M.memo); rows != 1 || n != 2 || pv.M.plane.count != 1 {
 		t.Fatalf("plane holds %d rows (%d cells), map %d entries; want 1 row of 1 cell, 2 far entries", rows, pv.M.plane.count, n)
 	}
-	if r := pv.M.plane.row(quantKey(win.V2At(20), pv.M.Quant)); len(r.vals) != 1 {
-		t.Fatalf("plane row spans %d cells, want 1", len(r.vals))
+	if r := pv.M.plane.row(quantKey(win.V2At(20), pv.M.Quant)); len(r.vals) != memoRowCells {
+		t.Fatalf("plane row spans %d cells, want the window's %d", len(r.vals), memoRowCells)
 	}
 }
 

@@ -46,3 +46,20 @@ func TestTheilSenAllocs(t *testing.T) {
 		t.Fatalf("TheilSen allocates %.1f objects/op, want at most 1", allocs)
 	}
 }
+
+// TestFitKneeAllocs pins FitKnee to three buffers: one for
+// Levenberg–Marquardt's vectors and matrices, and Nelder–Mead's vertex
+// values and vertex list. Neither optimiser allocates per iteration.
+func TestFitKneeAllocs(t *testing.T) {
+	truth := Polyline2{A: Vec2{60, 1}, K: Vec2{54, 42}, B: Vec2{1, 49}}
+	pts := syntheticPolylinePoints(truth, 100, 0.8, 4)
+	init := InitialKnee(pts, truth.A, truth.B)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := FitKnee(pts, truth.A, truth.B, init); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("FitKnee allocates %.1f objects/op, want at most 3", allocs)
+	}
+}

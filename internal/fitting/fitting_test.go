@@ -158,14 +158,12 @@ func TestLevMarExponentialFit(t *testing.T) {
 		xs[i] = float64(i) * 0.1
 		ys[i] = 2.5 * math.Exp(-0.8*xs[i])
 	}
-	resid := func(p []float64) []float64 {
-		r := make([]float64, len(xs))
+	resid := func(p, r []float64) {
 		for i := range xs {
 			r[i] = p[0]*math.Exp(p[1]*xs[i]) - ys[i]
 		}
-		return r
 	}
-	p, err := LevMar(resid, []float64{1, -0.1}, LMOptions{})
+	p, err := LevMar(resid, len(xs), []float64{1, -0.1}, LMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +173,10 @@ func TestLevMarExponentialFit(t *testing.T) {
 }
 
 func TestLevMarLinearProblem(t *testing.T) {
-	resid := func(p []float64) []float64 {
-		return []float64{p[0] - 4, 2 * (p[1] + 7)}
+	resid := func(p, r []float64) {
+		r[0], r[1] = p[0]-4, 2*(p[1]+7)
 	}
-	p, err := LevMar(resid, []float64{0, 0}, LMOptions{})
+	p, err := LevMar(resid, 2, []float64{0, 0}, LMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,16 +186,15 @@ func TestLevMarLinearProblem(t *testing.T) {
 }
 
 func TestSolveDense(t *testing.T) {
-	a := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{5, 10}
-	x, err := solveDense(a, b)
-	if err != nil {
+	aug := []float64{2, 1, 5, 1, 3, 10} // [A | b]
+	x := make([]float64, 2)
+	if err := solveDense(aug, x); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
 		t.Errorf("solve = %v, want (1,3)", x)
 	}
-	if _, err := solveDense([][]float64{{1, 1}, {1, 1}}, []float64{1, 2}); err == nil {
+	if err := solveDense([]float64{1, 1, 1, 1, 1, 2}, x); err == nil {
 		t.Error("accepted singular system")
 	}
 }
@@ -226,6 +223,10 @@ func TestPolylineDist(t *testing.T) {
 }
 
 func TestSegDistEndpoints(t *testing.T) {
+	segDist := func(q, a, b Vec2) float64 {
+		s := newKneeSeg(a, b)
+		return math.Hypot(s.offset(q))
+	}
 	if d := segDist(Vec2{0, 5}, Vec2{0, 0}, Vec2{0, 0}); math.Abs(d-5) > 1e-12 {
 		t.Errorf("degenerate segment distance = %v, want 5", d)
 	}

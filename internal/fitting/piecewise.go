@@ -31,26 +31,113 @@ func segSlope(a, b Vec2) float64 {
 // segments. Using geometric distance (rather than vertical residuals) keeps
 // the fit well-conditioned on the near-vertical steep segment.
 func (p Polyline2) Dist(q Vec2) float64 {
-	// The builtin min has math.Min's NaN and signed-zero rules, inlined.
-	return min(segDist(q, p.A, p.K), segDist(q, p.B, p.K))
+	d := newKneeDist(p)
+	return d.at(q)
 }
 
-// segDist is the distance from q to segment ab.
-func segDist(q, a, b Vec2) float64 {
-	abx, aby := b.X-a.X, b.Y-a.Y
-	l2 := abx*abx + aby*aby
-	if l2 == 0 {
-		return math.Hypot(q.X-a.X, q.Y-a.Y)
+// kneeSeg is the segment from anchor a to the knee, with its direction and
+// squared length computed once per knee position rather than once per
+// point.
+type kneeSeg struct {
+	a        Vec2
+	abx, aby float64
+	l2       float64
+}
+
+func newKneeSeg(a, k Vec2) kneeSeg {
+	abx, aby := k.X-a.X, k.Y-a.Y
+	return kneeSeg{a: a, abx: abx, aby: aby, l2: abx*abx + aby*aby}
+}
+
+// finite reports whether the segment's squared length is finite and
+// positive, the case offset serves.
+func (s *kneeSeg) finite() bool { return s.l2 > 0 && s.l2 <= math.MaxFloat64 }
+
+// offset returns q minus the segment's point nearest to q: the vector whose
+// length is the distance from q to the segment. The segment must be
+// finite. The projection parameter t = num/l2 is clamped to [0, 1]; a num
+// outside (0, l2) can only clamp, so the division is skipped unless num is
+// NaN. That changes at most the sign of a zero t, and so of a zero offset
+// component, which neither math.Hypot nor a square sees.
+func (s *kneeSeg) offset(q Vec2) (ox, oy float64) {
+	num := (q.X-s.a.X)*s.abx + (q.Y-s.a.Y)*s.aby
+	t := 1.0
+	if !(num >= s.l2) {
+		t = 0
+		if !(num <= 0) { // num in (0, l2), or NaN
+			t = num / s.l2
+		}
 	}
-	t := ((q.X-a.X)*abx + (q.Y-a.Y)*aby) / l2
+	return q.X - (s.a.X + t*s.abx), q.Y - (s.a.Y + t*s.aby)
+}
+
+// offsetAny is offset for any segment. On a zero-length segment the offset
+// is q−a; on an infinite or NaN one the projection divides and clamps
+// whatever the numerator.
+func (s *kneeSeg) offsetAny(q Vec2) (ox, oy float64) {
+	if s.finite() {
+		return s.offset(q)
+	}
+	dx, dy := q.X-s.a.X, q.Y-s.a.Y
+	if s.l2 == 0 {
+		return dx, dy
+	}
+	t := (dx*s.abx + dy*s.aby) / s.l2
 	if t < 0 {
 		t = 0
 	} else if t > 1 {
 		t = 1
 	}
-	px := a.X + t*abx
-	py := a.Y + t*aby
-	return math.Hypot(q.X-px, q.Y-py)
+	px := s.a.X + t*s.abx
+	py := s.a.Y + t*s.aby
+	return q.X - px, q.Y - py
+}
+
+// kneeDist is the knee model's distance field at one knee position. The
+// fit's objective and its residuals both evaluate through it.
+type kneeDist struct {
+	steep, shallow kneeSeg
+	finite         bool // both segments are finite
+}
+
+func newKneeDist(p Polyline2) kneeDist {
+	d := kneeDist{steep: newKneeSeg(p.A, p.K), shallow: newKneeSeg(p.B, p.K)}
+	d.finite = d.steep.finite() && d.shallow.finite()
+	return d
+}
+
+// at returns the distance from q to the nearer segment: the min of the two
+// segments' math.Hypot distances, bit for bit. It calls math.Hypot once
+// when one segment is clearly the nearer, twice otherwise.
+func (d *kneeDist) at(q Vec2) float64 {
+	var x1, y1, x2, y2 float64
+	if d.finite {
+		x1, y1 = d.steep.offset(q)
+		x2, y2 = d.shallow.offset(q)
+	} else {
+		x1, y1 = d.steep.offsetAny(q)
+		x2, y2 = d.shallow.offsetAny(q)
+	}
+	s1 := x1*x1 + y1*y1
+	s2 := x2*x2 + y2*y2
+	switch {
+	case clearlyBelow(s1, s2):
+		return math.Hypot(x1, y1)
+	case clearlyBelow(s2, s1):
+		return math.Hypot(x2, y2)
+	}
+	// The builtin min has math.Min's NaN and signed-zero rules, inlined.
+	return min(math.Hypot(x1, y1), math.Hypot(x2, y2))
+}
+
+// clearlyBelow reports whether the squared offset s lies below the finite,
+// normal squared offset f by more than a relative 2⁻²⁰. math.Hypot and the
+// squares each carry a few ulps of relative error, and a square that
+// underflows at most 2⁻¹⁰⁷⁵ absolute, a relative 2⁻⁵³ of a normal f. So
+// Hypot of s's offset is then strictly the smaller distance: exactly what
+// min would pick.
+func clearlyBelow(s, f float64) bool {
+	return f >= 0x1p-1022 && f <= math.MaxFloat64 && s < f*(1-0x1p-20)
 }
 
 // FitKneeResult reports the fitted piecewise model and its residual RMS.
@@ -69,39 +156,38 @@ func FitKnee(points []Vec2, a, b, init Vec2) (FitKneeResult, error) {
 	if len(points) < 2 {
 		return FitKneeResult{}, errors.New("fitting: need at least 2 transition points")
 	}
-	resid := func(x []float64) []float64 {
-		model := Polyline2{A: a, K: Vec2{x[0], x[1]}, B: b}
-		out := make([]float64, len(points))
+	resid := func(x, r []float64) {
+		d := newKneeDist(Polyline2{A: a, K: Vec2{x[0], x[1]}, B: b})
 		for i, p := range points {
-			out[i] = model.Dist(p)
+			r[i] = d.at(p)
 		}
-		return out
 	}
 	x0 := []float64{init.X, init.Y}
-	xLM, err := LevMar(resid, x0, LMOptions{})
+	xLM, err := LevMar(resid, len(points), x0, LMOptions{})
 	if err != nil {
 		xLM = x0
 	}
-	// The same sum as dot(resid(x), resid(x)), without the residual vector.
+	// The same sum as dot over the residuals, without the residual vector.
 	obj := func(x []float64) float64 {
-		model := Polyline2{A: a, K: Vec2{x[0], x[1]}, B: b}
+		d := newKneeDist(Polyline2{A: a, K: Vec2{x[0], x[1]}, B: b})
 		var s float64
 		for _, p := range points {
-			d := model.Dist(p)
-			s += d * d
+			v := d.at(p)
+			s += v * v
 		}
 		return s
 	}
-	xNM, _, err := NelderMead(obj, xLM, NMOptions{Step: 2})
+	xNM, fNM, err := NelderMead(obj, xLM, NMOptions{Step: 2})
 	if err != nil {
 		return FitKneeResult{}, err
 	}
-	best := xLM
-	if obj(xNM) < obj(xLM) {
-		best = xNM
+	// fNM is obj(xNM): the objective is a pure function of the knee.
+	best, fBest := xLM, obj(xLM)
+	if fNM < fBest {
+		best, fBest = xNM, fNM
 	}
 	model := Polyline2{A: a, K: Vec2{best[0], best[1]}, B: b}
-	rms := math.Sqrt(obj(best) / float64(len(points)))
+	rms := math.Sqrt(fBest / float64(len(points)))
 	return FitKneeResult{Model: model, RMS: rms}, nil
 }
 

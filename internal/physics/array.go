@@ -150,12 +150,17 @@ func (a *Array) GroundStateInto(dst []int, v []float64, s *GroundScratch) []int 
 		s.best[(n-1)*groundWindow+k] = site(n-1, s.lo[n-1]+k)
 	}
 	for i := n - 2; i >= 0; i-- {
+		// The successor's window of suffix energies; its bond term is
+		// ECm·occ·occ₂, which Go evaluates as (ECm·occ)·occ₂, so the
+		// product hoisted per occupation gives the same bits.
+		lo2 := s.lo[i+1]
+		next := s.best[(i+1)*groundWindow : (i+1)*groundWindow+s.hi[i+1]-lo2+1]
 		for k := 0; k <= s.hi[i]-s.lo[i]; k++ {
-			occ := float64(s.lo[i] + k)
+			bond := a.ECm[i] * float64(s.lo[i]+k)
 			bestVal := math.Inf(1)
 			bestK := 0
-			for k2 := 0; k2 <= s.hi[i+1]-s.lo[i+1]; k2++ {
-				u := a.ECm[i]*occ*float64(s.lo[i+1]+k2) + s.best[(i+1)*groundWindow+k2]
+			for k2, b := range next {
+				u := bond*float64(lo2+k2) + b
 				if u < bestVal { // strict: ties keep the smaller occupation
 					bestVal = u
 					bestK = k2

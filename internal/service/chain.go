@@ -43,7 +43,7 @@ func (s *Service) runChain(ctx context.Context, nreq Request, hash string, res *
 			}
 		}()
 		for i := range twins {
-			key, err := chainTwinKey(*nreq.ChainSim, i)
+			key, err := chainTwinKey(*nreq.ChainSim, i, nreq.Chain.Windows[i])
 			if err != nil {
 				return err
 			}

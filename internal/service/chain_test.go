@@ -288,6 +288,42 @@ func TestChainTraceReplay(t *testing.T) {
 	}
 }
 
+// TestChainTraceReplayCarriesPairResult: a chain-pair trace's replay
+// outcome carries the recorded and reproduced pair results, so vgxreplay
+// reports each pair's probes (it printed probes=0 for every pair when the
+// outcome carried neither).
+func TestChainTraceReplayCarriesPairResult(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := New(Config{Workers: 2, DataDir: dir, RecordTraces: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := svc.Run(context.Background(), chainReq(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := trace.List(dir + "/traces")
+	if err != nil || len(paths) != 2 {
+		t.Fatalf("traces %v (err %v), want one per pair", paths, err)
+	}
+	for _, p := range paths {
+		out, err := ReplayTrace(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := res.Chain.Pairs[*out.Pair].Probes
+		if want == 0 || out.RecordedProbes() != want {
+			t.Errorf("pair %d: replay reports %d recorded probes, the job %d", *out.Pair, out.RecordedProbes(), want)
+		}
+		if out.RecordedPair == nil || out.ReproducedPair == nil || out.ReproducedPair.Probes != want {
+			t.Errorf("pair %d: outcome pair results recorded %+v, reproduced %+v", *out.Pair, out.RecordedPair, out.ReproducedPair)
+		}
+	}
+}
+
 // TestChainJournalReplay: vgxreplay's journal mode re-executes chain
 // entries against fresh instruments bit-identically.
 func TestChainJournalReplay(t *testing.T) {

@@ -118,6 +118,22 @@ type ReplayOutcome struct {
 	LiveProbes int     `json:"liveProbes"`
 	Recorded   *Result `json:"recorded,omitempty"`
 	Reproduced *Result `json:"reproduced,omitempty"`
+	// RecordedPair and ReproducedPair stand in for Recorded and Reproduced
+	// on a chain-pair trace, whose result is one pair's.
+	RecordedPair   *chainx.PairResult `json:"recordedPair,omitempty"`
+	ReproducedPair *chainx.PairResult `json:"reproducedPair,omitempty"`
+}
+
+// RecordedProbes is the recorded extraction's probe count: the job's, or
+// the chain pair's for a pair trace.
+func (o *ReplayOutcome) RecordedProbes() int {
+	switch {
+	case o.Recorded != nil:
+		return o.Recorded.Probes
+	case o.RecordedPair != nil:
+		return o.RecordedPair.Probes
+	}
+	return 0
 }
 
 // fdiff reports a float field difference requiring bit-identity, so +0/-0
@@ -302,6 +318,7 @@ func ReplayTrace(path string) (*ReplayOutcome, error) {
 		if err != nil {
 			return nil, err
 		}
+		out.RecordedPair, out.ReproducedPair = &recorded, pres
 		out.Diffs = ComparePairResults(pres, &recorded)
 	} else {
 		var recorded Result

@@ -62,14 +62,26 @@ func specTwinKey(spec device.DoubleDotSpec) (string, error) {
 	return twinHash("sim", spec)
 }
 
-// chainTwinKey hashes a chain spec and pair index into the pair's twin key.
-func chainTwinKey(spec device.ChainSpec, pair int) (string, error) {
+// chainTwinKey hashes a chain spec, pair index and pair scan window into the
+// pair's twin key. A twin's grid is its window, so each window trains its
+// own twin. The spec's default window adds nothing to the key, so twins
+// journaled under window-less keys still warm-start.
+func chainTwinKey(spec device.ChainSpec, pair int, win csd.Window) (string, error) {
 	spec.Surrogate = nil
 	k, err := twinHash("chain", spec)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%s/%d", k, pair), nil
+	k = fmt.Sprintf("%s/%d", k, pair)
+	spec.FillDefaults()
+	if win == spec.Window() {
+		return k, nil
+	}
+	w, err := twinHash("win", win)
+	if err != nil {
+		return "", err
+	}
+	return k + "/" + w, nil
 }
 
 func twinHash(prefix string, spec any) (string, error) {
@@ -271,7 +283,7 @@ func (s *Service) TrainSurrogates() (map[string]int, error) {
 		var key string
 		switch {
 		case meta.Pair != nil && nreq.ChainSim != nil:
-			key, err = chainTwinKey(*nreq.ChainSim, *meta.Pair)
+			key, err = chainTwinKey(*nreq.ChainSim, *meta.Pair, meta.Window)
 		case nreq.Sim != nil:
 			key, err = specTwinKey(*nreq.Sim)
 		default:

@@ -326,6 +326,113 @@ func TestSurrogateChainJob(t *testing.T) {
 	}
 }
 
+// TestSurrogateChainTwinPerWindow: a pair's twin is keyed by its scan
+// window as well as by device and pair, so twin-first chain jobs that
+// alternate pair windows each keep a trained twin instead of retraining one
+// from zero whenever the window changes, and a restart warm-starts every
+// window's twin. The spec's default window keeps its historical key.
+func TestSurrogateChainTwinPerWindow(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := New(Config{Workers: 2, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := chainSpec(3)
+	spec.Surrogate = &device.SurrogateSpec{Threshold: surrogate.DefaultThreshold}
+	filled := *spec
+	filled.FillDefaults()
+	w100 := filled.Window()
+	w98 := csd.NewSquareWindow(0, 0, filled.SpanMV(), 98)
+	job := func(svc *Service, w csd.Window) *Result {
+		t.Helper()
+		req := Request{Kind: KindChain, ChainSim: spec, Chain: &ChainOptions{Windows: []csd.Window{w, w}}}
+		res, err := svc.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Chain.Surrogate) != 2 {
+			t.Fatalf("want 2 per-pair twin reports, got %+v", res.Chain.Surrogate)
+		}
+		return res
+	}
+	var keys [2]string
+	for i, w := range []csd.Window{w100, w100, w98, w100} {
+		res := job(svc, w)
+		pair0 := res.Chain.Surrogate[0]
+		switch i {
+		case 0:
+			keys[0] = pair0.Key
+		case 2:
+			keys[1] = pair0.Key
+		case 3:
+			if pair0.Hits == 0 {
+				t.Errorf("back on the first window, pair 0's twin served nothing: %+v", pair0)
+			}
+		}
+	}
+	if keys[0] == keys[1] {
+		t.Fatalf("both windows share twin key %q", keys[0])
+	}
+	plain := filled
+	plain.Surrogate = nil
+	if want, err := twinHash("chain", plain); err != nil || keys[0] != want+"/0" {
+		t.Errorf("default-window twin key %q, want %q (err %v)", keys[0], want+"/0", err)
+	}
+	// Killed: no Close, no flush.
+
+	svc2, err := New(Config{Workers: 2, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close(context.Background())
+	fitted := map[string]bool{}
+	for _, tw := range svc2.Surrogates() {
+		fitted[tw.Key] = tw.Fitted
+	}
+	if !fitted[keys[0]] || !fitted[keys[1]] {
+		t.Fatalf("restart warm-started %v, want fitted twins %q and %q", fitted, keys[0], keys[1])
+	}
+	for _, w := range []csd.Window{w98, w100} {
+		if sr := job(svc2, w).Chain.Surrogate[0]; sr.Hits == 0 {
+			t.Errorf("%d-pixel window: restored twin served nothing on the first job: %+v", w.Cols, sr)
+		}
+	}
+}
+
+// TestSurrogateTrainChainWindowKey: training from a chain trace recorded on
+// a non-default pair window feeds the twin a twin-first job on that window
+// serves from.
+func TestSurrogateTrainChainWindowKey(t *testing.T) {
+	svc, err := New(Config{Workers: 2, DataDir: t.TempDir(), RecordTraces: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	spec := chainSpec(3)
+	filled := *spec
+	filled.FillDefaults()
+	w := csd.NewSquareWindow(0, 0, filled.SpanMV(), 98)
+	opts := &ChainOptions{Windows: []csd.Window{w, w}}
+	if _, err := svc.Run(context.Background(), Request{Kind: KindChain, ChainSim: spec, Chain: opts}); err != nil {
+		t.Fatal(err)
+	}
+	fed, err := svc.TrainSurrogates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twinSpec := *spec
+	twinSpec.Surrogate = &device.SurrogateSpec{Threshold: surrogate.DefaultThreshold}
+	res, err := svc.Run(context.Background(), Request{Kind: KindChain, ChainSim: &twinSpec, Chain: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sr := range res.Chain.Surrogate {
+		if fed[sr.Key] == 0 || sr.Hits == 0 {
+			t.Errorf("pair %d: twin %q fed %d samples by training, served %d probes; fed %v", i, sr.Key, fed[sr.Key], sr.Hits, fed)
+		}
+	}
+}
+
 // TestSurrogateEndpoints exercises the HTTP surface: the twin listing, the
 // train endpoint (rejected without tracing) and the stats block.
 func TestSurrogateEndpoints(t *testing.T) {

@@ -3,8 +3,9 @@
 # vgxreplay. Builds both binaries, starts `vgxd -record-traces` on a loopback
 # port, sends one job of each probe-stack shape (a sim fast job, one
 # twin-first sim job twice, a chain, a twin-first chain and a session job),
-# stops it with SIGTERM and runs `vgxreplay -data-dir` over what it wrote;
-# vgxreplay exits 1 on any mismatch. Exits non-zero when any step fails:
+# stops it with SIGTERM and runs `vgxreplay -data-dir -v` over what it wrote;
+# vgxreplay exits 1 on any mismatch, and a chain-pair line reading probes=0
+# fails the smoke too. Exits non-zero when any step fails:
 #   bash scripts/replay-smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -62,4 +63,11 @@ pid=
 # One trace per job and per chain pair: 1 + 2 + 2 + 2 + 1.
 traces=$(find "$tmp/data/traces" -name '*.fvgt' | wc -l)
 [ "$traces" -eq 8 ] || { echo "$traces traces recorded, want 8"; exit 1; }
-"$tmp/vgxreplay" -data-dir "$tmp/data" -v
+out=$("$tmp/vgxreplay" -data-dir "$tmp/data" -v) || { echo "$out"; exit 1; }
+echo "$out"
+# Every chain pair extraction probes: a pair line reading probes=0 means the
+# replay lost the pair's recorded result.
+if echo "$out" | grep -E '^OK +chain/[0-9]+ .* probes=0 ' >/dev/null; then
+  echo "a chain-pair replay reports probes=0"
+  exit 1
+fi
