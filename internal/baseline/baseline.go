@@ -110,10 +110,13 @@ func ExtractFromGrid(g *grid.Grid, win csd.Window, cfg Config) (*Result, error) 
 		cfg.Canny.Workers = cfg.RenderWorkers
 	}
 	res := &Result{CSD: g}
-	res.Edges = imaging.Canny(g.Normalized(), cfg.Canny)
+	norm := g.NormalizedInto(grid.Scratch(g.W, g.H))
+	res.Edges = imaging.Canny(norm, cfg.Canny)
+	grid.Recycle(norm)
 	acc := imaging.Hough(res.Edges, cfg.Hough)
 	minVotes := int(cfg.MinVotesFrac * float64(minInt(g.W, g.H)))
 	res.Peaks = acc.Peaks(cfg.MaxPeaks, minVotes, cfg.SuppressTheta, cfg.SuppressRho)
+	acc.Recycle()
 
 	steep, foundSteep := pickPeak(res.Peaks, func(s float64) bool {
 		return s < -1 || math.IsInf(s, 0)

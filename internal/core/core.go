@@ -13,6 +13,7 @@ import (
 	"github.com/fastvg/fastvg/internal/fitting"
 	"github.com/fastvg/fastvg/internal/grid"
 	"github.com/fastvg/fastvg/internal/postproc"
+	"github.com/fastvg/fastvg/internal/scratch"
 	"github.com/fastvg/fastvg/internal/sweep"
 	"github.com/fastvg/fastvg/internal/virtualgate"
 )
@@ -35,6 +36,10 @@ var (
 	// (both negative, steep < -1 < shallow < 0) or the knee left the window.
 	ErrNonPhysical = errors.New("core: extracted lines violate the physics prior")
 )
+
+// pointLists recycles the point lists the knee fit and the slope
+// refinement build from a result's points; no Result keeps them.
+var pointLists scratch.Slices[fitting.Vec2]
 
 // Config tunes the pipeline; the zero value reproduces the paper.
 type Config struct {
@@ -177,11 +182,13 @@ func extractFromAnchors(res *Result, src Source, win csd.Window, cfg Config) err
 // physics prior. It is shared by the paper pipeline and the adaptive
 // extension (which re-anchors the fit on sweep-found line points).
 func finalizeFit(res *Result, win csd.Window, cfg Config, a, b fitting.Vec2) error {
-	pts := make([]fitting.Vec2, len(res.Points))
+	bp := pointLists.Get(len(res.Points))
+	pts := *bp
 	for i, p := range res.Points {
 		pts[i] = fitting.Vec2{X: float64(p.X), Y: float64(p.Y)}
 	}
 	fit, err := fitting.FitKnee(pts, a, b, fitting.InitialKnee(pts, a, b))
+	pointLists.Put(bp)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrFit, err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"github.com/fastvg/fastvg/internal/csd"
 	"github.com/fastvg/fastvg/internal/fitting"
@@ -29,25 +30,29 @@ const verticalSlopePx = -1e9
 // the anchored-fit result is kept, so it can only help.
 func refineSlopes(res *Result, win csd.Window, cfg Config) {
 	model := res.Fit.Model
-	var steepPts, shallowPts []fitting.Vec2
+	// One pooled buffer holds both branches in point order: the steep
+	// branch from the front, swapped for x = c1 + d1·y; the shallow branch
+	// from the back, then reversed into point order, for y = c2 + d2·x.
+	bp := pointLists.Get(len(res.Points))
+	defer pointLists.Put(bp)
+	buf := *bp
+	ns, nh := 0, len(buf)
 	for _, p := range res.Points {
 		v := fitting.Vec2{X: float64(p.X), Y: float64(p.Y)}
 		if distToSegment(v, model.A, model.K) <= distToSegment(v, model.B, model.K) {
-			steepPts = append(steepPts, v)
+			buf[ns] = fitting.Vec2{X: v.Y, Y: v.X}
+			ns++
 		} else {
-			shallowPts = append(shallowPts, v)
+			nh--
+			buf[nh] = v
 		}
 	}
+	steepPts, shallowPts := buf[:ns], buf[nh:]
 	if len(steepPts) < 5 || len(shallowPts) < 5 {
 		return
 	}
-	// Steep branch: x = c1 + d1·y.
-	swapped := make([]fitting.Vec2, len(steepPts))
-	for i, p := range steepPts {
-		swapped[i] = fitting.Vec2{X: p.Y, Y: p.X}
-	}
-	c1, d1, err1 := fitting.TheilSen(swapped)
-	// Shallow branch: y = c2 + d2·x.
+	slices.Reverse(shallowPts)
+	c1, d1, err1 := fitting.TheilSen(steepPts)
 	c2, d2, err2 := fitting.TheilSen(shallowPts)
 	if err1 != nil || err2 != nil {
 		return

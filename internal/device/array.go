@@ -61,11 +61,12 @@ type MultiInstrument struct {
 	Dwell time.Duration
 	Quant float64 // memoisation pitch for every gate; 0 disables
 
-	mu     sync.Mutex
-	plane  *memoPlane // nil until a view claims it
-	memo   map[string]float64
-	keyBuf []byte // reusable quantised-key scratch; keys are flat int64 cells
-	stats  Stats
+	mu       sync.Mutex
+	plane    *memoPlane // nil until a view claims it
+	memo     map[string]float64
+	keyBuf   []byte // reusable quantised-key scratch; keys are flat int64 cells
+	stats    Stats
+	released bool // Release has run
 }
 
 // planeReach bounds the plane memo to pair cells in [-planeReach,
@@ -141,6 +142,9 @@ func (m *MultiInstrument) ProbeN(v []float64) (float64, bool) {
 func (m *MultiInstrument) probe(v []float64, pv *PairView) (float64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.released {
+		panic(errReleased)
+	}
 	m.stats.RawCalls++
 	var row *memoRow
 	var c1 int64
@@ -176,6 +180,24 @@ func (m *MultiInstrument) probe(v []float64, pv *PairView) (float64, bool) {
 		m.memo[string(k)] = val
 	}
 	return val, true
+}
+
+// Release hands the plane memo's rows back for the next instrument to
+// reuse and drops the N-gate map. Call it once every view's last probe is
+// done: a pair instrument built for one job releases when the job ends,
+// while long-lived instruments (fleet devices, shared chain sims) never do.
+// Probing a released instrument panics; releasing twice does nothing.
+func (m *MultiInstrument) Release() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.released {
+		return
+	}
+	m.released = true
+	if m.plane != nil {
+		m.plane.release()
+	}
+	m.memo = nil
 }
 
 // claimPlane gives the instrument a plane memo over gates (g1, g2) at base

@@ -15,7 +15,8 @@ package device
 import (
 	"context"
 	"runtime"
-	"sort"
+	"slices"
+	"sync"
 
 	"github.com/fastvg/fastvg/internal/csd"
 	"github.com/fastvg/fastvg/internal/grid"
@@ -49,12 +50,21 @@ type BatchInstrument interface {
 // current, so each row clears its stamps on its first use after a wrap
 // (and rows not yet used since are skipped as empty).
 //
-// A store sized for a scan window (fitWindow) starts each row at the
-// window's first column cell, so a row never grows leftward within the
-// window, and caps a row's growth at the window's width, so it grows at
-// most once for windows up to twice memoRowCells wide.
+// A store sized for a scan window (fitWindow) indexes the window's rows in
+// a slice by their offset from the window's first row cell and keeps the
+// map for rows outside it. It starts each row at the window's first column
+// cell, so a row never grows leftward within the window, and caps a row's
+// growth at the window's width, so it grows at most once for windows up to
+// twice memoRowCells wide.
+//
+// Rows come from rowPool and go back to it when the store is released: a
+// recycled row keeps its buffers' capacity, takes the store's wrap count
+// and clears the stamps of every cell it hands out, so it reads exactly as
+// a fresh row does.
 type memoRows struct {
-	rows    map[int64]*memoRow
+	rows    map[int64]*memoRow // rows outside dense (every row when unsized)
+	dense   []*memoRow         // the sized window's rows, by key − rowLo
+	rowLo   int64              // first row cell of the sized window
 	lastKey int64
 	last    *memoRow
 	count   int    // cells memoised in the current epoch
@@ -67,6 +77,11 @@ type memoRows struct {
 // memoRowCells is a row's first allocation, so that a row probed only near
 // the window's left edge stays small.
 const memoRowCells = 64
+
+// rowPool holds the rows of released stores. The collector empties a
+// sync.Pool, so it retains no more than recently released instruments
+// held, which is bounded by the jobs running at once.
+var rowPool sync.Pool // of *memoRow
 
 // memoRow is one quantised-v2 row: vals[i] holds the current of v1 cell
 // base+i where stamp[i] is the store's current epoch.
@@ -81,27 +96,49 @@ func newMemoRows() memoRows {
 	return memoRows{rows: make(map[int64]*memoRow), epoch: 1}
 }
 
-// fitWindow sizes the store for probes on win's pixels at pitch q1 along
-// v1: rows start at the window's first column cell and grow at most to its
-// width, and the row map is presized for the window's rows. Call it before
-// the first probe.
-func (m *memoRows) fitWindow(win csd.Window, q1 float64) {
+// fitWindow sizes the store for probes on win's pixels at pitches q1 along
+// v1 and q2 along v2: the window's rows are indexed densely, and rows start
+// at the window's first column cell and grow at most to its width. Call it
+// before the first probe.
+func (m *memoRows) fitWindow(win csd.Window, q1, q2 float64) {
 	m.lo = quantKey(win.V1At(0), q1)
 	m.width = int(quantKey(win.V1At(win.Cols-1), q1) - m.lo + 1)
-	m.rows = make(map[int64]*memoRow, win.Rows)
+	m.rowLo = quantKey(win.V2At(0), q2)
+	m.dense = make([]*memoRow, quantKey(win.V2At(win.Rows-1), q2)-m.rowLo+1)
 }
 
 // row returns the bucket for a quantised-v2 key, creating it on first use
-// and clearing stamps left from before an epoch wrap. A one-entry cache
-// makes the common row-scan pattern skip the map.
+// and clearing stamps left from before an epoch wrap. A one-entry cache,
+// small enough to inline, makes the common row-scan pattern skip the
+// lookup.
 func (m *memoRows) row(key int64) *memoRow {
 	if m.last != nil && m.lastKey == key {
 		return m.last
 	}
-	r := m.rows[key]
+	return m.lookup(key)
+}
+
+// lookup is row past its one-entry cache.
+func (m *memoRows) lookup(key int64) *memoRow {
+	var r *memoRow
+	i := key - m.rowLo
+	inDense := i >= 0 && i < int64(len(m.dense))
+	if inDense {
+		r = m.dense[i]
+	} else {
+		r = m.rows[key]
+	}
 	if r == nil {
-		r = &memoRow{wraps: m.wraps}
-		m.rows[key] = r
+		r, _ = rowPool.Get().(*memoRow)
+		if r == nil {
+			r = &memoRow{}
+		}
+		r.base, r.vals, r.stamp, r.wraps = 0, r.vals[:0], r.stamp[:0], m.wraps
+		if inDense {
+			m.dense[i] = r
+		} else {
+			m.rows[key] = r
+		}
 	} else if r.wraps != m.wraps {
 		clear(r.stamp)
 		r.wraps = m.wraps
@@ -120,6 +157,20 @@ func (m *memoRows) reset() {
 	}
 }
 
+// release hands every row to rowPool and empties the store. Its owner
+// must not probe it again.
+func (m *memoRows) release() {
+	for _, r := range m.rows {
+		rowPool.Put(r)
+	}
+	for _, r := range m.dense {
+		if r != nil {
+			rowPool.Put(r)
+		}
+	}
+	m.rows, m.dense, m.last, m.count = nil, nil, nil, 0
+}
+
 // get returns the current epoch's value of cell c in row r.
 func (m *memoRows) get(r *memoRow, c int64) (float64, bool) {
 	i := c - r.base
@@ -135,8 +186,7 @@ func (m *memoRows) put(r *memoRow, c int64, v float64) {
 	if len(r.vals) == 0 && c >= m.lo && c-m.lo < int64(m.width) {
 		n := min(m.width, memoRowCells)
 		r.base = m.lo
-		r.vals = make([]float64, n)
-		r.stamp = make([]uint8, n)
+		r.resize(n, n)
 	}
 	i := r.grow(c, m.width)
 	r.vals[i] = v
@@ -146,18 +196,17 @@ func (m *memoRows) put(r *memoRow, c int64, v float64) {
 
 // cellsSorted collects the current epoch's cells as {v1 cell, v2 cell}
 // pairs sorted by (v2, v1). Rows are stored sorted along v1 already, so only
-// the row keys need sorting.
+// the row keys need sorting; map rows lie below or above the dense window.
 func (m *memoRows) cellsSorted() [][2]int64 {
 	keys := make([]int64, 0, len(m.rows))
 	for k := range m.rows {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	out := make([][2]int64, 0, m.count)
-	for _, c2 := range keys {
-		r := m.rows[c2]
-		if r.wraps != m.wraps {
-			continue
+	add := func(c2 int64, r *memoRow) {
+		if r == nil || r.wraps != m.wraps {
+			return
 		}
 		for i, e := range r.stamp {
 			if e == m.epoch {
@@ -165,17 +214,44 @@ func (m *memoRows) cellsSorted() [][2]int64 {
 			}
 		}
 	}
+	k := 0
+	for ; k < len(keys) && keys[k] < m.rowLo; k++ {
+		add(keys[k], m.rows[keys[k]])
+	}
+	for i, r := range m.dense {
+		add(m.rowLo+int64(i), r)
+	}
+	for ; k < len(keys); k++ {
+		add(keys[k], m.rows[keys[k]])
+	}
 	return out
 }
 
-// grow extends the row to cover cell c and returns c's index. New cells
-// carry stamp 0, which no epoch uses. A row growing rightward to a cell
-// within width cells of its base stops at width cells.
+// resize sets the row's length to n cells, reusing its buffers when their
+// capacity allows and allocating capacity newCap otherwise. Cells it adds
+// carry stamp 0, which no epoch uses.
+func (r *memoRow) resize(n, newCap int) {
+	old := len(r.vals)
+	if n <= cap(r.vals) {
+		r.vals, r.stamp = r.vals[:n], r.stamp[:n]
+		clear(r.vals[old:])
+		clear(r.stamp[old:])
+		return
+	}
+	nv := make([]float64, n, newCap)
+	ns := make([]uint8, n, newCap)
+	copy(nv, r.vals)
+	copy(ns, r.stamp)
+	r.vals, r.stamp = nv, ns
+}
+
+// grow extends the row to cover cell c and returns c's index. A row
+// growing rightward to a cell within width cells of its base stops at width
+// cells.
 func (r *memoRow) grow(c int64, width int) int64 {
 	if len(r.vals) == 0 {
 		r.base = c
-		r.vals = make([]float64, 1, memoRowCells)
-		r.stamp = make([]uint8, 1, memoRowCells)
+		r.resize(1, memoRowCells)
 		return 0
 	}
 	i := c - r.base
@@ -196,28 +272,14 @@ func (r *memoRow) grow(c int64, width int) int64 {
 	}
 	if i >= int64(len(r.vals)) {
 		need := int(i + 1)
-		if need <= cap(r.vals) {
-			old := len(r.vals)
-			r.vals = r.vals[:need]
-			r.stamp = r.stamp[:need]
-			for j := old; j < need; j++ {
-				r.vals[j] = 0
-				r.stamp[j] = 0
-			}
-		} else {
-			newCap := 2 * cap(r.vals)
-			if newCap > width && need <= width {
-				newCap = width
-			}
-			if newCap < need {
-				newCap = need
-			}
-			nv := make([]float64, need, newCap)
-			ns := make([]uint8, need, newCap)
-			copy(nv, r.vals)
-			copy(ns, r.stamp)
-			r.vals, r.stamp = nv, ns
+		newCap := 2 * cap(r.vals)
+		if newCap > width && need <= width {
+			newCap = width
 		}
+		if newCap < need {
+			newCap = need
+		}
+		r.resize(need, newCap)
 	}
 	return i
 }
@@ -227,6 +289,9 @@ func (r *memoRow) grow(c int64, width int) int64 {
 // fixed-arity physics/sensor/noise sequence the scalar path runs — same
 // currents, same Stats, same noise draws.
 func (s *SimInstrument) CurrentRow(v2 float64, v1s, out []float64) {
+	if s.released {
+		panic(errReleased)
+	}
 	if s.Dev.Drift != nil {
 		// Lever-arm drift makes the physics itself time-dependent, so the
 		// clock-free inline replay below would diverge from the scalar path.
@@ -290,6 +355,9 @@ func (s *SimInstrument) ProbeMany(v1s, v2s, out []float64) {
 // order at exactly the virtual times the scalar path would have charged
 // (per-row virtual-clock scheduling). workers <= 0 means one per CPU.
 func (s *SimInstrument) AcquireGrid(win csd.Window, workers int) (*grid.Grid, error) {
+	if s.released {
+		panic(errReleased)
+	}
 	if err := win.Validate(); err != nil {
 		return nil, err
 	}

@@ -198,7 +198,7 @@ func (s *ChainSpec) BuildPair(i int) (*PairView, csd.Window, error) {
 		return nil, csd.Window{}, err
 	}
 	win := s.Window()
-	inst.plane.fitWindow(win, inst.Quant)
+	inst.plane.fitWindow(win, inst.Quant, inst.Quant)
 	if i < len(s.PairDrift) {
 		pv.Drift = s.PairDrift[i].build(pairSeed)
 	}

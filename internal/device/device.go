@@ -193,7 +193,11 @@ type SimInstrument struct {
 
 	cells      [][2]int64 // ProbedCells cache; rebuilt lazily after writes
 	cellsValid bool
+	released   bool
 }
+
+// errReleased is the panic value of a probe of a released instrument.
+const errReleased = "device: probe of a released instrument"
 
 // NewSimInstrument returns an instrument over dev with the given dwell and
 // memoisation pitch.
@@ -214,6 +218,9 @@ func quantKey(v, q float64) int64 {
 
 // GetCurrent implements Instrument.
 func (s *SimInstrument) GetCurrent(v1, v2 float64) float64 {
+	if s.released {
+		panic(errReleased)
+	}
 	s.stats.RawCalls++
 	memoised := s.QuantV1 > 0 && s.QuantV2 > 0
 	var row *memoRow
@@ -285,6 +292,20 @@ func (s *SimInstrument) ResetStats() {
 	s.memo.reset()
 	s.cells = nil
 	s.cellsValid = false
+}
+
+// Release hands the instrument's memo rows back for the next instrument to
+// reuse. Call it once the instrument's last probe is done and nothing will
+// read it again: an instrument built for one job releases when the job
+// ends, while long-lived instruments (sessions, fleet devices) never do.
+// Probing a released instrument panics; releasing twice does nothing.
+func (s *SimInstrument) Release() {
+	if s.released {
+		return
+	}
+	s.released = true
+	s.memo.release()
+	s.cells, s.cellsValid = nil, false
 }
 
 // DatasetInstrument replays a pre-acquired CSD, the paper's evaluation

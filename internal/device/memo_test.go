@@ -268,6 +268,18 @@ func TestMemoEpochWrap(t *testing.T) {
 	}
 }
 
+// rowCount is the number of rows the store holds, in its dense window
+// and its map together.
+func (m *memoRows) rowCount() int {
+	n := len(m.rows)
+	for _, r := range m.dense {
+		if r != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestPlaneReach: probes beyond planeReach cells go to the N-gate map, so
 // a far probe never stretches the plane's dense rows across the gap.
 func TestPlaneReach(t *testing.T) {
@@ -279,7 +291,7 @@ func TestPlaneReach(t *testing.T) {
 	pv.GetCurrent(win.V1At(10), win.V2At(20))
 	pv.GetCurrent(1e4, win.V2At(20))
 	pv.GetCurrent(win.V1At(10), -1e4)
-	if rows, n := len(pv.M.plane.rows), len(pv.M.memo); rows != 1 || n != 2 || pv.M.plane.count != 1 {
+	if rows, n := pv.M.plane.rowCount(), len(pv.M.memo); rows != 1 || n != 2 || pv.M.plane.count != 1 {
 		t.Fatalf("plane holds %d rows (%d cells), map %d entries; want 1 row of 1 cell, 2 far entries", rows, pv.M.plane.count, n)
 	}
 	if r := pv.M.plane.row(quantKey(win.V2At(20), pv.M.Quant)); len(r.vals) != memoRowCells {

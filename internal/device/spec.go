@@ -199,6 +199,6 @@ func (s *DoubleDotSpec) Build() (*SimInstrument, csd.Window, error) {
 	}
 	win := s.Window()
 	inst := NewSimInstrument(dev, DefaultDwell, win.StepV1(), win.StepV2())
-	inst.memo.fitWindow(win, inst.QuantV1)
+	inst.memo.fitWindow(win, inst.QuantV1, inst.QuantV2)
 	return inst, win, nil
 }

@@ -33,8 +33,10 @@ func BenchmarkFitKnee(b *testing.B) {
 	}
 }
 
-// TestTheilSenAllocs pins TheilSen to its one buffer: the slopes and the
-// intercepts share it and both medians are taken in place.
+// TestTheilSenAllocs pins TheilSen to its one pooled buffer: the slopes
+// and the intercepts share it and both medians are taken in place, so a
+// warm call allocates nothing. Race builds drop pooled items at random,
+// and there the bound is the one buffer.
 func TestTheilSenAllocs(t *testing.T) {
 	pts := randomPoints(xrand.New(2), 60)
 	allocs := testing.AllocsPerRun(50, func() {
@@ -42,8 +44,12 @@ func TestTheilSenAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("TheilSen allocates %.1f objects/op, want at most 1", allocs)
+	want := 0.0
+	if raceEnabled {
+		want = 1
+	}
+	if allocs > want {
+		t.Fatalf("TheilSen allocates %.1f objects/op, want at most %.0f", allocs, want)
 	}
 }
 

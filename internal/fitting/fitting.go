@@ -10,6 +10,8 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+
+	"github.com/fastvg/fastvg/internal/scratch"
 )
 
 // Vec2 is a 2-D point.
@@ -43,40 +45,60 @@ func LinearFit(pts []Vec2) (a, b float64, err error) {
 // TheilSen returns a robust (intercept, slope) estimate: the median of all
 // pairwise slopes and the median of the per-point intercepts. It tolerates
 // up to ~29% outliers, which is what the sweeps' erroneous points demand.
-// One buffer, sized up front, holds the slopes and then the intercepts;
-// both medians are taken in place by selection.
+// One pooled buffer holds the slopes and then the intercepts; both medians
+// are taken in place by selection, with a plain < when the values hold no
+// NaN.
 func TheilSen(pts []Vec2) (a, b float64, err error) {
 	n := len(pts)
 	if n < 2 {
 		return 0, 0, errors.New("fitting: need at least 2 points")
 	}
-	buf := make([]float64, max(n*(n-1)/2, n))
+	bp := floats.Get(max(n*(n-1)/2, n))
+	defer floats.Put(bp)
+	buf := *bp
 	m := 0
+	nanFree := true
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			dx := pts[j].X - pts[i].X
 			if dx == 0 {
 				continue
 			}
-			buf[m] = (pts[j].Y - pts[i].Y) / dx
+			s := (pts[j].Y - pts[i].Y) / dx
+			nanFree = nanFree && s == s
+			buf[m] = s
 			m++
 		}
 	}
 	if m == 0 {
 		return 0, 0, errors.New("fitting: all points share one x value")
 	}
-	b = medianInPlace(buf[:m])
+	b = medianOf(buf[:m], nanFree)
 	inters := buf[:n]
+	nanFree = true
 	for i, p := range pts {
-		inters[i] = p.Y - b*p.X
+		c := p.Y - b*p.X
+		nanFree = nanFree && c == c
+		inters[i] = c
 	}
-	a = medianInPlace(inters)
+	a = medianOf(inters, nanFree)
 	return a, b, nil
 }
 
-// median returns the median of xs without reordering it.
-func median(xs []float64) float64 {
-	return medianInPlace(append([]float64(nil), xs...))
+// floats and vecs recycle the slices the fits use internally; no fit
+// returns memory from them.
+var (
+	floats scratch.Slices[float64]
+	vecs   scratch.Slices[Vec2]
+)
+
+// medianOf is medianInPlace, through medianNaNFree when the caller knows s
+// holds no NaN.
+func medianOf(s []float64, nanFree bool) float64 {
+	if nanFree {
+		return medianNaNFree(s)
+	}
+	return medianInPlace(s)
 }
 
 // medianInPlace returns the median of s in sort.Float64s order (NaN
@@ -85,10 +107,24 @@ func median(xs []float64) float64 {
 // would give (up to the sign of a zero, which a sort leaves to its swap
 // order too).
 func medianInPlace(s []float64) float64 {
-	n := len(s)
-	k := n / 2
-	selectKth(s, k, 2*bits.Len(uint(n)))
-	if n%2 == 1 {
+	k := len(s) / 2
+	selectKth(s, k, 2*bits.Len(uint(len(s))))
+	return middle(s, k)
+}
+
+// medianNaNFree is medianInPlace for s holding no NaN: there less and a
+// plain < agree on every comparison, so selectKthNaNFree makes the same
+// swaps as selectKth and the median has the same bits.
+func medianNaNFree(s []float64) float64 {
+	k := len(s) / 2
+	selectKthNaNFree(s, k, 2*bits.Len(uint(len(s))))
+	return middle(s, k)
+}
+
+// middle returns the median of s once selection has put rank k = len(s)/2
+// in place.
+func middle(s []float64, k int) float64 {
+	if len(s)%2 == 1 {
 		return s[k]
 	}
 	// s[:k] holds the k smallest values; the largest of them is the lower
@@ -147,6 +183,51 @@ func selectKth(s []float64, k, rounds int) {
 		}
 		// s[lo:j+1] orders at or before the pivot, s[i:hi+1] at or after
 		// it, and anything between equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+// selectKthNaNFree is selectKth, step for step, with less replaced by a
+// plain < for inputs holding no NaN. Keep the two in lockstep.
+func selectKthNaNFree(s []float64, k, rounds int) {
+	lo, hi := 0, len(s)-1
+	for ; hi > lo; rounds-- {
+		if rounds <= 0 {
+			sort.Float64s(s[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if s[mid] < s[lo] {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if s[hi] < s[mid] {
+			s[hi], s[mid] = s[mid], s[hi]
+			if s[mid] < s[lo] {
+				s[mid], s[lo] = s[lo], s[mid]
+			}
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for pivot < s[j] {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
 		switch {
 		case k <= j:
 			hi = j

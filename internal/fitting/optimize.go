@@ -134,9 +134,10 @@ type LMOptions struct {
 // the m residuals at x into r. It is this repository's replacement for
 // SciPy's curve_fit (Section 4.3.3).
 //
-// One buffer, allocated per call, holds the iterate, the trial point, the
-// residual vectors, the Jacobian and the normal equations; an accepted step
-// trades buffers with the iterate, so iterations allocate nothing.
+// One pooled buffer holds the iterate, the trial point, the residual
+// vectors, the Jacobian and the normal equations; an accepted step trades
+// buffers with the iterate, so iterations allocate nothing. The solution is
+// returned in a slice of its own.
 func LevMar(residuals func(x, r []float64), m int, x0 []float64, opt LMOptions) ([]float64, error) {
 	n := len(x0)
 	if n == 0 {
@@ -157,7 +158,16 @@ func LevMar(residuals func(x, r []float64), m int, x0 []float64, opt LMOptions) 
 	if opt.JacobEps == 0 {
 		opt.JacobEps = 1e-6
 	}
-	buf := make([]float64, 5*n+n*n+n*(n+1)+3*m+m*n)
+	bp := floats.Get(5*n + n*n + n*(n+1) + 3*m + m*n)
+	defer floats.Put(bp)
+	x := levMar(residuals, m, x0, opt, *bp)
+	return append([]float64(nil), x...), nil
+}
+
+// levMar runs LevMar's iteration in buf and returns the solution, which
+// lies in buf.
+func levMar(residuals func(x, r []float64), m int, x0 []float64, opt LMOptions, buf []float64) []float64 {
+	n := len(x0)
 	take := func(k int) []float64 {
 		s := buf[:k:k]
 		buf = buf[k:]
@@ -222,20 +232,20 @@ func LevMar(residuals func(x, r []float64), m int, x0 []float64, opt LMOptions) 
 				mu = math.Max(mu/3, 1e-12)
 				improved = true
 				if relImp < opt.Tol {
-					return x, nil
+					return x
 				}
 				break
 			}
 			mu *= 10
 			if mu > 1e12 {
-				return x, nil // damped out: converged to the best found
+				return x // damped out: converged to the best found
 			}
 		}
 		if !improved {
-			return x, nil
+			return x
 		}
 	}
-	return x, nil
+	return x
 }
 
 func dot(a, b []float64) float64 {

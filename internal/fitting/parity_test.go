@@ -21,6 +21,11 @@ func refMedian(xs []float64) float64 {
 	return 0.5*s[n/2-1] + 0.5*s[n/2]
 }
 
+// median returns the median of xs without reordering it.
+func median(xs []float64) float64 {
+	return medianInPlace(append([]float64(nil), xs...))
+}
+
 // refTheilSen is TheilSen before the preallocated buffer and in-place
 // selection: a growing slope slice and two sort-based medians.
 func refTheilSen(pts []Vec2) (a, b float64, err error) {

@@ -200,28 +200,37 @@ func InitialKnee(points []Vec2, a, b Vec2) Vec2 {
 	if len(points) < 4 {
 		return fallback
 	}
-	xs := make([]float64, len(points))
+	xp := floats.Get(len(points))
+	defer floats.Put(xp)
+	xs := *xp
+	nanFree := true
 	for i, p := range points {
 		xs[i] = p.X
+		nanFree = nanFree && p.X == p.X
 	}
-	xMed := median(xs)
-	var steep, shallow []Vec2
+	xMed := medianOf(xs, nanFree)
+	// One pooled buffer holds both branches in point order: the steep
+	// branch first, swapped to fit x = f(y) (well-conditioned for
+	// near-vertical data), then the shallow branch.
+	bp := vecs.Get(len(points))
+	defer vecs.Put(bp)
+	ns := 0
 	for _, p := range points {
 		if p.X > xMed {
-			steep = append(steep, p)
-		} else {
+			(*bp)[ns] = Vec2{X: p.Y, Y: p.X}
+			ns++
+		}
+	}
+	steep, shallow := (*bp)[:ns], (*bp)[ns:ns]
+	for _, p := range points {
+		if !(p.X > xMed) {
 			shallow = append(shallow, p)
 		}
 	}
 	if len(steep) < 2 || len(shallow) < 2 {
 		return fallback
 	}
-	// Steep branch: fit x = f(y) (well-conditioned for near-vertical data).
-	swapped := make([]Vec2, len(steep))
-	for i, p := range steep {
-		swapped[i] = Vec2{X: p.Y, Y: p.X}
-	}
-	c1, d1, err1 := TheilSen(swapped) // x = c1 + d1·y
+	c1, d1, err1 := TheilSen(steep)   // x = c1 + d1·y
 	c2, d2, err2 := TheilSen(shallow) // y = c2 + d2·x
 	if err1 != nil || err2 != nil {
 		return fallback

@@ -852,16 +852,16 @@ func (m *Manager) Tick(ctx context.Context, dt float64) (TickReport, error) {
 	// and history/journal writes happen here so their order never depends on
 	// scheduling.
 	var checkSaved int
-	persistErr := m.settlePhase(due, &rep.Checked, &rep.CheckProbes, &checkSaved)
+	checked, persistErr := m.settlePhase(due, &rep.Checked, &rep.CheckProbes, &checkSaved)
 	rep.ProbesSaved += checkSaved
 	m.account(rep.CheckProbes)
 	m.accountSaved(checkSaved)
 	reserved = 0 // check reservations became actuals above
 	if checkErr != nil {
-		return rep, checkErr
+		return rep, m.interrupted("spot-check", checked, len(due), checkErr)
 	}
 	if persistErr != nil {
-		return rep, persistErr
+		return rep, m.interrupted("spot-check", checked, len(due), persistErr)
 	}
 
 	// Phase 2: re-extraction of stale pairs, highest priority first. A chain
@@ -920,7 +920,7 @@ func (m *Manager) Tick(ctx context.Context, dt float64) (TickReport, error) {
 		return admitted[i].pc.idx < admitted[j].pc.idx
 	})
 	var recalSaved int
-	persistErr = m.settlePhase(admitted, &rep.Recalibrated, &rep.RecalProbes, &recalSaved)
+	recalibrated, persistErr := m.settlePhase(admitted, &rep.Recalibrated, &rep.RecalProbes, &recalSaved)
 	rep.ProbesSaved += recalSaved
 	m.account(rep.RecalProbes)
 	m.accountSaved(recalSaved)
@@ -933,14 +933,27 @@ func (m *Manager) Tick(ctx context.Context, dt float64) (TickReport, error) {
 	}
 	m.mu.Unlock()
 	if recalErr != nil {
-		return rep, recalErr
+		return rep, m.interrupted("recalibration", recalibrated, len(admitted), recalErr)
 	}
 	if persistErr != nil {
-		return rep, persistErr
+		return rep, m.interrupted("recalibration", recalibrated, len(admitted), persistErr)
 	}
 	// Journal the advanced clock and window accounting so a restart resumes
 	// the budget window (and tick cadence) where this tick left it.
 	return rep, m.saveClock()
+}
+
+// interrupted ends a tick whose phase failed after the clock moved. The
+// phase's finished units are journaled under the new clock, so the clock
+// is journaled too: a restart must not restore a clock behind its device
+// records. The error names the phase and how many of its units finished,
+// and wraps err.
+func (m *Manager) interrupted(phase string, finished, units int, err error) error {
+	err = fmt.Errorf("fleet: tick interrupted in its %s phase with %d of %d units settled: %w", phase, finished, units, err)
+	if serr := m.saveClock(); serr != nil {
+		return errors.Join(err, serr)
+	}
+	return err
 }
 
 // settlePhase applies one phase's outcomes at its barrier, in the given
@@ -948,9 +961,11 @@ func (m *Manager) Tick(ctx context.Context, dt float64) (TickReport, error) {
 // pushes, fleet-wide counter bumps and journal writes. Each run of units of
 // one device journals the device once, batched with all of the run's
 // events, so its state is never durable ahead of an event that produced
-// it. The first journal error is returned after every unit is settled —
-// accounting must never be lost to a persistence fault.
-func (m *Manager) settlePhase(units []unit, labels *[]string, probes, saved *int) error {
+// it. It returns how many units finished their job (recorded an event) and
+// the first journal error, after every unit is settled — accounting must
+// never be lost to a persistence fault.
+func (m *Manager) settlePhase(units []unit, labels *[]string, probes, saved *int) (int, error) {
+	finished := 0
 	var firstErr error
 	keep := func(err error) {
 		if err != nil && firstErr == nil {
@@ -968,6 +983,7 @@ func (m *Manager) settlePhase(units []unit, labels *[]string, probes, saved *int
 			*probes += pc.phaseProbes
 			*saved += pc.phaseSaved
 			if pc.phaseHasEv {
+				finished++
 				d.pushEvent(m.pol, pc.phaseEv)
 				m.bumpEvent(pc.phaseEv)
 				evs = append(evs, pc.phaseEv)
@@ -984,7 +1000,7 @@ func (m *Manager) settlePhase(units []unit, labels *[]string, probes, saved *int
 		}
 		d.mu.Unlock()
 	}
-	return firstErr
+	return finished, firstErr
 }
 
 // saveModel journals a pair's surrogate twin under its own record — models
@@ -1570,7 +1586,7 @@ func (m *Manager) forcePairs(ctx context.Context, id string, pairIdx []int) (Eve
 	})
 	var labels []string
 	probes, saved := 0, 0
-	persistErr := m.settlePhase(units, &labels, &probes, &saved)
+	_, persistErr := m.settlePhase(units, &labels, &probes, &saved)
 	m.account(probes)
 	m.accountSaved(saved)
 	if err != nil {

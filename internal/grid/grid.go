@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Point is an integer pixel coordinate (x = column, y = row, y up).
@@ -35,6 +36,28 @@ func New(w, h int) *Grid {
 	}
 	return &Grid{W: w, H: h, data: make([]float64, w*h)}
 }
+
+// scratch holds recycled grids. The collector empties a sync.Pool, so it
+// keeps no more than recently finished pipelines handed back.
+var scratch sync.Pool // of *Grid
+
+// Scratch returns a zero-filled w×h grid, in the memory of a recycled grid
+// when one is large enough. Pipelines take their intermediates from it and
+// hand them back with Recycle once nothing reads them.
+func Scratch(w, h int) *Grid {
+	g, _ := scratch.Get().(*Grid)
+	if g == nil || cap(g.data) < w*h {
+		return New(w, h)
+	}
+	g.W, g.H = w, h
+	g.data = g.data[:w*h]
+	clear(g.data)
+	return g
+}
+
+// Recycle hands g to Scratch. Neither the caller nor anything it returned
+// may use g afterwards.
+func Recycle(g *Grid) { scratch.Put(g) }
 
 // FromData wraps a row-major (bottom row first) data slice; it panics if the
 // length does not equal w*h.
@@ -162,17 +185,22 @@ func (g *Grid) Percentile(p float64) float64 {
 
 // Normalized returns a copy rescaled to [0, 1]; a constant grid maps to 0.
 func (g *Grid) Normalized() *Grid {
+	return g.NormalizedInto(New(g.W, g.H))
+}
+
+// NormalizedInto writes Normalized's values into dst, a grid of g's size,
+// and returns dst.
+func (g *Grid) NormalizedInto(dst *Grid) *Grid {
 	lo, hi := g.MinMax()
-	c := g.Clone()
 	if hi == lo {
-		c.Fill(0)
-		return c
+		dst.Fill(0)
+		return dst
 	}
 	scale := 1 / (hi - lo)
-	for i, v := range c.data {
-		c.data[i] = (v - lo) * scale
+	for i, v := range g.data {
+		dst.data[i] = (v - lo) * scale
 	}
-	return c
+	return dst
 }
 
 // Crop returns the sub-grid [x0, x0+w) × [y0, y0+h).

@@ -25,23 +25,32 @@ func DefaultCannyConfig() CannyConfig {
 
 // Canny runs the full edge-detection pipeline and returns a binary grid
 // (1 = edge pixel). The convolutions honour cfg.Workers; the output is
-// identical at any worker budget.
+// identical at any worker budget. Every intermediate is a scratch grid,
+// recycled as soon as the next stage has read it.
 func Canny(g *grid.Grid, cfg CannyConfig) *grid.Grid {
-	blurred := GaussianBlurWorkers(g, cfg.Sigma, cfg.Workers)
-	gx, gy := SobelWorkers(blurred, cfg.Workers)
-	mag := GradientMagnitude(gx, gy)
-	nms := nonMaxSuppress(mag, gx, gy)
+	w, h := g.W, g.H
+	blurred := gaussianBlurInto(grid.Scratch(w, h), g, cfg.Sigma, cfg.Workers)
+	gx := convolveInto(grid.Scratch(w, h), blurred, sobelX, cfg.Workers)
+	gy := convolveInto(grid.Scratch(w, h), blurred, sobelY, cfg.Workers)
+	grid.Recycle(blurred)
+	mag := gradientMagnitudeInto(grid.Scratch(w, h), gx, gy)
+	nms := nonMaxSuppress(grid.Scratch(w, h), mag, gx, gy)
+	grid.Recycle(mag)
+	grid.Recycle(gx)
+	grid.Recycle(gy)
 	_, maxMag := nms.MinMax()
 	hi := cfg.HighRatio * maxMag
 	lo := cfg.LowRatio * hi
-	return hysteresis(nms, lo, hi)
+	edges := hysteresis(nms, lo, hi)
+	grid.Recycle(nms)
+	return edges
 }
 
 // nonMaxSuppress thins the gradient magnitude to single-pixel ridges by
 // zeroing pixels that are not local maxima along their gradient direction,
-// quantised to 4 directions.
-func nonMaxSuppress(mag, gx, gy *grid.Grid) *grid.Grid {
-	out := grid.New(mag.W, mag.H)
+// quantised to 4 directions. It writes the ridges into out, a zero-filled
+// grid of mag's size, and returns it.
+func nonMaxSuppress(out, mag, gx, gy *grid.Grid) *grid.Grid {
 	for y := 0; y < mag.H; y++ {
 		for x := 0; x < mag.W; x++ {
 			m := mag.At(x, y)

@@ -78,7 +78,12 @@ func Convolve(g *grid.Grid, k Kernel) *grid.Grid {
 // ConvolveWorkers is Convolve with an explicit row-render worker budget
 // (0 = one per CPU, 1 = serial). The output is identical at any setting.
 func ConvolveWorkers(g *grid.Grid, k Kernel, workers int) *grid.Grid {
-	out := grid.New(g.W, g.H)
+	return convolveInto(grid.New(g.W, g.H), g, k, workers)
+}
+
+// convolveInto is ConvolveWorkers writing every pixel of out, a grid of
+// g's size, and returning it.
+func convolveInto(out, g *grid.Grid, k Kernel, workers int) *grid.Grid {
 	cx, cy := k.W/2, k.H/2
 	parallelRows(g.H, workers, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
@@ -127,9 +132,17 @@ func GaussianBlur(g *grid.Grid, sigma float64) *grid.Grid {
 // budget (0 = one per CPU, 1 = serial). The output is identical at any
 // setting.
 func GaussianBlurWorkers(g *grid.Grid, sigma float64, workers int) *grid.Grid {
+	return gaussianBlurInto(grid.New(g.W, g.H), g, sigma, workers)
+}
+
+// gaussianBlurInto is GaussianBlurWorkers writing every pixel of out, a
+// grid of g's size, and returning it. The horizontal pass's intermediate
+// is a scratch grid.
+func gaussianBlurInto(out, g *grid.Grid, sigma float64, workers int) *grid.Grid {
 	k := GaussianKernel1D(sigma)
 	r := len(k) / 2
-	tmp := grid.New(g.W, g.H)
+	tmp := grid.Scratch(g.W, g.H)
+	defer grid.Recycle(tmp)
 	parallelRows(g.H, workers, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			for x := 0; x < g.W; x++ {
@@ -141,7 +154,6 @@ func GaussianBlurWorkers(g *grid.Grid, sigma float64, workers int) *grid.Grid {
 			}
 		}
 	})
-	out := grid.New(g.W, g.H)
 	parallelRows(g.H, workers, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			for x := 0; x < g.W; x++ {
@@ -162,25 +174,34 @@ func Sobel(g *grid.Grid) (gx, gy *grid.Grid) {
 	return SobelWorkers(g, 0)
 }
 
-// SobelWorkers is Sobel with an explicit row-render worker budget.
-func SobelWorkers(g *grid.Grid, workers int) (gx, gy *grid.Grid) {
-	// Bottom row first: the +y derivative kernel has -1s on the bottom row.
-	kx := NewKernel(3, 3, []float64{
+// The Sobel kernels, bottom row first: the +y derivative kernel has -1s
+// on the bottom row.
+var (
+	sobelX = NewKernel(3, 3, []float64{
 		-1, 0, 1,
 		-2, 0, 2,
 		-1, 0, 1,
 	})
-	ky := NewKernel(3, 3, []float64{
+	sobelY = NewKernel(3, 3, []float64{
 		-1, -2, -1,
 		0, 0, 0,
 		1, 2, 1,
 	})
-	return ConvolveWorkers(g, kx, workers), ConvolveWorkers(g, ky, workers)
+)
+
+// SobelWorkers is Sobel with an explicit row-render worker budget.
+func SobelWorkers(g *grid.Grid, workers int) (gx, gy *grid.Grid) {
+	return ConvolveWorkers(g, sobelX, workers), ConvolveWorkers(g, sobelY, workers)
 }
 
 // GradientMagnitude returns sqrt(gx² + gy²) per pixel.
 func GradientMagnitude(gx, gy *grid.Grid) *grid.Grid {
-	out := grid.New(gx.W, gx.H)
+	return gradientMagnitudeInto(grid.New(gx.W, gx.H), gx, gy)
+}
+
+// gradientMagnitudeInto is GradientMagnitude writing every pixel of out,
+// a grid of gx's size, and returning it.
+func gradientMagnitudeInto(out, gx, gy *grid.Grid) *grid.Grid {
 	out.Apply(func(x, y int, _ float64) float64 {
 		return math.Hypot(gx.At(x, y), gy.At(x, y))
 	})

@@ -3,8 +3,10 @@ package imaging
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/fastvg/fastvg/internal/grid"
+	"github.com/fastvg/fastvg/internal/scratch"
 )
 
 // HoughLine is a straight line in normal form ρ = x·cosθ + y·sinθ with the
@@ -65,9 +67,17 @@ type Accumulator struct {
 	nRho   int
 	rhoMax float64
 	votes  []int32
+
+	sins, coss []float64 // per-θ-bin tables, kept for reuse
+	suppressed []bool    // Peaks' per-bin suppression mask, kept for reuse
 }
 
-// Hough accumulates votes for every set pixel of a binary edge grid.
+// accumulators holds recycled accumulators. The collector empties a
+// sync.Pool, so it keeps no more than recently finished transforms held.
+var accumulators sync.Pool // of *Accumulator
+
+// Hough accumulates votes for every set pixel of a binary edge grid. The
+// table is a recycled accumulator's memory when one is large enough.
 func Hough(edges *grid.Grid, cfg HoughConfig) *Accumulator {
 	if cfg.ThetaStep <= 0 {
 		cfg.ThetaStep = math.Pi / 180
@@ -75,14 +85,19 @@ func Hough(edges *grid.Grid, cfg HoughConfig) *Accumulator {
 	if cfg.RhoStep <= 0 {
 		cfg.RhoStep = 1
 	}
-	a := &Accumulator{cfg: cfg}
+	a, _ := accumulators.Get().(*Accumulator)
+	if a == nil {
+		a = new(Accumulator)
+	}
+	a.cfg = cfg
 	a.nTheta = int(math.Ceil(math.Pi / cfg.ThetaStep))
 	a.rhoMax = math.Hypot(float64(edges.W), float64(edges.H))
 	a.nRho = 2*int(math.Ceil(a.rhoMax/cfg.RhoStep)) + 1
-	a.votes = make([]int32, a.nTheta*a.nRho)
+	a.votes = scratch.Zeroed(a.votes, a.nTheta*a.nRho)
 
-	sins := make([]float64, a.nTheta)
-	coss := make([]float64, a.nTheta)
+	a.sins = scratch.Zeroed(a.sins, a.nTheta)
+	a.coss = scratch.Zeroed(a.coss, a.nTheta)
+	sins, coss := a.sins, a.coss
 	for t := 0; t < a.nTheta; t++ {
 		th := float64(t) * cfg.ThetaStep
 		sins[t] = math.Sin(th)
@@ -106,6 +121,10 @@ func Hough(edges *grid.Grid, cfg HoughConfig) *Accumulator {
 	}
 	return a
 }
+
+// Recycle hands the accumulator's tables to the next Hough. Neither a nor
+// its VotesAt may be used afterwards; lines Peaks returned stay valid.
+func (a *Accumulator) Recycle() { accumulators.Put(a) }
 
 // VotesAt returns the vote count of bin (thetaIdx, rhoIdx).
 func (a *Accumulator) VotesAt(thetaIdx, rhoIdx int) int {
@@ -145,13 +164,14 @@ func (a *Accumulator) Peaks(maxPeaks, minVotes, suppressTheta, suppressRho int) 
 		}
 		return cands[i].r < cands[j].r
 	})
-	suppressed := make(map[bin]bool)
+	a.suppressed = scratch.Zeroed(a.suppressed, len(a.votes))
+	suppressed := a.suppressed
 	var out []HoughLine
 	for _, c := range cands {
 		if len(out) >= maxPeaks {
 			break
 		}
-		if suppressed[c] {
+		if suppressed[c.t*a.nRho+c.r] {
 			continue
 		}
 		out = append(out, a.line(c.t, c.r))
@@ -165,7 +185,7 @@ func (a *Accumulator) Peaks(maxPeaks, minVotes, suppressTheta, suppressRho int) 
 			for dr := -suppressRho; dr <= suppressRho; dr++ {
 				r := c.r + dr
 				if r >= 0 && r < a.nRho {
-					suppressed[bin{t, r}] = true
+					suppressed[t*a.nRho+r] = true
 				}
 			}
 		}

@@ -58,9 +58,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/fastvg/fastvg/internal/csd"
 	"github.com/fastvg/fastvg/internal/fitting"
+	"github.com/fastvg/fastvg/internal/scratch"
 	"github.com/fastvg/fastvg/internal/telemetry"
 	"github.com/fastvg/fastvg/internal/virtualgate"
 )
@@ -242,7 +244,12 @@ func Extract(src Source, win csd.Window, cfg Config) (*Result, error) {
 	if err := win.Validate(); err != nil {
 		return nil, err
 	}
-	s := NewScheduler(win, cfg)
+	s, _ := schedulers.Get().(*Scheduler)
+	if s == nil {
+		s = new(Scheduler)
+	}
+	s.reset(win, cfg)
+	defer s.recycle()
 	err := s.Seed(src)
 	if err == nil {
 		err = s.Run(src)
@@ -286,11 +293,36 @@ type Scheduler struct {
 	activeProbes int
 }
 
+// schedulers holds the schedulers of finished extractions, whose buffers
+// the next Extract reuses. The collector empties a sync.Pool, so it keeps
+// no more than recently finished extractions held.
+var schedulers sync.Pool // of *Scheduler
+
 // NewScheduler builds a scheduler with all buffers pre-allocated; no
 // further allocations happen on the probe hot path.
 func NewScheduler(win csd.Window, cfg Config) *Scheduler {
+	s := new(Scheduler)
+	s.reset(win, cfg)
+	return s
+}
+
+// recycle hands a finished Extract's scheduler to the next one, holding
+// none of the caller's configuration.
+func (s *Scheduler) recycle() {
+	s.cfg = Config{}
+	s.steep.prior, s.shallow.prior = nil, nil
+	schedulers.Put(s)
+}
+
+// reset starts s on an extraction of win exactly as NewScheduler does:
+// every field but the buffers starts at its zero value, and every buffer
+// is zeroed and sized as a new one would be, reusing the memory s already
+// holds where it is large enough.
+func (s *Scheduler) reset(win csd.Window, cfg Config) {
 	cfg.fillDefaults()
-	s := &Scheduler{win: win, cfg: cfg}
+	steep, shallow, probed := s.steep.buffers, s.shallow.buffers, s.probed
+	*s = Scheduler{win: win, cfg: cfg}
+	s.steep.buffers, s.shallow.buffers = steep, shallow
 	s.steep.name, s.shallow.name = "steep", "shallow"
 	// The steep line's frame: u = y (scan along rows), v = x (the crossing
 	// moves along columns). The shallow line is the transpose.
@@ -304,8 +336,7 @@ func NewScheduler(win csd.Window, cfg Config) *Scheduler {
 	}
 	s.steep.init(&cfg, win.Rows, win.Cols)
 	s.shallow.init(&cfg, win.Cols, win.Rows)
-	s.probed = make([]uint64, (win.Cols*win.Rows+63)/64)
-	return s
+	s.probed = scratch.Zeroed(probed, (win.Cols*win.Rows+63)/64)
 }
 
 // buildPriors converts externally known voltage-space geometry into the

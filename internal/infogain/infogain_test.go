@@ -3,6 +3,7 @@ package infogain
 import (
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -269,5 +270,105 @@ func TestNewSchedulerBoundsHistory(t *testing.T) {
 	}
 	if want := win.Cols*win.Rows + 128; cap(s.steep.hu) != want || cap(s.shallow.hb) != want {
 		t.Fatalf("history capacity %d/%d, want %d", cap(s.steep.hu), cap(s.shallow.hb), want)
+	}
+}
+
+// raceEnabled is set in race builds, where sync.Pool drops items at random
+// and allocation counts differ.
+var raceEnabled bool
+
+// TestExtractWarmAllocs: once an extraction has finished, the next one
+// runs on its scheduler's posterior grids, prefix sums, history and
+// bitmask, and allocates only its Result.
+func TestExtractWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled schedulers at random")
+	}
+	inst, win, _ := buildDefault(t, noise.PresetStandard(), 1)
+	g, err := csd.Acquire(inst, win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := csd.GridSource{G: g}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Extract(src, win, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("a warm extraction allocates %.0f objects, want 1", allocs)
+	}
+}
+
+// TestSchedulerReuseMatchesNew: a scheduler that has run an extraction,
+// reset for a window of another size — with a prior, and with a probe
+// budget larger than the window — holds exactly the state NewScheduler
+// builds: every field, every buffer's contents and the history's capacity.
+// Extract on recycled schedulers returns the Result a fresh one does.
+func TestSchedulerReuseMatchesNew(t *testing.T) {
+	grids := map[int]csd.GridSource{}
+	wins := map[int]csd.Window{}
+	for _, px := range []int{100, 40} {
+		spec := device.DoubleDotSpec{Pixels: px, Noise: noise.PresetStandard(), Seed: 3}
+		inst, win, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := csd.Acquire(inst, win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids[px], wins[px] = csd.GridSource{G: g}, win
+	}
+	cfgs := []Config{{}, {MaxProbes: 1 << 20, GridOff: 30, Bends: []float64{0.02, -0.02}},
+		{Prior: &Prior{SteepSlope: -7, ShallowSlope: -0.12, TripleV1: 30, TripleV2: 28}}}
+	for i, cfg := range cfgs {
+		for _, px := range []int{40, 100} {
+			used := NewScheduler(wins[140-px], cfgs[(i+1)%len(cfgs)])
+			if err := used.Seed(grids[140-px]); err == nil {
+				_ = used.Run(grids[140-px])
+			}
+			used.reset(wins[px], cfg)
+			fresh := NewScheduler(wins[px], cfg)
+			if !reflect.DeepEqual(used, fresh) {
+				t.Fatalf("config %d, %d px: a reset scheduler differs from a new one", i, px)
+			}
+			for _, pair := range [][2]*posterior{{&used.steep, &fresh.steep}, {&used.shallow, &fresh.shallow}} {
+				u, f := pair[0], pair[1]
+				if cap(u.hu) != cap(f.hu) || cap(u.hv) != cap(f.hv) || cap(u.hb) != cap(f.hb) {
+					t.Fatalf("config %d, %d px: %s history capacity %d, want %d", i, px, u.name, cap(u.hu), cap(f.hu))
+				}
+			}
+		}
+	}
+	compared := 0
+	for _, cfg := range cfgs {
+		fresh := NewScheduler(wins[100], cfg)
+		var ref *Result
+		wantErr := fresh.Seed(grids[100])
+		if wantErr == nil {
+			if wantErr = fresh.Run(grids[100]); wantErr == nil {
+				ref, wantErr = fresh.Finish()
+			}
+		}
+		for round := 0; round < 3; round++ {
+			if _, err := Extract(grids[40], wins[40], cfg); err != nil && !errors.Is(err, ErrNoConverge) {
+				t.Fatal(err)
+			}
+			got, err := Extract(grids[100], wins[100], cfg)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("round %d: err %v, fresh scheduler %v", round, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("round %d: recycled %+v, fresh %+v", round, got, ref)
+			}
+			compared++
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no extraction converged; the Result comparison never ran")
 	}
 }

@@ -3,6 +3,8 @@ package infogain
 import (
 	"math"
 	"sort"
+
+	"github.com/fastvg/fastvg/internal/scratch"
 )
 
 // posterior is one transition line's discrete Bayesian state. The line
@@ -20,8 +22,8 @@ import (
 // and then corrected against the stored offsets (searchGrid, fixIndex),
 // which keeps it equal to a binary search at O(1) per row. Per-row prefix
 // sums then make the expected-variance scoring O(rows) instead of O(H) per
-// candidate. All buffers are allocated once in init; the probe hot path
-// allocates nothing.
+// candidate. init sizes every buffer once per extraction, in a recycled
+// scheduler's memory where it can; the probe hot path allocates nothing.
 type posterior struct {
 	name  string
 	xIsU  bool // cell(u,v) = (u,v) when true (shallow line), (v,u) otherwise
@@ -47,26 +49,15 @@ type posterior struct {
 	seedU      int // the scan line that calibrated the model
 	seedN      int // samples recorded in scanV/scanC
 
-	offs, slopes, bends []float64
-	offInv              float64   // 1/spacing of offs, 0 for a one-point grid
-	w                   []float64 // hypothesis weights, normalised to 1
-	pw                  []float64 // per-row prefix sums of w: pw[row*(noff+1)+k]
-	rowW, rowWo, rowWoo []float64 // per-row Σw, Σw·off, Σw·off²
-	rowSlope            []float64 // slope param per row
-	base                []float64 // scratch: slope·u·(1+bend·u/L) per row
+	buffers
+	offInv float64 // 1/spacing of offs, 0 for a one-point grid
 
 	// Moments over the normalised posterior, refreshed by rebuild.
 	mOff, mOff2     float64
 	mSlope, mSlope2 float64
 	mBend, mBend2   float64
 
-	// Probe history for grid-refinement replay.
-	hu, hv []int32
-	hb     []bool
-	hn     int
-
-	scanV []int // seeding scratch
-	scanC []float64
+	hn int // probes recorded in the history
 
 	probes  int // active-phase probes (seeding excluded)
 	refines int
@@ -75,6 +66,33 @@ type posterior struct {
 	maxRefines int
 	minProbes  int
 	targetCI   float64
+}
+
+// buffers is the memory of one line's posterior, carried from one
+// extraction to the next by pooled schedulers.
+type buffers struct {
+	offs, slopes, bends []float64
+	w                   []float64 // hypothesis weights, normalised to 1
+	pw                  []float64 // per-row prefix sums of w: pw[row*(noff+1)+k]
+	rowW, rowWo, rowWoo []float64 // per-row Σw, Σw·off, Σw·off²
+	rowSlope            []float64 // slope param per row
+	base                []float64 // scratch: slope·u·(1+bend·u/L) per row
+
+	// Probe history for grid-refinement replay.
+	hu, hv []int32
+	hb     []bool
+
+	scanV []int // seeding scratch
+	scanC []float64
+}
+
+// history returns an empty slice of capacity exactly c, in buf's memory
+// when it is large enough: observe records probes up to that capacity.
+func history[T any](buf []T, c int) []T {
+	if cap(buf) < c {
+		return make([]T, 0, c)
+	}
+	return buf[:0:c]
 }
 
 // linePrior centres the hypothesis grid on externally known geometry.
@@ -98,28 +116,28 @@ func (p *posterior) init(cfg *Config, uLim, vLim int) {
 	p.uLim, p.vLim = uLim, vLim
 	p.eps = cfg.NoiseEps
 	p.noff = cfg.GridOff
-	p.offs = make([]float64, p.noff)
-	p.slopes = make([]float64, cfg.GridSlope)
-	p.bends = append([]float64(nil), cfg.Bends...)
+	p.offs = scratch.Zeroed(p.offs, p.noff)
+	p.slopes = scratch.Zeroed(p.slopes, cfg.GridSlope)
+	p.bends = append(p.bends[:0], cfg.Bends...)
 	sort.Float64s(p.bends)
 	p.nrows = len(p.bends) * len(p.slopes)
 	h := p.nrows * p.noff
-	p.w = make([]float64, h)
-	p.pw = make([]float64, p.nrows*(p.noff+1))
-	p.rowW = make([]float64, p.nrows)
-	p.rowWo = make([]float64, p.nrows)
-	p.rowWoo = make([]float64, p.nrows)
-	p.rowSlope = make([]float64, p.nrows)
-	p.base = make([]float64, p.nrows)
+	p.w = scratch.Zeroed(p.w, h)
+	p.pw = scratch.Zeroed(p.pw, p.nrows*(p.noff+1))
+	p.rowW = scratch.Zeroed(p.rowW, p.nrows)
+	p.rowWo = scratch.Zeroed(p.rowWo, p.nrows)
+	p.rowWoo = scratch.Zeroed(p.rowWoo, p.nrows)
+	p.rowSlope = scratch.Zeroed(p.rowSlope, p.nrows)
+	p.base = scratch.Zeroed(p.base, p.nrows)
 	// Active probes never revisit a cell, so a line records at most one
 	// seed scan (≤ 64 samples) plus one probe per window cell: sizing by the
 	// window keeps a huge MaxProbes from pre-allocating gigabytes.
 	cap := min(max(cfg.MaxProbes, 0), uLim*vLim) + 128
-	p.hu = make([]int32, 0, cap)
-	p.hv = make([]int32, 0, cap)
-	p.hb = make([]bool, 0, cap)
-	p.scanV = make([]int, 64)
-	p.scanC = make([]float64, 64)
+	p.hu = history(p.hu, cap)
+	p.hv = history(p.hv, cap)
+	p.hb = history(p.hb, cap)
+	p.scanV = scratch.Zeroed(p.scanV, 64)
+	p.scanC = scratch.Zeroed(p.scanC, 64)
 	p.maxRefines = 10
 	p.minProbes = cfg.MinProbes
 	p.targetCI = cfg.TargetCI

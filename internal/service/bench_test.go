@@ -72,3 +72,33 @@ func BenchmarkBatchCached(b *testing.B) {
 	st := svc.Stats().Cache
 	b.ReportMetric(st.HitRate(), "cache-hit-rate")
 }
+
+// BenchmarkColdKinds prices one never-seen request of each cold-mix kind
+// through Service.Batch on a one-worker service: B/op and allocs/op are
+// what one cold job of that kind allocates, from request to cached
+// result. Twin-first requests cycle four devices, as a cold-mix client's
+// do, so their twins learn across iterations.
+func BenchmarkColdKinds(b *testing.B) {
+	for _, kind := range coldKinds {
+		b.Run(kind, func(b *testing.B) {
+			ctx := context.Background()
+			svc, err := New(Config{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer svc.Close(ctx)
+			seed := uint64(1 << 20)
+			b.ReportAllocs()
+			for b.Loop() {
+				seed++
+				s := seed
+				if kind == "twin" {
+					s = seed % 4
+				}
+				if it := svc.Batch(ctx, []Request{coldRequest(kind, 100, s)}); it[0].Error != "" {
+					b.Fatal(it[0].Error)
+				}
+			}
+		})
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/fastvg/fastvg/internal/chainx"
+	"github.com/fastvg/fastvg/internal/device"
 	"github.com/fastvg/fastvg/internal/qflow"
 	"github.com/fastvg/fastvg/internal/telemetry"
 )
@@ -51,9 +52,12 @@ func (s *Service) runChain(ctx context.Context, nreq Request, hash string, res *
 		}
 	}
 	stacks := make([]*probeStack, n)
+	views := make([]*device.PairView, n)
 	cfg := chainConfig(ctx, nreq)
 	cfg.Wrap = func(pair int, inst chainx.PairInstrument) chainx.PairInstrument {
-		stacks[pair] = s.newProbeStack(inst, sur, twins[pair]) // distinct index per planner goroutine: race-free
+		// Distinct index per planner goroutine: race-free.
+		views[pair], _ = inst.(*device.PairView)
+		stacks[pair] = s.newProbeStack(inst, sur, twins[pair])
 		return stacks[pair].top
 	}
 	var psp *telemetry.Span
@@ -100,6 +104,11 @@ func (s *Service) runChain(ctx context.Context, nreq Request, hash string, res *
 		truth := qflow.Truth{SteepSlope: steep, ShallowSlope: shallow}
 		if err := s.writeTrace(st, nreq, hash, src.Windows()[i], &truth, &i, &cres.Pairs[i]); err != nil {
 			s.metrics.persistErrs.Inc()
+		}
+		// Settled and traced: the pair's instrument, built for this job
+		// alone, hands its memo rows to the next job.
+		if views[i] != nil {
+			views[i].M.Release()
 		}
 	}
 	if cres.Chain != nil {

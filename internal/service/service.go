@@ -704,7 +704,11 @@ func (s *Service) runJobKind(ctx context.Context, nreq Request, hash string) (*R
 			return nil, err
 		}
 		truth := qflow.Truth{SteepSlope: nreq.Sim.SteepSlope, ShallowSlope: nreq.Sim.ShallowSlope}
-		if err := s.runInstrumented(ctx, nreq, hash, inst, win, &truth, res); err != nil {
+		err = s.runInstrumented(ctx, nreq, hash, inst, win, &truth, res)
+		// The twin has settled and the trace is written: nothing reads the
+		// job's instrument again, so its memo rows serve the next job.
+		inst.Release()
+		if err != nil {
 			return nil, err
 		}
 	default:
