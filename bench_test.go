@@ -15,6 +15,7 @@ package fastvg
 // substitute is pure text output and has no benchmark).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -320,25 +321,24 @@ func BenchmarkScalingGridSize(b *testing.B) {
 }
 
 // BenchmarkChainExtraction measures the n-dot sequential pairwise procedure
-// (Section 2.3) as the array grows.
+// (Section 2.3), fast method only on one worker, as the array grows.
 func BenchmarkChainExtraction(b *testing.B) {
 	for _, dots := range []int{2, 4, 8} {
 		dots := dots
 		b.Run(fmt.Sprintf("dots-%d", dots), func(b *testing.B) {
 			var probes float64
 			for i := 0; i < b.N; i++ {
-				sim, err := NewChainSim(ChainSimOptions{Dots: dots, Seed: uint64(i)})
+				spec := ChainSimOptions{Dots: dots, Seed: uint64(i)}.Spec()
+				res, err := ExtractChainSpec(context.Background(), spec, ChainExtractOptions{
+					Workers: 1, Methods: []ChainMethod{ChainMethodFast},
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				windows := make([]Window, dots-1)
-				for j := range windows {
-					windows[j] = sim.RecommendedWindow(100)
+				if res.Chain == nil {
+					b.Fatalf("pairs failed: %v", res.Failed())
 				}
-				if _, _, err := ExtractChain(sim, windows, make([]float64, dots), Options{}); err != nil {
-					b.Fatal(err)
-				}
-				probes += float64(sim.Inst.Stats().UniqueProbes)
+				probes += float64(res.Probes)
 			}
 			b.ReportMetric(probes/float64(b.N), "probes/op")
 		})

@@ -3,7 +3,6 @@ package fastvg
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/fastvg/fastvg/internal/chainx"
 	"github.com/fastvg/fastvg/internal/core"
@@ -14,9 +13,9 @@ import (
 // This file is the façade over the N-dot chain extraction planner
 // (internal/chainx): the paper's Section 2.3 procedure — virtualize an
 // N-dot linear array by composing its N−1 adjacent-pair extractions — run
-// either sequentially against one shared device (ExtractChain) or
-// concurrently against independent per-pair instruments with escalation and
-// a probe budget (ExtractChainSpec).
+// against independent per-pair instruments with escalation and a probe
+// budget (ExtractChainSpec), sequentially with one worker or concurrently
+// with more.
 
 // ChainMethod names a pair extraction pipeline in the escalation ladder.
 type ChainMethod = chainx.Method
@@ -71,6 +70,7 @@ func ExtractChainSpec(ctx context.Context, spec ChainSpec, opts ChainExtractOpti
 	if err != nil {
 		return nil, fmt.Errorf("fastvg: %w", err)
 	}
+	defer src.Release()
 	pool := sched.New(opts.Workers)
 	defer pool.Close(context.WithoutCancel(ctx))
 	fast := opts.Options.coreConfig()
@@ -88,49 +88,4 @@ func ExtractChainSpec(ctx context.Context, spec ChainSpec, opts ChainExtractOpti
 		return nil, fmt.Errorf("fastvg: %w", err)
 	}
 	return res, nil
-}
-
-// ExtractChain performs the paper's n-dot procedure (Section 2.3) against a
-// shared-instrument chain simulator: one pair extraction per adjacent
-// plunger pair — sequential, in pair order, exactly as on a single-channel
-// instrument — composed into a chain virtualization. windows[i] is the scan
-// window for pair (i, i+1); base is the operating point for the gates not
-// being scanned. It is a thin wrapper over the planner with a one-worker
-// pool and the fast method only; use ExtractChainSpec for concurrent pair
-// extraction with escalation.
-func ExtractChain(sim *ChainSim, windows []Window, base []float64, opts Options) (*Chain, []*Extraction, error) {
-	n := sim.Phys.N
-	if len(windows) != n-1 {
-		return nil, nil, fmt.Errorf("fastvg: need %d windows, got %d", n-1, len(windows))
-	}
-	if len(base) != n {
-		return nil, nil, fmt.Errorf("fastvg: need %d base voltages, got %d", n, len(base))
-	}
-	src := &chainx.SharedSource{Inst: sim.Inst, Win: windows, Base: base}
-	pool := sched.New(1)
-	defer pool.Close(context.Background())
-	res, err := chainx.Extract(context.Background(), pool, src, chainx.Config{
-		Methods: []ChainMethod{ChainMethodFast},
-		Options: method.Options{Fast: opts.coreConfig()},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	exts := make([]*Extraction, 0, n-1)
-	for i := range res.Pairs {
-		p := &res.Pairs[i]
-		if p.Error != "" {
-			return nil, nil, fmt.Errorf("fastvg: pair (%d,%d): %s", i, i+1, p.Error)
-		}
-		exts = append(exts, &Extraction{
-			Matrix:         p.Matrix,
-			SteepSlope:     p.SteepSlope,
-			ShallowSlope:   p.ShallowSlope,
-			TripleV1:       p.TripleV1,
-			TripleV2:       p.TripleV2,
-			Probes:         p.Probes,
-			ExperimentTime: time.Duration(p.ExperimentS * float64(time.Second)),
-		})
-	}
-	return res.Chain, exts, nil
 }

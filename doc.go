@@ -81,8 +81,8 @@
 // makespan-s/op in BENCH.txt). Chain jobs are cacheable (the canonical hash covers
 // the full per-pair window list and escalation ladder), journaled with one
 // per-pair record (store.KindChainPair), and traceable: each pair writes
-// its own probe trace, replayable through vgxreplay. ExtractChain remains
-// the sequential shared-instrument form of the same procedure.
+// its own probe trace, replayable through vgxreplay. Workers: 1 runs the
+// same procedure sequentially, pair by pair.
 //
 // # Fleet calibration
 //

@@ -1,6 +1,7 @@
 package fastvg
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -117,30 +118,26 @@ func TestSimOptionValidation(t *testing.T) {
 	if _, _, err := NewDoubleDotSim(DoubleDotSimOptions{SteepSlope: -0.5}); err == nil {
 		t.Error("accepted non-steep steep slope")
 	}
-	if _, err := NewChainSim(ChainSimOptions{Dots: 1}); err == nil {
+	if _, err := ExtractChainSpec(context.Background(), ChainSimOptions{Dots: 1}.Spec(), ChainExtractOptions{Workers: 1}); err == nil {
 		t.Error("accepted 1-dot chain")
 	}
 }
 
 func TestExtractChainQuadrupleDot(t *testing.T) {
-	sim, err := NewChainSim(ChainSimOptions{Dots: 4})
+	spec := ChainSimOptions{Dots: 4}.Spec()
+	spec.FillDefaults()
+	res, err := ExtractChainSpec(context.Background(), spec, ChainExtractOptions{
+		Workers: 1, Methods: []ChainMethod{ChainMethodFast},
+	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("ExtractChainSpec: %v", err)
 	}
-	windows := make([]Window, 3)
-	for i := range windows {
-		windows[i] = sim.RecommendedWindow(100)
-	}
-	base := []float64{0, 0, 0, 0}
-	chain, exts, err := ExtractChain(sim, windows, base, Options{})
-	if err != nil {
-		t.Fatalf("ExtractChain: %v", err)
-	}
-	if len(exts) != 3 {
-		t.Fatalf("%d pair extractions, want 3", len(exts))
+	exts, chain := res.Pairs, res.Chain
+	if len(exts) != 3 || chain == nil {
+		t.Fatalf("%d pair extractions (failed %v), want 3", len(exts), res.Failed())
 	}
 	for i := range exts {
-		steep, shallow := sim.PairTruth(i)
+		steep, shallow := spec.PairTruth(i)
 		if e := angleErrDeg(exts[i].SteepSlope, steep); e > 3.5 {
 			t.Errorf("pair %d steep %v vs %v (Δ%.2f°)", i, exts[i].SteepSlope, steep, e)
 		}
@@ -169,11 +166,10 @@ func TestExtractChainQuadrupleDot(t *testing.T) {
 }
 
 func TestExtractChainWindowCountValidation(t *testing.T) {
-	sim, err := NewChainSim(ChainSimOptions{Dots: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = ExtractChain(sim, []Window{sim.RecommendedWindow(64)}, []float64{0, 0, 0}, Options{})
+	spec := ChainSimOptions{Dots: 3}.Spec()
+	_, err := ExtractChainSpec(context.Background(), spec, ChainExtractOptions{
+		Workers: 1, Windows: []Window{NewWindow(0, 0, spec.SpanMV(), 64)},
+	})
 	if err == nil {
 		t.Error("accepted wrong window count")
 	}

@@ -14,7 +14,8 @@ import (
 // sequential at any worker count.
 type SpecSource struct {
 	spec    device.ChainSpec
-	windows []csd.Window // per-pair scan windows
+	windows []csd.Window       // per-pair scan windows
+	built   []*device.PairView // the last instrument Pair built for each pair
 }
 
 // NewSpecSource builds a source over spec. windows, when non-nil, overrides
@@ -40,7 +41,7 @@ func NewSpecSource(spec device.ChainSpec, windows []csd.Window) (*SpecSource, er
 			return nil, fmt.Errorf("chainx: pair %d window: %w", i, err)
 		}
 	}
-	return &SpecSource{spec: spec, windows: windows}, nil
+	return &SpecSource{spec: spec, windows: windows, built: make([]*device.PairView, spec.Dots-1)}, nil
 }
 
 // Dots implements Source.
@@ -49,7 +50,8 @@ func (s *SpecSource) Dots() int { return s.spec.Dots }
 // Windows returns the per-pair scan windows.
 func (s *SpecSource) Windows() []csd.Window { return s.windows }
 
-// Pair implements Source with an independent instrument per pair.
+// Pair implements Source with an independent instrument per pair. Calls
+// for distinct pairs may run concurrently.
 func (s *SpecSource) Pair(i int) (PairInstrument, csd.Window, error) {
 	if i < 0 || i >= s.spec.Dots-1 {
 		return nil, csd.Window{}, fmt.Errorf("chainx: pair index %d out of range", i)
@@ -58,39 +60,22 @@ func (s *SpecSource) Pair(i int) (PairInstrument, csd.Window, error) {
 	if err != nil {
 		return nil, csd.Window{}, err
 	}
+	s.built[i] = pv
 	return pv, s.windows[i], nil
+}
+
+// Release hands the memo rows of every instrument Pair built back for the
+// next source to reuse. Call it once nothing probes them again, after the
+// extraction returns; probing one afterwards panics.
+func (s *SpecSource) Release() {
+	for _, pv := range s.built {
+		if pv != nil {
+			pv.Release()
+		}
+	}
 }
 
 // PairTruth implements TruthSource with the spec's analytic pair slopes.
 func (s *SpecSource) PairTruth(i int) (steep, shallow float64) {
 	return s.spec.PairTruth(i)
-}
-
-// SharedSource adapts a single shared-instrument chain device (one
-// MultiInstrument, pair views over it) into a planner Source — the
-// hardware-faithful view, where all pairs probe one device. Pairs sharing an
-// instrument interleave their dwells, so run the planner on a one-worker
-// pool for reproducible results; this is what the root ExtractChain façade
-// does.
-type SharedSource struct {
-	Inst *device.MultiInstrument
-	// Windows are the per-pair scan windows (len Dots−1).
-	Win []csd.Window
-	// Base is the operating point for the gates not being scanned.
-	Base []float64
-}
-
-// Dots implements Source.
-func (s *SharedSource) Dots() int { return s.Inst.Dev.Phys.N }
-
-// Pair implements Source with a view over the shared instrument.
-func (s *SharedSource) Pair(i int) (PairInstrument, csd.Window, error) {
-	if i < 0 || i >= len(s.Win) {
-		return nil, csd.Window{}, fmt.Errorf("chainx: pair index %d out of range", i)
-	}
-	pv, err := device.NewPairView(s.Inst, i, i+1, s.Base)
-	if err != nil {
-		return nil, csd.Window{}, err
-	}
-	return pv, s.Win[i], nil
 }

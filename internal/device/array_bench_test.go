@@ -1,9 +1,7 @@
 package device
 
-// The N-dot probe-path benchmarks, mirroring BenchmarkProbe* for
-// MultiInstrument. The acceptance gate of the memo-key rework: the memo-hit
-// path must report 0 allocs/op (the quantised key is built in a reusable
-// scratch buffer and looked up without materialising a string).
+// The N-dot probe-path benchmarks, mirroring BenchmarkProbe* for a chain
+// pair's instrument. The memo-hit path must report 0 allocs/op.
 
 import (
 	"testing"
@@ -12,63 +10,61 @@ import (
 	"github.com/fastvg/fastvg/internal/noise"
 )
 
-func benchMultiInstrument(b *testing.B, n int) (*MultiInstrument, [][]float64) {
-	b.Helper()
-	dev := testArrayDevice(b, n)
-	inst := NewMultiInstrument(dev, DefaultDwell, 0.5)
-	// A raster over the first two gates, every other gate held mid-range —
-	// the pairwise-chain probing shape of the n-dot extraction.
-	var probes [][]float64
+// benchPair returns a pair view of a 4-dot chain and a 32×32 raster over
+// the first cells of its window — the pairwise-chain probing shape of the
+// n-dot extraction.
+func benchPair(tb testing.TB) (*PairView, [][2]float64) {
+	tb.Helper()
+	spec := ChainSpec{}
+	pv, win, err := spec.BuildPair(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var probes [][2]float64
 	for y := 0; y < 32; y++ {
 		for x := 0; x < 32; x++ {
-			v := make([]float64, n)
-			for g := 2; g < n; g++ {
-				v[g] = 1.0
-			}
-			v[0] = float64(x) * 0.5
-			v[1] = float64(y) * 0.5
-			probes = append(probes, v)
+			probes = append(probes, [2]float64{win.V1At(x), win.V2At(y)})
 		}
 	}
-	return inst, probes
+	return pv, probes
 }
 
 // BenchmarkProbeMultiScalar measures the cold N-dot probe path: every probe
 // misses the memo and runs the chain ground-state search.
 func BenchmarkProbeMultiScalar(b *testing.B) {
-	inst, probes := benchMultiInstrument(b, 4)
+	pv, probes := benchPair(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%len(probes) == 0 {
-			inst.ResetStats()
+			pv.ResetStats()
 		}
-		inst.GetCurrentN(probes[i%len(probes)])
+		p := probes[i%len(probes)]
+		pv.GetCurrent(p[0], p[1])
 	}
 }
 
 // BenchmarkProbeMultiMemoHit measures the re-probe path: every probe is a
 // memo hit. Must be 0 allocs/op.
 func BenchmarkProbeMultiMemoHit(b *testing.B) {
-	inst, probes := benchMultiInstrument(b, 4)
-	for _, v := range probes {
-		inst.GetCurrentN(v)
+	pv, probes := benchPair(b)
+	for _, p := range probes {
+		pv.GetCurrent(p[0], p[1])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inst.GetCurrentN(probes[i%len(probes)])
+		p := probes[i%len(probes)]
+		pv.GetCurrent(p[0], p[1])
 	}
 }
 
-// TestMultiMemoHitAllocs pins the memo-key contract: a hit allocates
-// nothing.
+// TestMultiMemoHitAllocs pins the memo contract: a hit allocates nothing.
 func TestMultiMemoHitAllocs(t *testing.T) {
-	dev := testArrayDevice(t, 4)
-	inst := NewMultiInstrument(dev, DefaultDwell, 0.5)
-	v := []float64{1, 2, 3, 4}
-	inst.GetCurrentN(v)
-	allocs := testing.AllocsPerRun(200, func() { inst.GetCurrentN(v) })
+	pv, probes := benchPair(t)
+	p := probes[37]
+	pv.GetCurrent(p[0], p[1])
+	allocs := testing.AllocsPerRun(200, func() { pv.GetCurrent(p[0], p[1]) })
 	if allocs != 0 {
 		t.Fatalf("memo hit allocates %.1f objects/op, want 0", allocs)
 	}

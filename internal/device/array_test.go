@@ -1,7 +1,6 @@
 package device
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -29,67 +28,77 @@ func testArrayDevice(t testing.TB, n int) *ArrayDevice {
 }
 
 func TestMultiInstrumentAccounting(t *testing.T) {
-	dev := testArrayDevice(t, 4)
-	inst := NewMultiInstrument(dev, DefaultDwell, 1)
-	v := []float64{10, 10, 10, 10}
-	inst.GetCurrentN(v)
-	inst.GetCurrentN(v) // memoised
-	v[0] = 20
-	inst.GetCurrentN(v)
-	s := inst.Stats()
+	spec := ChainSpec{}
+	pv, win, err := spec.BuildPair(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pv.GetCurrent(win.V1At(10), win.V2At(10))
+	pv.GetCurrent(win.V1At(10), win.V2At(10)) // memoised
+	pv.GetCurrent(win.V1At(20), win.V2At(10))
+	s := pv.Stats()
 	if s.UniqueProbes != 2 || s.RawCalls != 3 {
 		t.Errorf("stats = %+v", s)
 	}
 	if s.Virtual != 2*DefaultDwell {
 		t.Errorf("virtual = %v", s.Virtual)
 	}
+	if s != pv.M.Stats() {
+		t.Errorf("view stats %+v, instrument %+v", s, pv.M.Stats())
+	}
 }
 
 func TestMultiInstrumentQuantisationKey(t *testing.T) {
-	dev := testArrayDevice(t, 3)
-	inst := NewMultiInstrument(dev, time.Millisecond, 1)
-	a := inst.GetCurrentN([]float64{10.1, 20.2, 30.3})
-	b := inst.GetCurrentN([]float64{10.9, 20.8, 30.7}) // same 1 mV cells
+	spec := ChainSpec{Dots: 3}
+	pv, _, err := spec.BuildPair(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := pv.M.Quant
+	a := pv.GetCurrent(30.1*q, 60.2*q)
+	b := pv.GetCurrent(30.9*q, 60.8*q) // same cells
 	if a != b {
 		t.Error("same-cell probe not memoised")
 	}
-	c := inst.GetCurrentN([]float64{11.1, 20.2, 30.3})
-	_ = c
-	if got := inst.Stats().UniqueProbes; got != 2 {
+	pv.GetCurrent(31.1*q, 60.2*q)
+	if got := pv.Stats().UniqueProbes; got != 2 {
 		t.Errorf("unique probes = %d, want 2", got)
 	}
 }
 
+// TestPairViewRoutesVoltages: a pair view sets its pair's two gates and
+// holds every other gate at the 0 mV base, probe after probe.
 func TestPairViewRoutesVoltages(t *testing.T) {
-	dev := testArrayDevice(t, 4)
-	inst := NewMultiInstrument(dev, 0, 0)
-	base := []float64{1, 2, 3, 4}
-	pv, err := NewPairView(inst, 1, 2, base)
+	spec := ChainSpec{}
+	pv, _, err := spec.BuildPair(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := pv.GetCurrent(50, 60)
-	want := dev.CurrentAt([]float64{1, 50, 60, 4}, 0)
-	if got != want {
+	ref, _, err := spec.BuildPair(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dwell := DefaultDwell.Seconds()
+	if got, want := pv.GetCurrent(50, 60), ref.M.Dev.CurrentAt([]float64{0, 50, 60, 0}, dwell); got != want {
 		t.Errorf("pair view current = %v, want %v", got, want)
 	}
-	// Base must not be mutated.
-	if base[1] != 2 || base[2] != 3 {
-		t.Errorf("base mutated: %v", base)
+	if got, want := pv.GetCurrent(10, 20), ref.M.Dev.CurrentAt([]float64{0, 10, 20, 0}, 2*dwell); got != want {
+		t.Errorf("second pair view current = %v, want %v", got, want)
 	}
 }
 
+// TestPairViewValidation: BuildPair refuses pairs outside the chain and
+// chains too short to have one.
 func TestPairViewValidation(t *testing.T) {
-	dev := testArrayDevice(t, 3)
-	inst := NewMultiInstrument(dev, 0, 0)
-	if _, err := NewPairView(inst, 0, 0, []float64{0, 0, 0}); err == nil {
-		t.Error("accepted identical gates")
+	spec := ChainSpec{Dots: 3}
+	for _, i := range []int{-1, 2} {
+		if _, _, err := spec.BuildPair(i); err == nil {
+			t.Errorf("accepted pair %d of a 3-dot chain", i)
+		}
 	}
-	if _, err := NewPairView(inst, 0, 5, []float64{0, 0, 0}); err == nil {
-		t.Error("accepted out-of-range gate")
-	}
-	if _, err := NewPairView(inst, 0, 1, []float64{0}); err == nil {
-		t.Error("accepted short base vector")
+	one := ChainSpec{Dots: 1}
+	if _, _, err := one.BuildPair(0); err == nil {
+		t.Error("accepted a 1-dot chain")
 	}
 }
 
@@ -102,93 +111,34 @@ func TestArrayCurrentDropsWhenDotLoads(t *testing.T) {
 	}
 }
 
-// TestPairViewAttribution pins the per-view probe accounting: concurrent
-// pair extractions sharing one MultiInstrument must not double-count each
-// other's probes, and the per-view sums must reconcile exactly with the
-// instrument's global accounting.
-func TestPairViewAttribution(t *testing.T) {
-	dev := testArrayDevice(t, 4)
-	m := NewMultiInstrument(dev, time.Millisecond, 0.5)
-	base := make([]float64, 4)
-	views := make([]*PairView, 3)
-	for i := range views {
-		pv, err := NewPairView(m, i, i+1, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views[i] = pv
-	}
-	var wg sync.WaitGroup
-	for _, pv := range views {
-		wg.Add(1)
-		go func(pv *PairView) {
-			defer wg.Done()
-			for k := 0; k < 200; k++ {
-				// Each view walks its own voltage trajectory; some points
-				// repeat (memo hits must not count as fresh dwells).
-				pv.GetCurrent(float64(k%50), float64(k%25))
-			}
-		}(pv)
-	}
-	wg.Wait()
-
-	var viewUnique, viewRaw int
-	var viewVirtual time.Duration
-	for i, pv := range views {
-		st := pv.Stats()
-		if st.RawCalls != 200 {
-			t.Errorf("view %d RawCalls = %d, want its own 200 (not the shared total)", i, st.RawCalls)
-		}
-		if st.UniqueProbes <= 0 || st.UniqueProbes > 200 {
-			t.Errorf("view %d UniqueProbes = %d out of range", i, st.UniqueProbes)
-		}
-		viewUnique += st.UniqueProbes
-		viewRaw += st.RawCalls
-		viewVirtual += st.Virtual
-	}
-	global := m.Stats()
-	if viewRaw != global.RawCalls {
-		t.Errorf("view raw-call sum %d != instrument %d", viewRaw, global.RawCalls)
-	}
-	if viewUnique != global.UniqueProbes {
-		t.Errorf("view unique-probe sum %d != instrument %d (double counting)", viewUnique, global.UniqueProbes)
-	}
-	if viewVirtual != global.Virtual {
-		t.Errorf("view dwell sum %v != instrument %v", viewVirtual, global.Virtual)
-	}
-
-	// ResetStats on one view clears only that view's attribution.
-	views[0].ResetStats()
-	if got := views[0].Stats(); got != (Stats{}) {
-		t.Errorf("view reset left %+v", got)
-	}
-	if m.Stats() != global {
-		t.Error("view reset mutated the shared instrument's accounting")
-	}
-	if views[1].Stats().RawCalls != 200 {
-		t.Error("view reset bled into a sibling view")
-	}
-}
-
 // TestMultiInstrumentAdvance opens a fresh measurement epoch: the memo is
-// dropped (re-probes dwell again) but cumulative accounting is kept.
+// dropped (re-probes dwell again) but cumulative accounting is kept, and
+// the view reports the instrument's clock.
 func TestMultiInstrumentAdvance(t *testing.T) {
-	dev := testArrayDevice(t, 3)
-	m := NewMultiInstrument(dev, time.Millisecond, 0.5)
-	v := []float64{1, 2, 3}
-	m.GetCurrentN(v)
-	if _, fresh := m.ProbeN(v); fresh {
-		t.Fatal("repeat probe in the same epoch dwelled again")
+	spec := ChainSpec{Dots: 3}
+	pv, win, err := spec.BuildPair(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.Advance(time.Second)
-	st := m.Stats()
+	v1, v2 := win.V1At(3), win.V2At(7)
+	pv.GetCurrent(v1, v2)
+	pv.GetCurrent(v1, v2)
+	if got := pv.Stats().UniqueProbes; got != 1 {
+		t.Fatalf("repeat probe in the same epoch dwelled again: %d fresh", got)
+	}
+	pv.Advance(time.Second)
+	st := pv.Stats()
 	if st.UniqueProbes != 1 {
 		t.Fatalf("advance changed probe count: %d", st.UniqueProbes)
 	}
-	if st.Virtual != time.Second+time.Millisecond {
+	if st.Virtual != time.Second+DefaultDwell {
 		t.Fatalf("advance lost clock time: %v", st.Virtual)
 	}
-	if _, fresh := m.ProbeN(v); !fresh {
+	if st != pv.M.Stats() {
+		t.Fatalf("view stats %+v, instrument %+v", st, pv.M.Stats())
+	}
+	pv.GetCurrent(v1, v2)
+	if got := pv.Stats().UniqueProbes; got != 2 {
 		t.Error("probe after Advance served a stale pre-epoch memo")
 	}
 }

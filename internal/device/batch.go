@@ -1,6 +1,6 @@
-// Batched probing: the zero-allocation row store behind SimInstrument's
-// memoisation, the BatchInstrument contract, and the full-grid acquisition
-// fast paths of both instrument kinds.
+// Batched probing: the zero-allocation row store behind the simulated
+// instruments' memoisation, the BatchInstrument contract, and the full-grid
+// acquisition fast paths of both instrument kinds.
 //
 // The contract of every batch method is bit-for-bit parity with the scalar
 // path: probing a batch returns exactly the currents, Stats and noise
@@ -13,6 +13,7 @@
 package device
 
 import (
+	"cmp"
 	"context"
 	"runtime"
 	"slices"
@@ -37,11 +38,11 @@ type BatchInstrument interface {
 	ProbeMany(v1s, v2s, out []float64)
 }
 
-// memoRows is the grid-aligned memoisation store: measured currents
-// bucketed by quantised-v2 row, each row a flat []float64 with a stamp per
-// cell. It replaces the former map[[2]int64]float64 so that, once a row
-// buffer exists, a probe costs a cached row pointer and two slice indexes —
-// no hashing, no allocation.
+// memoRows is the grid-aligned memoisation store of both simulated
+// instrument kinds: measured currents bucketed by quantised-v2 row, each
+// row a flat []float64 with a stamp per cell. It replaces the former
+// map[[2]int64]float64 so that, once a row buffer exists, a probe costs a
+// cached row pointer and two slice indexes — no hashing, no allocation.
 //
 // The store lives in epochs: a cell is set when its stamp equals the
 // current epoch, so reset opens a new, empty epoch by bumping a counter and
@@ -57,14 +58,22 @@ type BatchInstrument interface {
 // growth at the window's width, so it grows at most once for windows up to
 // twice memoRowCells wide.
 //
+// A row reaches farReach cells beyond its window's columns; an unsized
+// store's row reaches farReach cells either side of the first cell it
+// took. A cell beyond that goes to the far map instead of stretching the
+// row, so a row stays a few KiB however far apart its probes land. Which
+// place holds a cell depends on the cell alone, and the far map, rarely
+// used, is cleared with the epoch.
+//
 // Rows come from rowPool and go back to it when the store is released: a
 // recycled row keeps its buffers' capacity, takes the store's wrap count
 // and clears the stamps of every cell it hands out, so it reads exactly as
 // a fresh row does.
 type memoRows struct {
-	rows    map[int64]*memoRow // rows outside dense (every row when unsized)
-	dense   []*memoRow         // the sized window's rows, by key − rowLo
-	rowLo   int64              // first row cell of the sized window
+	rows    map[int64]*memoRow  // rows outside dense (every row when unsized)
+	dense   []*memoRow          // the sized window's rows, by key − rowLo
+	far     map[farCell]float64 // the current epoch's cells beyond their row's reach
+	rowLo   int64               // first row cell of the sized window
 	lastKey int64
 	last    *memoRow
 	count   int    // cells memoised in the current epoch
@@ -78,18 +87,29 @@ type memoRows struct {
 // the window's left edge stays small.
 const memoRowCells = 64
 
+// farReach is how many cells a row reaches beyond its window (see
+// memoRows): with BuildPair's 129-cell pair window, a row spans at most
+// 641 cells, 5.6 KiB.
+const farReach = 256
+
+// farCell keys a far map entry.
+type farCell struct{ row, col int64 }
+
 // rowPool holds the rows of released stores. The collector empties a
 // sync.Pool, so it retains no more than recently released instruments
 // held, which is bounded by the jobs running at once.
 var rowPool sync.Pool // of *memoRow
 
 // memoRow is one quantised-v2 row: vals[i] holds the current of v1 cell
-// base+i where stamp[i] is the store's current epoch.
+// base+i where stamp[i] is the store's current epoch. Its cells lie in
+// [reachLo, reachHi), set when it takes its first cell.
 type memoRow struct {
-	base  int64
-	vals  []float64
-	stamp []uint8
-	wraps uint64 // the store's wrap count its stamps belong to
+	key              int64 // the row's quantised-v2 cell
+	base             int64
+	vals             []float64
+	stamp            []uint8
+	wraps            uint64 // the store's wrap count its stamps belong to
+	reachLo, reachHi int64
 }
 
 func newMemoRows() memoRows {
@@ -133,7 +153,7 @@ func (m *memoRows) lookup(key int64) *memoRow {
 		if r == nil {
 			r = &memoRow{}
 		}
-		r.base, r.vals, r.stamp, r.wraps = 0, r.vals[:0], r.stamp[:0], m.wraps
+		r.key, r.base, r.vals, r.stamp, r.wraps = key, 0, r.vals[:0], r.stamp[:0], m.wraps
 		if inDense {
 			m.dense[i] = r
 		} else {
@@ -147,9 +167,13 @@ func (m *memoRows) lookup(key int64) *memoRow {
 	return r
 }
 
-// reset opens a new, empty epoch in O(1), keeping the row buffers warm.
+// reset opens a new, empty epoch in O(1), keeping the row buffers warm;
+// only a far map that holds cells costs a clear.
 func (m *memoRows) reset() {
 	m.count = 0
+	if len(m.far) > 0 {
+		clear(m.far)
+	}
 	if m.epoch++; m.epoch == 0 {
 		m.epoch = 1
 		m.wraps++
@@ -168,14 +192,18 @@ func (m *memoRows) release() {
 			rowPool.Put(r)
 		}
 	}
-	m.rows, m.dense, m.last, m.count = nil, nil, nil, 0
+	m.rows, m.dense, m.far, m.last, m.count = nil, nil, nil, nil, 0
 }
 
 // get returns the current epoch's value of cell c in row r.
 func (m *memoRows) get(r *memoRow, c int64) (float64, bool) {
 	i := c - r.base
 	if i < 0 || i >= int64(len(r.vals)) || r.stamp[i] != m.epoch {
-		return 0, false
+		if len(m.far) == 0 {
+			return 0, false
+		}
+		v, ok := m.far[farCell{r.key, c}]
+		return v, ok
 	}
 	return r.vals[i], true
 }
@@ -183,6 +211,21 @@ func (m *memoRows) get(r *memoRow, c int64) (float64, bool) {
 // put records v as the current epoch's value of cell c in row r, which get
 // has just reported unset.
 func (m *memoRows) put(r *memoRow, c int64, v float64) {
+	if len(r.vals) == 0 {
+		if m.width > 0 {
+			r.reachLo, r.reachHi = m.lo-farReach, m.lo+int64(m.width)+farReach
+		} else {
+			r.reachLo, r.reachHi = c-farReach, c+farReach+1
+		}
+	}
+	m.count++
+	if c < r.reachLo || c >= r.reachHi {
+		if m.far == nil {
+			m.far = make(map[farCell]float64)
+		}
+		m.far[farCell{r.key, c}] = v
+		return
+	}
 	if len(r.vals) == 0 && c >= m.lo && c-m.lo < int64(m.width) {
 		n := min(m.width, memoRowCells)
 		r.base = m.lo
@@ -191,12 +234,12 @@ func (m *memoRows) put(r *memoRow, c int64, v float64) {
 	i := r.grow(c, m.width)
 	r.vals[i] = v
 	r.stamp[i] = m.epoch
-	m.count++
 }
 
 // cellsSorted collects the current epoch's cells as {v1 cell, v2 cell}
 // pairs sorted by (v2, v1). Rows are stored sorted along v1 already, so only
 // the row keys need sorting; map rows lie below or above the dense window.
+// Far cells, when there are any, are merged in by one more sort.
 func (m *memoRows) cellsSorted() [][2]int64 {
 	keys := make([]int64, 0, len(m.rows))
 	for k := range m.rows {
@@ -224,6 +267,14 @@ func (m *memoRows) cellsSorted() [][2]int64 {
 	for ; k < len(keys); k++ {
 		add(keys[k], m.rows[keys[k]])
 	}
+	if len(m.far) > 0 {
+		for c := range m.far {
+			out = append(out, [2]int64{c.col, c.row})
+		}
+		slices.SortFunc(out, func(a, b [2]int64) int {
+			return cmp.Or(cmp.Compare(a[1], b[1]), cmp.Compare(a[0], b[0]))
+		})
+	}
 	return out
 }
 
@@ -245,9 +296,9 @@ func (r *memoRow) resize(n, newCap int) {
 	r.vals, r.stamp = nv, ns
 }
 
-// grow extends the row to cover cell c and returns c's index. A row
-// growing rightward to a cell within width cells of its base stops at width
-// cells.
+// grow extends the row to cover cell c, which lies in its reach, and
+// returns c's index. A row growing rightward to a cell within width cells
+// of its base stops at width cells, and no growth passes the reach.
 func (r *memoRow) grow(c int64, width int) int64 {
 	if len(r.vals) == 0 {
 		r.base = c
@@ -256,12 +307,9 @@ func (r *memoRow) grow(c int64, width int) int64 {
 	}
 	i := c - r.base
 	if i < 0 {
-		// Extend leftward: shift by at least the current length so repeated
-		// left growth stays amortised.
-		pad := -i
-		if pad < int64(len(r.vals)) {
-			pad = int64(len(r.vals))
-		}
+		// Extend leftward: shift by at least the current length, as far as
+		// the reach allows, so repeated left growth stays amortised.
+		pad := max(-i, min(int64(len(r.vals)), r.base-r.reachLo))
 		nv := make([]float64, pad+int64(len(r.vals)))
 		ns := make([]uint8, pad+int64(len(r.stamp)))
 		copy(nv[pad:], r.vals)
@@ -276,6 +324,7 @@ func (r *memoRow) grow(c int64, width int) int64 {
 		if newCap > width && need <= width {
 			newCap = width
 		}
+		newCap = min(newCap, int(r.reachHi-r.base))
 		if newCap < need {
 			newCap = need
 		}

@@ -1,8 +1,5 @@
 // ChainSpec is the N-dot counterpart of DoubleDotSpec: the declarative,
-// JSON-encodable form of a simulated linear-array device. One spec serves
-// two builds. Build returns the whole array under a single shared
-// MultiInstrument — the hardware-faithful view, where every pair extraction
-// probes the same device and interleaving follows timing. BuildPair returns
+// JSON-encodable form of a simulated linear-array device. BuildPair returns
 // an independent instrument for one adjacent gate pair, with its noise and
 // drift realisations derived from (Seed, pair) alone — the shared-nothing
 // decomposition the chain planner (internal/chainx), the extraction
@@ -21,11 +18,10 @@ import (
 	"github.com/fastvg/fastvg/internal/xrand"
 )
 
-// Chain device physics constants (the geometry NewChainSim has always
-// built): homogeneous charging energies with nearest-neighbour coupling, and
-// a first-electron line framed at ~65% of the recommended scan window so the
-// triple point sits inside and the (0,0) region stays the brightest part
-// (the anchor heuristics' regime).
+// Chain device physics constants: homogeneous charging energies with
+// nearest-neighbour coupling, and a first-electron line framed at ~65% of
+// the recommended scan window so the triple point sits inside and the (0,0)
+// region stays the brightest part (the anchor heuristics' regime).
 const (
 	chainEC       = 4.0
 	chainECm      = 0.3
@@ -48,15 +44,15 @@ type ChainSpec struct {
 	Noise noise.Params `json:"noise,omitzero"` // sensor noise; zero = noiseless
 	Seed  uint64       `json:"seed,omitempty"` // realisation seed
 
-	// PairDrift gives pair i a pair-local lever-arm drift (PairView.Drift).
+	// PairDrift gives pair i a pair-local lever-arm drift.
 	// Shorter lists leave the remaining pairs driftless; this is what makes
 	// a *single* pair's matrix go stale in the fleet workload while its
 	// neighbours stay fresh.
 	PairDrift []LeverDriftSpec `json:"pairDrift,omitempty"`
 
 	// Surrogate, when non-nil with a positive Threshold, asks the extraction
-	// service to probe every pair surrogate-first (one twin per pair). Build
-	// and BuildPair ignore it — composition happens in the service layer.
+	// service to probe every pair surrogate-first (one twin per pair).
+	// BuildPair ignores it — composition happens in the service layer.
 	Surrogate *SurrogateSpec `json:"surrogate,omitempty"`
 }
 
@@ -95,8 +91,8 @@ const MaxDots = 64
 // CheckLimits checks the bounds a spec that arrives as input must respect,
 // as DoubleDotSpec.CheckLimits does: at most MaxDots dots, pair-window
 // pixels in [0, MaxPixels] (0 means the default) and bounded noise models
-// for the sensor and every pair drift. Build, BuildPair and Validate do not
-// call it, so specs journaled before these bounds existed still build.
+// for the sensor and every pair drift. BuildPair and Validate do not call
+// it, so specs journaled before these bounds existed still build.
 func (s ChainSpec) CheckLimits() error {
 	if s.Dots > MaxDots {
 		return fmt.Errorf("device: chain dots %d exceeds %d", s.Dots, MaxDots)
@@ -151,22 +147,6 @@ func (s ChainSpec) buildSensor() sensor.Params {
 	return p
 }
 
-// Build fills defaults and constructs the whole array under one shared
-// MultiInstrument (the paper's 50 ms dwell, memoised at 1/128 of the pair
-// span) — the single-device view NewChainSim exposes.
-func (s *ChainSpec) Build() (*MultiInstrument, csd.Window, error) {
-	s.FillDefaults()
-	if err := s.Validate(); err != nil {
-		return nil, csd.Window{}, err
-	}
-	phys, err := s.buildPhys()
-	if err != nil {
-		return nil, csd.Window{}, err
-	}
-	dev := &ArrayDevice{Phys: phys, Sens: s.buildSensor(), Noise: s.Noise.Build(s.Seed)}
-	return NewMultiInstrument(dev, DefaultDwell, s.SpanMV()/128), s.Window(), nil
-}
-
 // pairSeedBase offsets the per-pair seed derivation away from the channel
 // seeds LeverDriftSpec.build derives, so pair noise and pair drift can never
 // collide.
@@ -174,10 +154,12 @@ const pairSeedBase = 1000
 
 // BuildPair fills defaults and constructs an independent instrument for
 // adjacent gate pair (i, i+1): a fresh ArrayDevice (noise seeded by
-// DeriveSeed(Seed, pairSeedBase+i)) under its own MultiInstrument, exposed
-// as a PairView with every other gate held at 0 mV and the spec's pair
-// drift (if any) attached. Instruments of different pairs share nothing, so
-// concurrent pair extractions are bit-identical to sequential ones.
+// DeriveSeed(Seed, pairSeedBase+i)) under its own MultiInstrument — the
+// paper's 50 ms dwell, memoised at 1/128 of the pair span on a store sized
+// for the pair window — exposed as a PairView with every other gate held
+// at 0 mV and the spec's pair drift (if any) attached. Instruments of
+// different pairs share nothing, so concurrent pair extractions are
+// bit-identical to sequential ones.
 func (s *ChainSpec) BuildPair(i int) (*PairView, csd.Window, error) {
 	s.FillDefaults()
 	if err := s.Validate(); err != nil {
@@ -192,17 +174,14 @@ func (s *ChainSpec) BuildPair(i int) (*PairView, csd.Window, error) {
 	}
 	pairSeed := xrand.DeriveSeed(s.Seed, pairSeedBase+i)
 	dev := &ArrayDevice{Phys: phys, Sens: s.buildSensor(), Noise: s.Noise.Build(pairSeed)}
-	inst := NewMultiInstrument(dev, DefaultDwell, s.SpanMV()/128)
-	pv, err := NewPairView(inst, i, i+1, make([]float64, s.Dots))
-	if err != nil {
-		return nil, csd.Window{}, err
-	}
+	inst := &MultiInstrument{Dev: dev, Dwell: DefaultDwell, Quant: s.SpanMV() / 128,
+		g1: i, g2: i + 1, v: make([]float64, s.Dots), memo: newMemoRows()}
 	win := s.Window()
-	inst.plane.fitWindow(win, inst.Quant, inst.Quant)
+	inst.memo.fitWindow(win, inst.Quant, inst.Quant)
 	if i < len(s.PairDrift) {
-		pv.Drift = s.PairDrift[i].build(pairSeed)
+		inst.drift = s.PairDrift[i].build(pairSeed)
 	}
-	return pv, win, nil
+	return &PairView{M: inst}, win, nil
 }
 
 // PairTruth returns the analytic (steep, shallow) transition-line slopes of

@@ -1,8 +1,10 @@
 package device
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,9 +14,9 @@ import (
 	"github.com/fastvg/fastvg/internal/xrand"
 )
 
-// mapMemoInstrument is MultiInstrument as it was before the plane memo:
+// mapMemoInstrument is MultiInstrument as it was before the row store:
 // every configuration memoised in one map keyed by all N quantised cells,
-// a view's drift applied after the lookup at the fresh probe's time.
+// the pair's drift applied after the lookup at the fresh probe's time.
 type mapMemoInstrument struct {
 	dev   *ArrayDevice
 	dwell time.Duration
@@ -43,121 +45,109 @@ func (m *mapMemoInstrument) probe(v []float64, g1, g2 int, drift *LeverDrift) (f
 	return val, true
 }
 
-// TestSharedChainMemoMatchesMapMemo: a shared chain instrument (the
-// NewChainSim build) probed through views (0,1) and (1,2) and through
-// GetCurrentN answers exactly as a single map memo does — values bit for
-// bit, the instrument's Stats and each view's Stats — whichever store the
-// plane memo puts a configuration in. The schedule mixes window probes,
-// probes outside the plane's reach, on-plane and off-plane N-gate probes,
-// views whose Base moves off the plane and back, epochs and stats resets;
-// view (1,2) carries a lever drift.
-func TestSharedChainMemoMatchesMapMemo(t *testing.T) {
-	spec := ChainSpec{Noise: noise.PresetStandard(), Seed: 5}
-	m, win, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refInst, _, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := &mapMemoInstrument{dev: refInst.Dev, dwell: m.Dwell, quant: m.Quant, memo: map[string]float64{}}
-	driftSpec := LeverDriftSpec{
+// TestPairMemoMatchesMapMemo: BuildPair pairs of a noisy 5-dot chain, one
+// with a lever drift and one without, answer exactly as a map memo over all
+// N gate cells does — values bit for bit and Stats — wherever the row
+// store keeps a cell. The schedule mixes probes in and around the pair
+// window, probes 300–2,000 cells from zero along either gate, probes up to
+// 1e6 mV out on both, repeats of those far cells within an epoch, epochs
+// and stats resets.
+func TestPairMemoMatchesMapMemo(t *testing.T) {
+	spec := ChainSpec{Dots: 5, Noise: noise.PresetStandard(), Seed: 5, PairDrift: []LeverDriftSpec{{
 		Offset1: noise.Params{DriftAmp: 0.5, DriftPeriod: 100},
 		Shear21: noise.Params{PinkAmp: 0.01, PinkFMin: 0.001, PinkFMax: 1},
+	}}}
+	type pair struct {
+		pv    *PairView
+		g1    int
+		drift *LeverDrift
+		ref   *mapMemoInstrument
 	}
-
-	base := []float64{1.0, 0, 0, 2.0} // gates 0 and 3 off cell 0
-	v01, err := NewPairView(m, 0, 1, base)
-	if err != nil {
-		t.Fatal(err)
+	var pairs []pair
+	for _, i := range []int{0, 2} { // pair 0 drifts, pair 2 does not
+		pv, _, err := spec.BuildPair(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, _, err := spec.BuildPair(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var drift *LeverDrift
+		if i < len(spec.PairDrift) {
+			drift = spec.PairDrift[i].build(xrand.DeriveSeed(spec.Seed, pairSeedBase+i))
+		}
+		ref := &mapMemoInstrument{dev: twin.M.Dev, dwell: pv.M.Dwell, quant: pv.M.Quant, memo: map[string]float64{}}
+		pairs = append(pairs, pair{pv: pv, g1: i, drift: drift, ref: ref})
 	}
-	v12, err := NewPairView(m, 1, 2, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v12.Drift = driftSpec.build(9)
-	refDrift := driftSpec.build(9)
-	if p := m.plane; p == nil || p.g1 != 0 || p.g2 != 1 {
-		t.Fatalf("view (0,1) did not claim the plane: %+v", p)
-	}
-
+	win, q := spec.Window(), pairs[0].pv.M.Quant
 	rng := xrand.New(3)
-	volt := func() (float64, float64) {
-		if rng.Float64() < 0.05 { // beyond the plane's reach
-			return 200 + 50*rng.Float64(), -150 * rng.Float64()
+	sign := func() float64 {
+		if rng.Intn(2) == 0 {
+			return -1
 		}
-		x, y := rng.Intn(win.Cols+10)-5, rng.Intn(win.Rows+10)-5
-		return win.V1At(x), win.V2At(y)
+		return 1
 	}
-	var refView [2]Stats
-	views := []*PairView{v01, v12}
-	for op := 0; op < 20000; op++ {
-		var got, want float64
-		switch r := rng.Float64(); {
-		case r < 0.7:
-			k := 0
-			if r >= 0.4 {
-				k = 1
-			}
-			pv := views[k]
-			a, b := volt()
-			got = pv.GetCurrent(a, b)
-			v := append([]float64(nil), pv.Base...)
-			v[pv.G1], v[pv.G2] = a, b
-			var drift *LeverDrift
-			if k == 1 {
-				drift = refDrift
-			}
-			var fresh bool
-			want, fresh = ref.probe(v, pv.G1, pv.G2, drift)
-			refView[k].RawCalls++
-			if fresh {
-				refView[k].UniqueProbes++
-				refView[k].Virtual += ref.dwell
-			}
-		case r < 0.97:
-			v := append([]float64(nil), base...)
-			v[0], v[1] = volt()
-			switch rng.Intn(3) {
-			case 1: // gate 3 elsewhere in its base cell: still on the plane
-				v[3] += 0.1
-			case 2: // gate 2 off its base cell: off the plane
-				v[2] = 5
-			}
-			want, _ = ref.probe(append([]float64(nil), v...), 0, 0, nil)
-			got = m.GetCurrentN(v)
-		case r < 0.98: // move a view's operating point off and back onto the plane
-			pv := views[rng.Intn(2)]
-			pv.Base[3] = 5 - pv.Base[3]
-			continue
-		case r < 0.995:
-			d := time.Duration(1 + rng.Intn(600e3))
-			m.Advance(d)
-			ref.stats.Virtual += d
-			clear(ref.memo)
-			continue
+	far := make([][2]float64, 48)
+	for k := range far {
+		away := sign() * (300 + 1700*rng.Float64()) * q
+		switch k % 3 {
+		case 0:
+			far[k] = [2]float64{away, win.V2At(rng.Intn(win.Rows))}
+		case 1:
+			far[k] = [2]float64{win.V1At(rng.Intn(win.Cols)), away}
 		default:
-			m.ResetStats()
-			ref.stats = Stats{}
-			clear(ref.memo)
-			continue
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("op %d: current %v, map memo %v", op, got, want)
-		}
-		if st := m.Stats(); st != ref.stats {
-			t.Fatalf("op %d: stats %+v, map memo %+v", op, st, ref.stats)
+			far[k] = [2]float64{sign() * 1e6 * rng.Float64(), sign() * 1e6 * rng.Float64()}
 		}
 	}
-	for k, pv := range views {
-		if pv.Stats() != refView[k] {
-			t.Errorf("view %d stats %+v, map memo %+v", k, pv.Stats(), refView[k])
+	volt := func() (v1, v2 float64, isFar bool) {
+		if rng.Float64() < 0.15 {
+			p := far[rng.Intn(len(far))]
+			return p[0] + 0.4*q*rng.Float64(), p[1] + 0.4*q*rng.Float64(), true
+		}
+		x, y := rng.Intn(win.Cols+20)-10, rng.Intn(win.Rows+20)-10
+		return win.V1At(x), win.V2At(y), false
+	}
+	farHits := make([]int, len(pairs))
+	const ops = 24000
+	for op := 0; op < ops; op++ {
+		k := rng.Intn(len(pairs))
+		p := pairs[k]
+		switch r := rng.Float64(); {
+		case r < 0.992:
+			a, b, isFar := volt()
+			got := p.pv.GetCurrent(a, b)
+			v := make([]float64, spec.Dots)
+			v[p.g1], v[p.g1+1] = a, b
+			want, fresh := p.ref.probe(v, p.g1, p.g1+1, p.drift)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("op %d, pair %d: current %v, map memo %v", op, p.g1, got, want)
+			}
+			if isFar && !fresh {
+				farHits[k]++
+			}
+		case r < 0.997:
+			d := time.Duration(1 + rng.Intn(600e3))
+			p.pv.M.Advance(d)
+			p.ref.stats.Virtual += d
+			clear(p.ref.memo)
+		default:
+			p.pv.M.ResetStats()
+			p.ref.stats = Stats{}
+			clear(p.ref.memo)
+		}
+		if st := p.pv.M.Stats(); st != p.ref.stats {
+			t.Fatalf("op %d, pair %d: stats %+v, map memo %+v", op, p.g1, st, p.ref.stats)
+		}
+	}
+	for k, n := range farHits {
+		if n < 100 {
+			t.Errorf("pair %d: %d far cells re-probed within their epoch, want at least 100", pairs[k].g1, n)
 		}
 	}
 }
 
-// TestPairViewFreshProbeAllocs: once its plane rows exist, a pair view's
+// TestPairViewFreshProbeAllocs: once its memo rows exist, a pair view's
 // fresh probe after Advance allocates nothing — no map key, no drift
 // closure.
 func TestPairViewFreshProbeAllocs(t *testing.T) {
@@ -268,64 +258,120 @@ func TestMemoEpochWrap(t *testing.T) {
 	}
 }
 
-// rowCount is the number of rows the store holds, in its dense window
-// and its map together.
-func (m *memoRows) rowCount() int {
-	n := len(m.rows)
-	for _, r := range m.dense {
-		if r != nil {
-			n++
+// TestMemoFarProbeBound: cells far outside a store's window, or far from
+// an unsized row's first cell, go to the far map, so no row spans more
+// than its reach, and a re-probe of any cell in the epoch reads back the
+// bits its first probe measured without a new dwell. Covered: a spec-built
+// SimInstrument, an unsized SimInstrument on an identical device (which
+// must read the same bits and ProbedCells), and a BuildPair pair.
+func TestMemoFarProbeBound(t *testing.T) {
+	dspec := DoubleDotSpec{Seed: 3, Noise: noise.PresetStandard()}
+	sized, win, err := dspec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, _, err := dspec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsized := NewSimInstrument(twin.Dev, twin.Dwell, twin.QuantV1, twin.QuantV2)
+	cspec := ChainSpec{Seed: 3, Noise: noise.PresetStandard()}
+	pv, pwin, err := cspec.BuildPair(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := func(w csd.Window, q float64) [][2]float64 {
+		// Row 5 first: its window's first cell, then cells 256 and 300 to
+		// the right and one to the left — the growth that must stop at the
+		// reach on either side.
+		lo, y := math.Floor(w.V1At(0)/q), w.V2At(5)
+		var pts [][2]float64
+		for _, c := range []float64{0, 256, 300, -1} {
+			pts = append(pts, [2]float64{(lo + c + 0.5) * q, y})
+		}
+		for i := 0; i < w.Rows; i += 7 {
+			pts = append(pts, [2]float64{w.V1At(i), w.V2At(i)}, [2]float64{w.V1At(w.Cols - 1 - i), w.V2At(i)})
+		}
+		for _, s := range []float64{1e2, 1e3, 1e4, 1e6, 1e9} {
+			pts = append(pts, [2]float64{s, 0}, [2]float64{0, s}, [2]float64{s, s}, [2]float64{-s, w.V2At(5)},
+				[2]float64{w.V1At(5), -s}, [2]float64{-s, -s}, [2]float64{s, w.V2At(5)})
+		}
+		return pts
+	}
+	type inst struct {
+		name string
+		m    Metered
+		memo *memoRows
+		win  csd.Window
+		q    float64
+	}
+	var reads [2][]float64
+	var cells [2][][2]int64
+	for k, c := range []inst{
+		{"sized sim", sized, &sized.memo, win, sized.QuantV1},
+		{"unsized sim", unsized, &unsized.memo, win, unsized.QuantV1},
+		{"pair", pv, &pv.M.memo, pwin, pv.M.Quant},
+	} {
+		pts := points(c.win, c.q)
+		var vals []float64
+		for _, p := range pts {
+			vals = append(vals, c.m.GetCurrent(p[0], p[1]))
+		}
+		fresh := c.m.Stats().UniqueProbes
+		if fresh != len(pts) {
+			t.Fatalf("%s: %d fresh probes for %d distinct cells", c.name, fresh, len(pts))
+		}
+		for i, p := range pts {
+			if got := c.m.GetCurrent(p[0], p[1]); math.Float64bits(got) != math.Float64bits(vals[i]) {
+				t.Fatalf("%s: re-probe of (%g, %g) read %v, first probe %v", c.name, p[0], p[1], got, vals[i])
+			}
+		}
+		if got := c.m.Stats().UniqueProbes; got != fresh {
+			t.Fatalf("%s: re-probes dwelled %d times", c.name, got-fresh)
+		}
+		if len(c.memo.far) == 0 {
+			t.Fatalf("%s: no cell reached the far map", c.name)
+		}
+		span := max(c.memo.width, 1) + 2*farReach
+		check := func(r *memoRow) {
+			// Only a row's first allocation may reach past its reach.
+			end := r.base + int64(len(r.vals))
+			if len(r.vals) > span || r.base < r.reachLo || end > r.reachHi ||
+				cap(r.vals) > max(int(r.reachHi-r.base), memoRowCells) {
+				t.Fatalf("%s: row %d spans cells [%d, %d), capacity %d, reach [%d, %d); at most %d cells",
+					c.name, r.key, r.base, end, cap(r.vals), r.reachLo, r.reachHi, span)
+			}
+		}
+		for _, r := range c.memo.rows {
+			check(r)
+		}
+		for _, r := range c.memo.dense {
+			if r != nil {
+				check(r)
+			}
+		}
+		if k < 2 {
+			reads[k] = vals
+			cells[k] = slices.Clone(c.m.(*SimInstrument).ProbedCells())
+			if len(cells[k]) != fresh || !slices.IsSortedFunc(cells[k], func(a, b [2]int64) int {
+				return cmp.Or(cmp.Compare(a[1], b[1]), cmp.Compare(a[0], b[0]))
+			}) {
+				t.Fatalf("%s: ProbedCells lists %d cells out of (v2, v1) order or count %d", c.name, len(cells[k]), fresh)
+			}
+		}
+		far := pts[len(pts)-1]
+		if adv, ok := c.m.(interface{ Advance(time.Duration) }); ok {
+			adv.Advance(time.Second)
+		}
+		c.m.GetCurrent(far[0], far[1])
+		if got := c.m.Stats().UniqueProbes; got != fresh+1 {
+			t.Fatalf("%s: a far cell from the last epoch was served again", c.name)
 		}
 	}
-	return n
-}
-
-// TestPlaneReach: probes beyond planeReach cells go to the N-gate map, so
-// a far probe never stretches the plane's dense rows across the gap.
-func TestPlaneReach(t *testing.T) {
-	spec := ChainSpec{Seed: 2}
-	pv, win, err := spec.BuildPair(1)
-	if err != nil {
-		t.Fatal(err)
+	if !sameBits(reads[0], reads[1]) || !slices.Equal(cells[0], cells[1]) {
+		t.Fatal("sized and unsized sims read different bits or list different cells")
 	}
-	pv.GetCurrent(win.V1At(10), win.V2At(20))
-	pv.GetCurrent(1e4, win.V2At(20))
-	pv.GetCurrent(win.V1At(10), -1e4)
-	if rows, n := pv.M.plane.rowCount(), len(pv.M.memo); rows != 1 || n != 2 || pv.M.plane.count != 1 {
-		t.Fatalf("plane holds %d rows (%d cells), map %d entries; want 1 row of 1 cell, 2 far entries", rows, pv.M.plane.count, n)
-	}
-	if r := pv.M.plane.row(quantKey(win.V2At(20), pv.M.Quant)); len(r.vals) != memoRowCells {
-		t.Fatalf("plane row spans %d cells, want the window's %d", len(r.vals), memoRowCells)
-	}
-}
-
-// TestPlaneClaimKeepsEarlierProbes: a view made after N-gate probes of the
-// current epoch leaves the memo in the map, so a configuration probed
-// before the view existed is still a memo hit through it; after the next
-// epoch the next view claims the plane.
-func TestPlaneClaimKeepsEarlierProbes(t *testing.T) {
-	spec := ChainSpec{Noise: noise.PresetStandard(), Seed: 6}
-	m, win, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, v2 := win.V1At(40), win.V2At(50)
-	want := m.GetCurrentN([]float64{v1, v2, 0, 0})
-	pv, err := NewPairView(m, 0, 1, make([]float64, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pv.GetCurrent(v1, v2); got != want || pv.Stats().UniqueProbes != 0 {
-		t.Fatalf("re-probe through a later view: %v (%d fresh), want the memoised %v", got, pv.Stats().UniqueProbes, want)
-	}
-	if m.plane != nil {
-		t.Fatal("a view claimed the plane over a non-empty memo")
-	}
-	m.Advance(time.Second)
-	if _, err := NewPairView(m, 1, 2, make([]float64, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if m.plane == nil || m.plane.g1 != 1 {
-		t.Fatalf("no plane claimed after the epoch emptied the memo: %+v", m.plane)
+	if a, b := sized.ProbedCells(), unsized.ProbedCells(); !slices.Equal(a, b) || len(a) != 1 {
+		t.Fatalf("ProbedCells after the epoch: sized %v, unsized %v; want the one far cell", a, b)
 	}
 }

@@ -163,11 +163,10 @@ func TestReleaseGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	pv.GetCurrent(pwin.V1At(4), pwin.V2At(5))
-	pv.GetCurrent(1e4, pwin.V2At(5)) // off the plane: the N-gate map
+	pv.GetCurrent(1e4, pwin.V2At(5)) // beyond the row's reach: the far map
 	pv.M.Release()
 	pv.M.Release()
 	mustPanic("PairView.GetCurrent", func() { pv.GetCurrent(pwin.V1At(4), pwin.V2At(5)) })
-	mustPanic("MultiInstrument.GetCurrentN", func() { pv.M.GetCurrentN(make([]float64, spec.Dots)) })
 }
 
 // TestReleasedRowsReadFresh: rows handed back by released instruments —

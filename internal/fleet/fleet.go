@@ -303,12 +303,18 @@ type TickReport struct {
 	SkippedBudget int      `json:"skippedBudget"`
 }
 
+// pairInstrument is what a pair calibrates on: a SimInstrument, or a chain
+// pair's PairView. Advance moves its clock through idle time.
+type pairInstrument interface {
+	device.Metered
+	Advance(time.Duration)
+}
+
 // pairCal is one adjacent pair's calibration state — the fleet's scheduling
 // unit. Guarded by the owning dev's mu.
 type pairCal struct {
 	idx  int
-	inst device.Metered      // SimInstrument, or a chain pair's PairView
-	adv  func(time.Duration) // advances the pair's instrument clock
+	inst pairInstrument
 	win  csd.Window
 
 	hasCal         bool
@@ -499,7 +505,7 @@ func buildPairs(cfg *DeviceConfig) ([]*pairCal, error) {
 				return nil, err
 			}
 			pairs[i] = &pairCal{
-				idx: i, inst: pv, adv: pv.M.Advance, win: win,
+				idx: i, inst: pv, win: win,
 				score: LostStaleness,
 			}
 		}
@@ -510,7 +516,7 @@ func buildPairs(cfg *DeviceConfig) ([]*pairCal, error) {
 		return nil, err
 	}
 	return []*pairCal{{
-		idx: 0, inst: inst, adv: inst.Advance, win: win,
+		idx: 0, inst: inst, win: win,
 		score: LostStaleness,
 	}}, nil
 }
@@ -559,7 +565,7 @@ func (m *Manager) Register(cfg DeviceConfig) (DeviceView, error) {
 	// cannot remember would silently lose its calibration lineage on the
 	// next restart, so a failed journal write fails the registration.
 	for _, pc := range d.pairs {
-		pc.adv(time.Duration(m.now * float64(time.Second)))
+		pc.inst.Advance(time.Duration(m.now * float64(time.Second)))
 	}
 	if m.journal != nil {
 		data, err := d.record()
@@ -819,7 +825,7 @@ func (m *Manager) Tick(ctx context.Context, dt float64) (TickReport, error) {
 	for _, d := range devs {
 		d.mu.Lock()
 		for _, pc := range d.pairs {
-			pc.adv(time.Duration(dt * float64(time.Second)))
+			pc.inst.Advance(time.Duration(dt * float64(time.Second)))
 		}
 		d.mu.Unlock()
 	}

@@ -195,7 +195,7 @@ func (p persistedDevice) restore(now float64) (*dev, error) {
 	}
 	for i, pp := range p.Pairs {
 		pp.restore(d.pairs[i])
-		d.pairs[i].adv(time.Duration(now * float64(time.Second)))
+		d.pairs[i].inst.Advance(time.Duration(now * float64(time.Second)))
 	}
 	return d, nil
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/fastvg/fastvg/internal/chainx"
-	"github.com/fastvg/fastvg/internal/device"
 	"github.com/fastvg/fastvg/internal/qflow"
 	"github.com/fastvg/fastvg/internal/telemetry"
 )
@@ -52,11 +51,9 @@ func (s *Service) runChain(ctx context.Context, nreq Request, hash string, res *
 		}
 	}
 	stacks := make([]*probeStack, n)
-	views := make([]*device.PairView, n)
 	cfg := chainConfig(ctx, nreq)
 	cfg.Wrap = func(pair int, inst chainx.PairInstrument) chainx.PairInstrument {
 		// Distinct index per planner goroutine: race-free.
-		views[pair], _ = inst.(*device.PairView)
 		stacks[pair] = s.newProbeStack(inst, sur, twins[pair])
 		return stacks[pair].top
 	}
@@ -105,12 +102,10 @@ func (s *Service) runChain(ctx context.Context, nreq Request, hash string, res *
 		if err := s.writeTrace(st, nreq, hash, src.Windows()[i], &truth, &i, &cres.Pairs[i]); err != nil {
 			s.metrics.persistErrs.Inc()
 		}
-		// Settled and traced: the pair's instrument, built for this job
-		// alone, hands its memo rows to the next job.
-		if views[i] != nil {
-			views[i].M.Release()
-		}
 	}
+	// Settled and traced: the pair instruments, built for this job alone,
+	// hand their memo rows to the next job.
+	src.Release()
 	if cres.Chain != nil {
 		rep.A12 = append([]float64(nil), cres.Chain.A12...)
 		rep.A21 = append([]float64(nil), cres.Chain.A21...)

@@ -617,7 +617,11 @@ func (s *Store) compactLocked() error {
 			if e.dead {
 				continue
 			}
-			buf = AppendFrame(buf, appendRecordPayload(nil, e.rec))
+			// Encode the frame in place, as appendLocked does.
+			at := len(buf)
+			buf = append(buf, make([]byte, frameHeaderLen)...)
+			buf = appendRecordPayload(buf, e.rec)
+			sealFrame(buf[at:])
 		}
 	}
 	tmp := s.snapPath() + ".tmp"

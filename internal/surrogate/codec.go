@@ -31,10 +31,17 @@ const (
 // ErrModelFormat marks bytes that are not a valid encoded model.
 var ErrModelFormat = errors.New("surrogate: bad model encoding")
 
-// Encode serializes the model. The encoding is canonical: encoding a decoded
-// model reproduces the same bytes.
+// Encode serializes the model into one buffer, sized from the filled-cell
+// count. The encoding is canonical: encoding a decoded model reproduces the
+// same bytes.
 func (m *Model) Encode() []byte {
-	buf := binary.AppendUvarint(nil, codecVersion)
+	// At most: five uvarints and four window floats; per filled cell an
+	// index no longer than the grid size's uvarint and a float; the fit
+	// flag and seven fit floats.
+	var scratch [binary.MaxVarintLen64]byte
+	cell := len(binary.AppendUvarint(scratch[:0], uint64(len(m.filled)))) + 8
+	buf := make([]byte, 0, 5*binary.MaxVarintLen64+4*8+m.nFilled*cell+1+7*8)
+	buf = binary.AppendUvarint(buf, codecVersion)
 	for _, f := range []float64{m.win.V1Min, m.win.V1Max, m.win.V2Min, m.win.V2Max} {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 	}

@@ -201,6 +201,17 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeAllocs: Encode allocates its output buffer once, sized up
+// front, for an empty model and a trained one.
+func TestEncodeAllocs(t *testing.T) {
+	inst, win := buildSim(t, 7)
+	for _, m := range []*Model{New(win), trainedModel(t, inst, win)} {
+		if allocs := testing.AllocsPerRun(20, func() { m.Encode() }); allocs != 1 {
+			t.Fatalf("Encode of a %d-cell model allocates %.1f times, want 1", m.Cells(), allocs)
+		}
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	inst, win := buildSim(t, 7)
 	b := trainedModel(t, inst, win).Encode()

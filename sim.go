@@ -5,7 +5,6 @@ import (
 
 	"github.com/fastvg/fastvg/internal/device"
 	"github.com/fastvg/fastvg/internal/noise"
-	"github.com/fastvg/fastvg/internal/physics"
 	"github.com/fastvg/fastvg/internal/virtualgate"
 )
 
@@ -114,8 +113,9 @@ func NewDoubleDotSim(opts DoubleDotSimOptions) (*SimInstrument, GroundTruth, err
 	return &SimInstrument{SimInstrument: inst, win: win}, truth, nil
 }
 
-// ChainSimOptions configures NewChainSim; the zero value gives a clean
-// 4-dot chain.
+// ChainSimOptions describes a simulated N-dot chain device; Spec converts
+// it to the ChainSpec that ExtractChainSpec takes. The zero value gives a
+// clean 4-dot chain.
 type ChainSimOptions struct {
 	Dots      int     // number of dots/plungers; default 4
 	CrossFrac float64 // nearest-neighbour lever-arm fraction; default 0.12
@@ -137,58 +137,6 @@ func (o ChainSimOptions) Spec() ChainSpec {
 		Noise:     o.Noise,
 		Seed:      o.Seed,
 	}
-}
-
-// ChainSim is a simulated N-dot linear array with one shared charge sensor.
-type ChainSim struct {
-	Inst *device.MultiInstrument
-	Phys *physics.Array
-
-	spec   ChainSpec
-	spanMV float64 // recommended pair scan span
-}
-
-// NewChainSim builds a homogeneous N-dot chain device under one shared
-// instrument (every pair extraction probes the same device, as on
-// hardware). Ground-truth pair slopes are available via PairTruth;
-// RecommendedWindow returns a pair scan window that frames the
-// first-electron lines the way the paper's cropped CSDs do. For concurrent,
-// deterministic chain extraction use ExtractChainSpec with the Spec form
-// instead: it builds independent per-pair instruments.
-func NewChainSim(opts ChainSimOptions) (*ChainSim, error) {
-	spec := opts.Spec()
-	inst, _, err := spec.Build()
-	if err != nil {
-		return nil, fmt.Errorf("fastvg: %w", err)
-	}
-	return &ChainSim{
-		Inst:   inst,
-		Phys:   inst.Dev.Phys,
-		spec:   spec,
-		spanMV: spec.SpanMV(),
-	}, nil
-}
-
-// Spec returns the serialisable chain device specification the sim was
-// built from.
-func (c *ChainSim) Spec() ChainSpec { return c.spec }
-
-// RecommendedWindow returns the pair scan window NewChainSim tuned the
-// sensor for, at the given pixel resolution.
-func (c *ChainSim) RecommendedWindow(pixels int) Window {
-	return NewWindow(0, 0, c.spanMV, pixels)
-}
-
-// PairTruth returns the analytic (steep, shallow) slopes of the (i, i+1)
-// gate pair.
-func (c *ChainSim) PairTruth(i int) (steep, shallow float64) {
-	return c.Phys.PairSlopes(i)
-}
-
-// PairInstrument exposes gates (i, i+1) as a two-gate Instrument with every
-// other gate held at base (len = number of dots).
-func (c *ChainSim) PairInstrument(i int, base []float64) (Instrument, error) {
-	return device.NewPairView(c.Inst, i, i+1, base)
 }
 
 // Chain composes pairwise extractions into an N×N virtualization.
