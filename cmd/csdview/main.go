@@ -21,7 +21,6 @@ func main() {
 	csdIdx := flag.Int("csd", 0, "benchmark CSD index (1-12)")
 	file := flag.String("file", "", "PGM file to render instead")
 	width := flag.Int("width", 100, "maximum terminal columns")
-	workers := flag.Int("workers", 0, "CSD render workers (0 = one per CPU, 1 = serial; output is identical)")
 	flag.Parse()
 
 	var g *grid.Grid
@@ -41,7 +40,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, err = b.GenerateParallel(*workers)
+		g, err = b.Generate()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -33,7 +33,6 @@ import (
 func main() {
 	figNum := flag.Int("fig", 0, "figure to regenerate (1-7; 0 = all)")
 	outDir := flag.String("out", "figures_out", "output directory")
-	flag.IntVar(&renderWorkers, "workers", 0, "CSD render workers (0 = one per CPU, 1 = serial; figures are identical)")
 	flag.Parse()
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		log.Fatal(err)
@@ -83,16 +82,6 @@ that traps one electron under each plunger.
 	return os.WriteFile(filepath.Join(dir, "fig1_device.txt"), []byte(schematic), 0o644)
 }
 
-// renderWorkers is the -workers flag: the worker budget of every full-CSD
-// render. Renders are bit-identical at any setting, so figures never depend
-// on it.
-var renderWorkers int
-
-// generate renders a benchmark CSD with the configured worker budget.
-func generate(b *qflow.Benchmark) (*grid.Grid, error) {
-	return b.GenerateParallel(renderWorkers)
-}
-
 // cleanBenchmark returns the clean 100×100 benchmark (CSD 6) used by several
 // figures.
 func cleanBenchmark() (*qflow.Benchmark, error) { return evalx.ByIndex(6) }
@@ -103,7 +92,7 @@ func fig2(dir string) error {
 	if err != nil {
 		return err
 	}
-	g, err := generate(b)
+	g, err := b.Generate()
 	if err != nil {
 		return err
 	}
@@ -131,7 +120,7 @@ func fig3(dir string) error {
 	if err != nil {
 		return err
 	}
-	g, err := generate(b)
+	g, err := b.Generate()
 	if err != nil {
 		return err
 	}
@@ -161,7 +150,7 @@ func fig4(dir string) error {
 	if err != nil {
 		return err
 	}
-	g, err := generate(b)
+	g, err := b.Generate()
 	if err != nil {
 		return err
 	}
@@ -253,7 +242,7 @@ func fig6(dir string) error {
 	if err != nil {
 		return err
 	}
-	g, err := generate(b)
+	g, err := b.Generate()
 	if err != nil {
 		return err
 	}
@@ -305,7 +294,7 @@ func fig7(dir string) error {
 		if err != nil {
 			return err
 		}
-		g, err := generate(b)
+		g, err := b.Generate()
 		if err != nil {
 			return err
 		}

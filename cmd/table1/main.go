@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	table1 [-v] [-format text|markdown|csv] [-parallel N]
+//	table1 [-v] [-format text|markdown|csv]
 package main
 
 import (
@@ -21,16 +21,9 @@ import (
 func main() {
 	verbose := flag.Bool("v", false, "print per-benchmark diagnostics")
 	format := flag.String("format", "text", "output format: text, markdown or csv")
-	parallel := flag.Int("parallel", 0, "worker goroutines (0 = sequential)")
 	flag.Parse()
 
-	var rows []evalx.Table1Row
-	var err error
-	if *parallel > 0 {
-		rows, err = evalx.RunTable1Parallel(core.Config{}, baseline.Config{}, *parallel)
-	} else {
-		rows, err = evalx.RunTable1(core.Config{}, baseline.Config{})
-	}
+	rows, err := evalx.RunTable1(core.Config{}, baseline.Config{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "table1:", err)
 		os.Exit(1)

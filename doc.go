@@ -322,13 +322,13 @@
 // to the pre-optimisation code; property tests enforce that parity.
 //
 // Instruments also implement BatchInstrument: CurrentRow serves a whole
-// scan row per call, ProbeMany an arbitrary probe list, and AcquireGrid a
-// full window, with the clock-free physics computed in parallel and the
-// temporal noise replayed serially on the virtual clock — a parallel
-// render is byte-identical to a scalar raster at any worker count. Full-CSD
-// consumers (the baseline method, benchmark generation, service jobs)
-// route through these automatically; SimInstrument.AcquireCSD exposes the
-// batched render directly.
+// scan row per call and ProbeMany an arbitrary probe list, each
+// byte-identical to the equivalent GetCurrent sequence. A full window is
+// acquired one CurrentRow per row on the calling goroutine, in probe
+// order; one job never fans out, and the service's worker pool keeps the
+// CPUs busy across jobs. Full-CSD consumers (the baseline method,
+// benchmark generation, service jobs) route through these automatically;
+// SimInstrument.AcquireCSD acquires the sim's window directly.
 //
 // scripts/bench.sh runs every Benchmark* in the module five times and
 // writes the output, in Go's standard benchmark format, to BENCH.txt.

@@ -80,11 +80,10 @@ type BaselineOptions struct {
 	CannySigma     float64 // Gaussian σ before edge detection
 	CannyHighRatio float64 // high threshold as fraction of max gradient
 	NoRefine       bool    // skip total-least-squares slope refinement
-	RenderWorkers  int     // full-CSD render workers: 0 = one per CPU, 1 = serial
 }
 
 func (o BaselineOptions) config() baseline.Config {
-	cfg := baseline.Config{NoRefine: o.NoRefine, RenderWorkers: o.RenderWorkers}
+	cfg := baseline.Config{NoRefine: o.NoRefine}
 	if o.CannySigma != 0 || o.CannyHighRatio != 0 {
 		cfg.Canny = imaging.DefaultCannyConfig()
 		if o.CannySigma != 0 {

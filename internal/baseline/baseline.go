@@ -41,11 +41,6 @@ type Config struct {
 	// pixels within RefineDist of it (default on, dist 2 px).
 	NoRefine   bool
 	RefineDist float64
-
-	// RenderWorkers budgets the full-CSD acquisition's parallel render:
-	// 0 = one worker per CPU, 1 = serial, n = n workers. The acquired grid
-	// is bit-identical at any setting — only wall-clock time changes.
-	RenderWorkers int
 }
 
 func (c *Config) fillDefaults() {
@@ -89,12 +84,12 @@ type Result struct {
 	Matrix virtualgate.Mat2
 }
 
-// Extract acquires the full CSD through src and runs the vision pipeline.
-// Acquisition pulls whole rows — and, on instruments supporting it,
-// parallel-rendered grids — through the batch contracts in internal/csd.
+// Extract acquires the full CSD through src with csd.Acquire — a recorded
+// dataset in one copy, a simulator one row per call — and runs the vision
+// pipeline, all on the calling goroutine.
 func Extract(src csd.CurrentGetter, win csd.Window, cfg Config) (*Result, error) {
 	cfg.fillDefaults()
-	g, err := csd.AcquireParallel(src, win, cfg.RenderWorkers)
+	g, err := csd.Acquire(src, win)
 	if err != nil {
 		return nil, err
 	}
@@ -102,13 +97,8 @@ func Extract(src csd.CurrentGetter, win csd.Window, cfg Config) (*Result, error)
 }
 
 // ExtractFromGrid runs the vision pipeline on an already-acquired CSD.
-// RenderWorkers budgets the Canny convolutions too, so RenderWorkers: 1
-// pins the whole pipeline to one goroutine.
 func ExtractFromGrid(g *grid.Grid, win csd.Window, cfg Config) (*Result, error) {
 	cfg.fillDefaults()
-	if cfg.Canny.Workers == 0 {
-		cfg.Canny.Workers = cfg.RenderWorkers
-	}
 	res := &Result{CSD: g}
 	norm := g.NormalizedInto(grid.Scratch(g.W, g.H))
 	res.Edges = imaging.Canny(norm, cfg.Canny)

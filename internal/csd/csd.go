@@ -112,33 +112,25 @@ type RowGetter interface {
 }
 
 // GridAcquirer is implemented by instruments that acquire a full scan
-// window in one batched call — optionally rendering rows in parallel —
-// bit-identically to the scalar raster. workers <= 0 means one per CPU;
-// implementations that cannot parallelise ignore it.
+// window in one batched call, bit-identically to the scalar raster. No
+// implementation fans out: Acquire passes workers = 1, and every
+// implementation acquires serially in probe order whatever it is given.
 type GridAcquirer interface {
 	AcquireGrid(w Window, workers int) (*grid.Grid, error)
 }
 
-// Acquire rasters the full window through src, bottom row first — the
-// complete-CSD acquisition the baseline method performs. Every pixel is
-// probed exactly once. Instruments implementing the batch contracts
-// (GridAcquirer, RowGetter) are served through them; the result is
-// bit-identical either way.
+// Acquire rasters the full window through src, bottom row first, on the
+// calling goroutine — the complete-CSD acquisition the baseline method
+// performs. Every pixel is probed exactly once. Instruments implementing
+// the batch contracts are served through them: a GridAcquirer (a recorded
+// dataset) in one call, a RowGetter (a simulator) one row per call. The
+// result is bit-identical either way.
 func Acquire(src CurrentGetter, w Window) (*grid.Grid, error) {
-	return AcquireParallel(src, w, 1)
-}
-
-// AcquireParallel is Acquire with a worker budget for instruments whose
-// grid acquisition can render rows in parallel (workers <= 0 means one per
-// CPU). Acquisition through a stateful scalar instrument cannot fan out —
-// probe order fixes the noise realisation — so sources without the batch
-// contracts fall back to the serial raster regardless of workers.
-func AcquireParallel(src CurrentGetter, w Window, workers int) (*grid.Grid, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	if ga, ok := src.(GridAcquirer); ok {
-		return ga.AcquireGrid(w, workers)
+		return ga.AcquireGrid(w, 1)
 	}
 	g := grid.New(w.Cols, w.Rows)
 	if rg, ok := src.(RowGetter); ok {

@@ -1,27 +1,23 @@
 // Batched probing: the zero-allocation row store behind the simulated
-// instruments' memoisation, the BatchInstrument contract, and the full-grid
-// acquisition fast paths of both instrument kinds.
+// instruments' memoisation, the BatchInstrument contract, and the recorded
+// dataset's full-grid copy.
 //
 // The contract of every batch method is bit-for-bit parity with the scalar
 // path: probing a batch returns exactly the currents, Stats and noise
 // realisation that the equivalent sequence of GetCurrent calls would have
-// produced. Parallel grid renders keep that guarantee by splitting the work
-// into a pure, clock-free physics phase that fans out across internal/sched
-// workers and a serial replay phase that walks the raster in probe order,
-// charging the virtual clock and sampling noise at exactly the times the
-// scalar path would have used.
+// produced. A simulated instrument's full window is acquired by csd.Acquire
+// one CurrentRow per row, in probe order on the calling goroutine, so the
+// virtual clock and every noise process advance exactly as the scalar
+// raster advances them.
 package device
 
 import (
 	"cmp"
-	"context"
-	"runtime"
 	"slices"
 	"sync"
 
 	"github.com/fastvg/fastvg/internal/csd"
 	"github.com/fastvg/fastvg/internal/grid"
-	"github.com/fastvg/fastvg/internal/sched"
 )
 
 // BatchInstrument is the batched probing contract: a whole scan row or an
@@ -396,107 +392,6 @@ func (s *SimInstrument) ProbeMany(v1s, v2s, out []float64) {
 	}
 }
 
-// AcquireGrid rasters the full window, bottom row first, bit-identically to
-// a scalar csd raster through GetCurrent — same grid, Stats, memo contents
-// and noise realisation. The noiseless physics of the rows is computed in
-// parallel on an internal/sched pool; the virtual clock is then replayed
-// serially over the raster, so every noise process is sampled in probe
-// order at exactly the virtual times the scalar path would have charged
-// (per-row virtual-clock scheduling). workers <= 0 means one per CPU.
-func (s *SimInstrument) AcquireGrid(win csd.Window, workers int) (*grid.Grid, error) {
-	if s.released {
-		panic(errReleased)
-	}
-	if err := win.Validate(); err != nil {
-		return nil, err
-	}
-	if s.Dev.Drift != nil {
-		// Time-dependent physics cannot be pre-rendered clock-free: raster
-		// serially through the scalar path, which samples drift and noise at
-		// the true per-probe virtual times.
-		g := grid.New(win.Cols, win.Rows)
-		data := g.Data()
-		for y := 0; y < win.Rows; y++ {
-			v2 := win.V2At(y)
-			for x := 0; x < win.Cols; x++ {
-				data[y*win.Cols+x] = s.GetCurrent(win.V1At(x), v2)
-			}
-		}
-		return g, nil
-	}
-	g := grid.New(win.Cols, win.Rows)
-	data := g.Data()
-	v1s := make([]float64, win.Cols)
-	for x := range v1s {
-		v1s[x] = win.V1At(x)
-	}
-
-	// Phase 1: pure physics and sensor response, clock-free. Prepare the
-	// derived tables first so render workers only read shared state.
-	s.Dev.Prepare()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > win.Rows {
-		workers = win.Rows
-	}
-	renderRows := func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			s.Dev.CurrentRowNoiseless(win.V2At(y), v1s, data[y*win.Cols:(y+1)*win.Cols])
-		}
-	}
-	if workers <= 1 {
-		renderRows(0, win.Rows)
-	} else {
-		pool := sched.New(workers)
-		per := (win.Rows + workers - 1) / workers
-		_ = pool.Map(context.Background(), workers, func(_ context.Context, c int) error {
-			y0 := c * per
-			y1 := y0 + per
-			if y1 > win.Rows {
-				y1 = win.Rows
-			}
-			renderRows(y0, y1)
-			return nil
-		})
-	}
-
-	// Phase 2: serial raster replay — memoisation, accounting and noise on
-	// the virtual clock, in the exact order the scalar acquisition probes.
-	memoised := s.QuantV1 > 0 && s.QuantV2 > 0
-	noise := s.Dev.Noise
-	for y := 0; y < win.Rows; y++ {
-		v2 := win.V2At(y)
-		var row *memoRow
-		if memoised {
-			row = s.memo.row(quantKey(v2, s.QuantV2))
-		}
-		for x := 0; x < win.Cols; x++ {
-			s.stats.RawCalls++
-			i := y*win.Cols + x
-			var c1 int64
-			if memoised {
-				c1 = quantKey(v1s[x], s.QuantV1)
-				if v, ok := s.memo.get(row, c1); ok {
-					data[i] = v
-					continue
-				}
-			}
-			s.stats.UniqueProbes++
-			s.stats.Virtual += s.Dwell
-			v := data[i]
-			if noise != nil {
-				v += noise.Sample(s.stats.Virtual.Seconds())
-			}
-			data[i] = v
-			if memoised {
-				s.record(row, c1, v)
-			}
-		}
-	}
-	return g, nil
-}
-
 // CurrentRow implements BatchInstrument: the row index and pixel base are
 // resolved once, and each element replays the scalar path's probed-map and
 // accounting updates.
@@ -526,9 +421,8 @@ func (d *DatasetInstrument) ProbeMany(v1s, v2s, out []float64) {
 // AcquireGrid replays the full window from the recorded dataset in one
 // pass. The window-pixel → dataset-pixel mapping is resolved once per axis,
 // so values, probed map and Stats come out bit-identical to the scalar
-// raster without the per-probe interface and clamping work. Replaying a
-// recorded grid is memory-bound, so workers is accepted only for contract
-// symmetry and the copy runs serially.
+// raster without the per-probe interface and clamping work. The copy runs
+// serially; workers is accepted only to satisfy csd.GridAcquirer.
 func (d *DatasetInstrument) AcquireGrid(win csd.Window, _ int) (*grid.Grid, error) {
 	if err := win.Validate(); err != nil {
 		return nil, err

@@ -118,8 +118,8 @@ type fastPath struct {
 }
 
 // fast returns the device's ground-state table, (re)building it when the
-// physics parameters changed since the last probe. Not safe for concurrent
-// first use — call Prepare before probing from multiple goroutines.
+// physics parameters changed since the last probe. It writes the device, so
+// a DoubleDot is probed from one goroutine at a time.
 func (d *DoubleDot) fast() *physics.GroundTable {
 	fp := d.fp
 	if fp == nil || fp.phys != *d.Phys {
@@ -128,12 +128,6 @@ func (d *DoubleDot) fast() *physics.GroundTable {
 	}
 	return fp.tab
 }
-
-// Prepare builds the device's derived probe tables eagerly, so that
-// subsequent concurrent read-only probing (CurrentRowNoiseless across
-// render workers) never writes device state. Probing through any method
-// prepares implicitly; Prepare only matters before concurrent use.
-func (d *DoubleDot) Prepare() { d.fast() }
 
 // CurrentAt returns the sensor current at (v1, v2) measured at virtual time
 // t (seconds).
@@ -159,25 +153,6 @@ func (d *DoubleDot) CurrentAt(v1, v2, t float64) float64 {
 		i += d.Noise.Sample(t)
 	}
 	return i
-}
-
-// CurrentRowNoiseless fills out[i] with the noiseless sensor current at
-// (v1s[i], v2) — the parallel render kernel: pure physics and sensor
-// response, no virtual clock, no noise, no instrument state. After Prepare
-// it only reads device state, so disjoint rows may be computed concurrently.
-func (d *DoubleDot) CurrentRowNoiseless(v2 float64, v1s, out []float64) {
-	if tab := d.fast(); tab != nil && d.Sens.CanFast2() {
-		phys, sens := d.Phys, &d.Sens
-		for i, v1 := range v1s {
-			n1, n2 := tab.Ground(phys.Mu(0, v1, v2), phys.Mu(1, v1, v2))
-			out[i] = sens.Current2(v1, v2, n1, n2)
-		}
-		return
-	}
-	for i, v1 := range v1s {
-		n1, n2 := d.Phys.GroundState(v1, v2)
-		out[i] = d.Sens.Current([]float64{v1, v2}, []int{n1, n2})
-	}
 }
 
 // SimInstrument drives a DoubleDot with dwell-time accounting and

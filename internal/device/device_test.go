@@ -313,13 +313,13 @@ func TestDriftedBatchMatchesScalar(t *testing.T) {
 		}
 	}
 	batch := mk()
-	g, err := batch.AcquireGrid(win, 8)
+	g, err := csd.Acquire(batch, win)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range g.Data() {
 		if v != want[i] {
-			t.Fatalf("drifted AcquireGrid diverges from scalar at %d: %v != %v", i, v, want[i])
+			t.Fatalf("drifted csd.Acquire diverges from scalar at %d: %v != %v", i, v, want[i])
 		}
 	}
 	if batch.Stats() != scalar.Stats() {

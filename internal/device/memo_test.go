@@ -187,7 +187,7 @@ func BenchmarkInstrumentAdvance(b *testing.B) {
 		return func(b *testing.B) {
 			inst, win := benchInstrument(b, false)
 			if fill {
-				if _, err := inst.AcquireGrid(win, 1); err != nil {
+				if _, err := csd.Acquire(inst, win); err != nil {
 					b.Fatal(err)
 				}
 			}

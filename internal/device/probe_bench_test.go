@@ -6,12 +6,11 @@ package device
 //	BenchmarkProbeBatch       the same raster pulled through CurrentRow
 //	BenchmarkProbeMemoHit     re-probing memoised configurations
 //	BenchmarkGridRenderScalar full 100×100 window, scalar probe loop
-//	BenchmarkGridRenderBatch  full 100×100 window through AcquireGrid
-//	BenchmarkGridRenderNoisy  AcquireGrid with the full temporal noise stack
+//	BenchmarkGridRenderBatch  full 100×100 window through csd.Acquire
+//	BenchmarkGridRenderNoisy  csd.Acquire with the full temporal noise stack
 //
-// The acceptance gates of the batch-probing work: ProbeScalar/ProbeBatch
-// must report 0 allocs/op in steady state, and GridRenderBatch must beat
-// the pre-batch serial render (1.98 ms in a single-CPU container) by ≥3×.
+// The acceptance gate of the batch-probing work: ProbeScalar/ProbeBatch
+// must report 0 allocs/op in steady state.
 
 import (
 	"testing"
@@ -140,27 +139,27 @@ func scalarRender(inst *SimInstrument, win csd.Window) (int, error) {
 }
 
 // BenchmarkGridRenderBatch renders the full noiseless window through
-// AcquireGrid (auto worker count).
+// csd.Acquire, one CurrentRow per row.
 func BenchmarkGridRenderBatch(b *testing.B) {
 	inst, win := benchInstrument(b, false)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		inst.ResetStats()
-		if _, err := inst.AcquireGrid(win, 0); err != nil {
+		if _, err := csd.Acquire(inst, win); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkGridRenderNoisy renders the full window through AcquireGrid with
-// the benchmark suite's typical noise stack: the parallel physics phase
-// plus the serial virtual-clock noise replay.
+// BenchmarkGridRenderNoisy renders the full window through csd.Acquire with
+// the benchmark suite's typical noise stack, sampled on the virtual clock
+// in probe order.
 func BenchmarkGridRenderNoisy(b *testing.B) {
 	inst, win := benchInstrument(b, true)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		inst.ResetStats()
-		if _, err := inst.AcquireGrid(win, 0); err != nil {
+		if _, err := csd.Acquire(inst, win); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,7 +169,7 @@ func BenchmarkGridRenderNoisy(b *testing.B) {
 // the cold path of every benchmark-target baseline job in the service.
 func BenchmarkGridRenderDataset(b *testing.B) {
 	src, win := benchInstrument(b, false)
-	g, err := src.AcquireGrid(win, 0)
+	g, err := csd.Acquire(src, win)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -152,7 +152,6 @@ func TestReleaseGuard(t *testing.T) {
 	sim.Release()
 	mustPanic("SimInstrument.GetCurrent", func() { sim.GetCurrent(v1, v2) })
 	mustPanic("SimInstrument.CurrentRow", func() { sim.CurrentRow(v2, []float64{v1}, make([]float64, 1)) })
-	mustPanic("SimInstrument.AcquireGrid", func() { _, _ = sim.AcquireGrid(win, 1) })
 	if cells := sim.ProbedCells(); len(cells) != 0 {
 		t.Fatalf("released instrument lists cells %v", cells)
 	}
@@ -208,7 +207,7 @@ func TestReleasedRowsReadFresh(t *testing.T) {
 		for i := 0; i < 255*(k+1); i++ {
 			old.Advance(time.Second)
 		}
-		if _, err := old.AcquireGrid(win, 1); err != nil {
+		if _, err := csd.Acquire(old, win); err != nil {
 			t.Fatal(err)
 		}
 		old.Release()

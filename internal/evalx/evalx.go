@@ -78,11 +78,11 @@ func RunFast(b *qflow.Benchmark, cfg core.Config) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runFastOn(b, inst, cfg)
+	return runFastOn(b, inst, cfg), nil
 }
 
 // runFastOn runs the fast extraction against a prepared replay instrument.
-func runFastOn(b *qflow.Benchmark, inst *device.DatasetInstrument, cfg core.Config) (*RunResult, error) {
+func runFastOn(b *qflow.Benchmark, inst *device.DatasetInstrument, cfg core.Config) *RunResult {
 	rr := &RunResult{Benchmark: b, Method: MethodFast}
 	src := csd.PixelSource{Src: inst, Win: b.Window}
 	t0 := time.Now()
@@ -100,23 +100,22 @@ func runFastOn(b *qflow.Benchmark, inst *device.DatasetInstrument, cfg core.Conf
 				rr.SteepErrDeg, rr.ShallowErrDeg, DefaultAngleTolDeg)
 		}
 	}
-	return rr, nil
+	return rr
 }
 
-// RunBaseline executes the Hough baseline on a benchmark. The full-CSD
-// acquisition runs through the batched grid path (the replay instrument
-// serves the whole window in one call), so the harness measures the
-// pipeline, not per-pixel dispatch overhead.
+// RunBaseline executes the Hough baseline on a benchmark. The replay
+// instrument serves the full-CSD acquisition in one call, so the harness
+// measures the pipeline, not per-pixel dispatch overhead.
 func RunBaseline(b *qflow.Benchmark, cfg baseline.Config) (*RunResult, error) {
 	inst, err := b.Instrument()
 	if err != nil {
 		return nil, err
 	}
-	return runBaselineOn(b, inst, cfg)
+	return runBaselineOn(b, inst, cfg), nil
 }
 
 // runBaselineOn runs the baseline against a prepared replay instrument.
-func runBaselineOn(b *qflow.Benchmark, inst *device.DatasetInstrument, cfg baseline.Config) (*RunResult, error) {
+func runBaselineOn(b *qflow.Benchmark, inst *device.DatasetInstrument, cfg baseline.Config) *RunResult {
 	rr := &RunResult{Benchmark: b, Method: MethodBaseline}
 	t0 := time.Now()
 	res, err := baseline.Extract(inst, b.Window, cfg)
@@ -133,7 +132,7 @@ func runBaselineOn(b *qflow.Benchmark, inst *device.DatasetInstrument, cfg basel
 				rr.SteepErrDeg, rr.ShallowErrDeg, DefaultAngleTolDeg)
 		}
 	}
-	return rr, nil
+	return rr
 }
 
 func finishRun(rr *RunResult, inst *device.DatasetInstrument, err error) {
@@ -167,7 +166,9 @@ func (r Table1Row) Speedup() (float64, bool) {
 	return r.Baseline.TotalS / r.Fast.TotalS, true
 }
 
-// RunTable1 runs both methods on every benchmark of the suite.
+// RunTable1 runs both methods on every benchmark of the suite. Each
+// benchmark's CSD is rendered once, and each method probes its own
+// DatasetInstrument over that grid, so probe accounting stays per method.
 func RunTable1(fastCfg core.Config, baseCfg baseline.Config) ([]Table1Row, error) {
 	suite, err := qflow.Suite()
 	if err != nil {
@@ -175,15 +176,20 @@ func RunTable1(fastCfg core.Config, baseCfg baseline.Config) ([]Table1Row, error
 	}
 	rows := make([]Table1Row, 0, len(suite))
 	for _, b := range suite {
-		f, err := RunFast(b, fastCfg)
+		g, err := b.Generate()
 		if err != nil {
-			return nil, fmt.Errorf("evalx: benchmark %d fast: %w", b.Index, err)
+			return nil, fmt.Errorf("evalx: benchmark %d: %w", b.Index, err)
 		}
-		bl, err := RunBaseline(b, baseCfg)
+		fi, err := device.NewDatasetInstrument(g, b.Window, device.DefaultDwell)
 		if err != nil {
-			return nil, fmt.Errorf("evalx: benchmark %d baseline: %w", b.Index, err)
+			return nil, fmt.Errorf("evalx: benchmark %d: %w", b.Index, err)
 		}
-		rows = append(rows, Table1Row{Benchmark: b, Fast: f, Baseline: bl})
+		bi, err := device.NewDatasetInstrument(g, b.Window, device.DefaultDwell)
+		if err != nil {
+			return nil, fmt.Errorf("evalx: benchmark %d: %w", b.Index, err)
+		}
+		rows = append(rows, Table1Row{Benchmark: b,
+			Fast: runFastOn(b, fi, fastCfg), Baseline: runBaselineOn(b, bi, baseCfg)})
 	}
 	return rows, nil
 }

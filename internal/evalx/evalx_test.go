@@ -192,43 +192,6 @@ func TestTable1MatchesPaperPattern(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential checks the concurrent runner returns the
-// exact same outcomes as the sequential one (each run owns its instrument
-// and seed, so parallelism must not change anything).
-func TestParallelMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite run in -short mode")
-	}
-	seq, err := RunTable1(core.Config{}, baseline.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunTable1Parallel(core.Config{}, baseline.Config{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(seq) {
-		t.Fatalf("parallel returned %d rows", len(par))
-	}
-	for i := range seq {
-		s, p := seq[i], par[i]
-		if p.Benchmark.Index != s.Benchmark.Index {
-			t.Errorf("row %d: benchmark order changed", i)
-		}
-		if p.Fast.Success != s.Fast.Success || p.Fast.Probes != s.Fast.Probes {
-			t.Errorf("CSD %d: fast differs: %v/%d vs %v/%d", s.Benchmark.Index,
-				p.Fast.Success, p.Fast.Probes, s.Fast.Success, s.Fast.Probes)
-		}
-		if p.Baseline.Success != s.Baseline.Success || p.Baseline.Probes != s.Baseline.Probes {
-			t.Errorf("CSD %d: baseline differs", s.Benchmark.Index)
-		}
-		if p.Fast.SteepSlope != s.Fast.SteepSlope {
-			t.Errorf("CSD %d: fast slope differs: %v vs %v", s.Benchmark.Index,
-				p.Fast.SteepSlope, s.Fast.SteepSlope)
-		}
-	}
-}
-
 func TestToleranceStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite run in -short mode")

@@ -3,6 +3,7 @@ package grid
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,13 +180,61 @@ func TestPGMRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPGMRejectsGarbage: malformed input is an error, and a header
+// claiming more pixels than the input holds costs no more than the input.
 func TestPGMRejectsGarbage(t *testing.T) {
-	if _, err := ReadPGM(strings.NewReader("P2\n2 2\n255\n")); err == nil {
-		t.Error("accepted ASCII PGM magic")
+	for _, in := range []string{
+		"P2\n2 2\n255\n", // ASCII PGM magic
+		"nonsense",
+		"P5 2147483648 2147483648 255\n", // 2^62 pixels, more than a slice holds
+		"P5 30000 30000 255\n",           // 7.2 GB of grid, no pixel data
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadPGM(strings.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("accepted %q", in)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%q: allocated %d bytes to reject it", in, n)
+		}
 	}
-	if _, err := ReadPGM(strings.NewReader("nonsense")); err == nil {
-		t.Error("accepted garbage header")
+}
+
+// FuzzReadPGM: ReadPGM returns an error or a grid, never a panic, and any
+// grid it accepts survives a WritePGM → ReadPGM round trip.
+func FuzzReadPGM(f *testing.F) {
+	var seed bytes.Buffer
+	if err := ramp(5, 3).WritePGM(&seed); err != nil {
+		f.Fatal(err)
 	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadPGM(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := g.WritePGM(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := ReadPGM(&buf)
+		if err != nil {
+			t.Fatalf("re-reading an accepted %dx%d grid: %v", g.W, g.H, err)
+		}
+		if r.W != g.W || r.H != g.H {
+			t.Fatalf("round trip size %dx%d, want %dx%d", r.W, r.H, g.W, g.H)
+		}
+		n := g.Normalized()
+		for y := 0; y < g.H; y++ {
+			for x := 0; x < g.W; x++ {
+				if math.Abs(r.At(x, y)-n.At(x, y)) > 1.0/65535+1e-9 {
+					t.Fatalf("round trip value at (%d,%d): %v, want %v", x, y, r.At(x, y), n.At(x, y))
+				}
+			}
+		}
+	})
 }
 
 func TestCSVRoundTrip(t *testing.T) {

@@ -54,16 +54,26 @@ func ReadPGM(r io.Reader) (*Grid, error) {
 	if _, err := br.ReadByte(); err != nil { // single whitespace after header
 		return nil, err
 	}
-	g := New(w, h)
 	bytesPer := 1
 	if maxVal > 255 {
 		bytesPer = 2
 	}
-	row := make([]byte, bytesPer*w)
+	if h > math.MaxInt/bytesPer/w {
+		return nil, fmt.Errorf("grid: PGM dimensions %dx%d too large", w, h)
+	}
+	// Read the pixels before sizing the grid, so that a header claiming
+	// more pixels than the input holds costs memory only for what it holds.
+	n := bytesPer * w * h
+	pix, err := io.ReadAll(io.LimitReader(br, int64(n)))
+	if err != nil {
+		return nil, fmt.Errorf("grid: PGM data: %w", err)
+	}
+	if len(pix) < n {
+		return nil, fmt.Errorf("grid: short PGM data: %d of %d bytes", len(pix), n)
+	}
+	g := New(w, h)
 	for y := h - 1; y >= 0; y-- {
-		if _, err := io.ReadFull(br, row); err != nil {
-			return nil, fmt.Errorf("grid: short PGM data: %w", err)
-		}
+		row := pix[(h-1-y)*bytesPer*w:]
 		for x := 0; x < w; x++ {
 			var v int
 			if bytesPer == 2 {

@@ -15,7 +15,6 @@ type CannyConfig struct {
 	Sigma     float64 // Gaussian σ before differentiation
 	HighRatio float64 // high threshold as fraction of max magnitude
 	LowRatio  float64 // low threshold as fraction of the high threshold
-	Workers   int     // convolution row-render workers: 0 = one per CPU, 1 = serial
 }
 
 // DefaultCannyConfig mirrors common OpenCV usage on stability diagrams.
@@ -24,14 +23,13 @@ func DefaultCannyConfig() CannyConfig {
 }
 
 // Canny runs the full edge-detection pipeline and returns a binary grid
-// (1 = edge pixel). The convolutions honour cfg.Workers; the output is
-// identical at any worker budget. Every intermediate is a scratch grid,
-// recycled as soon as the next stage has read it.
+// (1 = edge pixel). Every intermediate is a scratch grid, recycled as soon
+// as the next stage has read it.
 func Canny(g *grid.Grid, cfg CannyConfig) *grid.Grid {
 	w, h := g.W, g.H
-	blurred := gaussianBlurInto(grid.Scratch(w, h), g, cfg.Sigma, cfg.Workers)
-	gx := convolveInto(grid.Scratch(w, h), blurred, sobelX, cfg.Workers)
-	gy := convolveInto(grid.Scratch(w, h), blurred, sobelY, cfg.Workers)
+	blurred := gaussianBlurInto(grid.Scratch(w, h), g, cfg.Sigma)
+	gx := convolveInto(grid.Scratch(w, h), blurred, sobelX)
+	gy := convolveInto(grid.Scratch(w, h), blurred, sobelY)
 	grid.Recycle(blurred)
 	mag := gradientMagnitudeInto(grid.Scratch(w, h), gx, gy)
 	nms := nonMaxSuppress(grid.Scratch(w, h), mag, gx, gy)

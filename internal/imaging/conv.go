@@ -5,45 +5,10 @@
 package imaging
 
 import (
-	"context"
 	"math"
-	"runtime"
 
 	"github.com/fastvg/fastvg/internal/grid"
-	"github.com/fastvg/fastvg/internal/sched"
 )
-
-// parallelRows runs fn over disjoint row chunks of [0, h) on an
-// internal/sched pool with the given worker budget (0 = one per CPU,
-// 1 = serial). Every output pixel is written by exactly one worker from
-// read-only inputs, so results are bit-identical to the serial loop; small
-// images and serial budgets take the inline path.
-func parallelRows(h, workers int, fn func(y0, y1 int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > h {
-		workers = h
-	}
-	// Below ~64 rows the goroutine fan-out costs more than it saves.
-	if workers <= 1 || h < 64 {
-		fn(0, h)
-		return
-	}
-	pool := sched.New(workers)
-	per := (h + workers - 1) / workers
-	_ = pool.Map(context.Background(), workers, func(_ context.Context, c int) error {
-		y0 := c * per
-		y1 := y0 + per
-		if y1 > h {
-			y1 = h
-		}
-		if y0 < y1 {
-			fn(y0, y1)
-		}
-		return nil
-	})
-}
 
 // Kernel is a dense 2-D convolution kernel with odd dimensions; the anchor
 // is the centre cell. Rows are ordered bottom-up like grid.Grid.
@@ -68,36 +33,27 @@ func NewKernel(w, h int, weights []float64) Kernel {
 func (k Kernel) At(kx, ky int) float64 { return k.Weights[ky*k.W+kx] }
 
 // Convolve cross-correlates g with k (the convention OpenCV's filter2D uses),
-// clamping at the borders, and returns a new grid. Output rows are rendered
-// in parallel on multi-CPU machines; the result is bit-identical to the
-// serial loop.
+// clamping at the borders, and returns a new grid. It renders one row
+// after another on the calling goroutine.
 func Convolve(g *grid.Grid, k Kernel) *grid.Grid {
-	return ConvolveWorkers(g, k, 0)
+	return convolveInto(grid.New(g.W, g.H), g, k)
 }
 
-// ConvolveWorkers is Convolve with an explicit row-render worker budget
-// (0 = one per CPU, 1 = serial). The output is identical at any setting.
-func ConvolveWorkers(g *grid.Grid, k Kernel, workers int) *grid.Grid {
-	return convolveInto(grid.New(g.W, g.H), g, k, workers)
-}
-
-// convolveInto is ConvolveWorkers writing every pixel of out, a grid of
-// g's size, and returning it.
-func convolveInto(out, g *grid.Grid, k Kernel, workers int) *grid.Grid {
+// convolveInto is Convolve writing every pixel of out, a grid of g's size,
+// and returning it.
+func convolveInto(out, g *grid.Grid, k Kernel) *grid.Grid {
 	cx, cy := k.W/2, k.H/2
-	parallelRows(g.H, workers, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			for x := 0; x < g.W; x++ {
-				var s float64
-				for ky := 0; ky < k.H; ky++ {
-					for kx := 0; kx < k.W; kx++ {
-						s += k.At(kx, ky) * g.AtClamped(x+kx-cx, y+ky-cy)
-					}
+	for y := 0; y < g.H; y++ {
+		for x := 0; x < g.W; x++ {
+			var s float64
+			for ky := 0; ky < k.H; ky++ {
+				for kx := 0; kx < k.W; kx++ {
+					s += k.At(kx, ky) * g.AtClamped(x+kx-cx, y+ky-cy)
 				}
-				out.Set(x, y, s)
 			}
+			out.Set(x, y, s)
 		}
-	})
+	}
 	return out
 }
 
@@ -121,57 +77,45 @@ func GaussianKernel1D(sigma float64) []float64 {
 	return k
 }
 
-// GaussianBlur smooths g with a separable Gaussian of the given σ. Both
-// separable passes render rows in parallel on multi-CPU machines; the
-// result is bit-identical to the serial loops.
+// GaussianBlur smooths g with a separable Gaussian of the given σ: a
+// horizontal pass, then a vertical one, each a serial loop over the rows.
 func GaussianBlur(g *grid.Grid, sigma float64) *grid.Grid {
-	return GaussianBlurWorkers(g, sigma, 0)
+	return gaussianBlurInto(grid.New(g.W, g.H), g, sigma)
 }
 
-// GaussianBlurWorkers is GaussianBlur with an explicit row-render worker
-// budget (0 = one per CPU, 1 = serial). The output is identical at any
-// setting.
-func GaussianBlurWorkers(g *grid.Grid, sigma float64, workers int) *grid.Grid {
-	return gaussianBlurInto(grid.New(g.W, g.H), g, sigma, workers)
-}
-
-// gaussianBlurInto is GaussianBlurWorkers writing every pixel of out, a
-// grid of g's size, and returning it. The horizontal pass's intermediate
-// is a scratch grid.
-func gaussianBlurInto(out, g *grid.Grid, sigma float64, workers int) *grid.Grid {
+// gaussianBlurInto is GaussianBlur writing every pixel of out, a grid of
+// g's size, and returning it. The horizontal pass's intermediate is a
+// scratch grid.
+func gaussianBlurInto(out, g *grid.Grid, sigma float64) *grid.Grid {
 	k := GaussianKernel1D(sigma)
 	r := len(k) / 2
 	tmp := grid.Scratch(g.W, g.H)
 	defer grid.Recycle(tmp)
-	parallelRows(g.H, workers, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			for x := 0; x < g.W; x++ {
-				var s float64
-				for i := -r; i <= r; i++ {
-					s += k[i+r] * g.AtClamped(x+i, y)
-				}
-				tmp.Set(x, y, s)
+	for y := 0; y < g.H; y++ {
+		for x := 0; x < g.W; x++ {
+			var s float64
+			for i := -r; i <= r; i++ {
+				s += k[i+r] * g.AtClamped(x+i, y)
 			}
+			tmp.Set(x, y, s)
 		}
-	})
-	parallelRows(g.H, workers, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			for x := 0; x < g.W; x++ {
-				var s float64
-				for i := -r; i <= r; i++ {
-					s += k[i+r] * tmp.AtClamped(x, y+i)
-				}
-				out.Set(x, y, s)
+	}
+	for y := 0; y < g.H; y++ {
+		for x := 0; x < g.W; x++ {
+			var s float64
+			for i := -r; i <= r; i++ {
+				s += k[i+r] * tmp.AtClamped(x, y+i)
 			}
+			out.Set(x, y, s)
 		}
-	})
+	}
 	return out
 }
 
 // Sobel returns the horizontal and vertical derivative images. gx is the
 // derivative along +x; gy along +y (upward).
 func Sobel(g *grid.Grid) (gx, gy *grid.Grid) {
-	return SobelWorkers(g, 0)
+	return Convolve(g, sobelX), Convolve(g, sobelY)
 }
 
 // The Sobel kernels, bottom row first: the +y derivative kernel has -1s
@@ -188,11 +132,6 @@ var (
 		1, 2, 1,
 	})
 )
-
-// SobelWorkers is Sobel with an explicit row-render worker budget.
-func SobelWorkers(g *grid.Grid, workers int) (gx, gy *grid.Grid) {
-	return ConvolveWorkers(g, sobelX, workers), ConvolveWorkers(g, sobelY, workers)
-}
 
 // GradientMagnitude returns sqrt(gx² + gy²) per pixel.
 func GradientMagnitude(gx, gy *grid.Grid) *grid.Grid {

@@ -223,39 +223,22 @@ func build(index int, s spec) (*Benchmark, error) {
 }
 
 // Generate produces the benchmark's CSD by rastering the simulated device
-// with noise on the virtual clock. The result is deterministic in the
-// benchmark seed: the render parallelises only the clock-free physics
-// phase and replays the noise serially in raster order, so the grid is
-// byte-identical to a scalar raster regardless of worker count.
+// with noise on the virtual clock, one row after another through
+// csd.Acquire. The result is deterministic in the benchmark seed.
 func (b *Benchmark) Generate() (*grid.Grid, error) {
-	return b.GenerateParallel(0)
-}
-
-// GenerateParallel is Generate with an explicit render worker count
-// (<= 0 means one worker per CPU, 1 forces the serial path).
-func (b *Benchmark) GenerateParallel(workers int) (*grid.Grid, error) {
 	dev := &device.DoubleDot{
 		Phys:  b.Phys,
 		Sens:  b.Sens,
 		Noise: b.Noise.Build(b.Seed),
 	}
 	inst := device.NewSimInstrument(dev, device.DefaultDwell, 0, 0)
-	return csd.AcquireParallel(inst, b.Window, workers)
+	return csd.Acquire(inst, b.Window)
 }
 
 // Instrument generates the CSD and wraps it in a DatasetInstrument with the
 // paper's 50 ms dwell, the object both extraction methods probe.
 func (b *Benchmark) Instrument() (*device.DatasetInstrument, error) {
-	return b.InstrumentParallel(0)
-}
-
-// InstrumentParallel is Instrument with an explicit render worker count for
-// the CSD generation (<= 0 means one per CPU, 1 forces the serial path) —
-// harnesses that already fan out across benchmarks pass 1 so per-job
-// generation does not oversubscribe the CPUs. The instrument replays the
-// same bytes at any setting.
-func (b *Benchmark) InstrumentParallel(workers int) (*device.DatasetInstrument, error) {
-	g, err := b.GenerateParallel(workers)
+	g, err := b.Generate()
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/fastvg/fastvg/internal/csd"
 	"github.com/fastvg/fastvg/internal/device"
 	"github.com/fastvg/fastvg/internal/noise"
 )
@@ -74,7 +75,7 @@ func wrapAndRelease(t *testing.T, spec device.DoubleDotSpec) {
 	for i := 0; i < 255; i++ {
 		inst.Advance(time.Second)
 	}
-	if _, err := inst.AcquireGrid(win, 1); err != nil {
+	if _, err := csd.Acquire(inst, win); err != nil {
 		t.Fatal(err)
 	}
 	inst.Release()

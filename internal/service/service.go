@@ -48,7 +48,7 @@ type Config struct {
 	// trace of every executed extraction under DataDir/traces; cmd/vgxreplay
 	// re-executes them offline. Recording routes probing through the scalar
 	// path (bit-identical to the batch paths by contract, but without their
-	// parallel speed).
+	// one-call-per-row speed).
 	RecordTraces bool
 
 	// MaxQueueDepth sheds load: when more than this many submissions are
@@ -920,9 +920,8 @@ func methodOptions(ctx context.Context, nreq Request) *method.Options {
 	if m := liveMetricsFrom(ctx); m != nil {
 		o.InfoGain.Metrics = m.ig
 	}
-	// RenderWorkers 0 = one per CPU: cold-cache baseline jobs acquire their
-	// full CSD through the batched parallel render (grids are bit-identical
-	// at any worker count, so cached results are unaffected).
+	// Cold-cache baseline jobs acquire their full CSD serially inside their
+	// own pool slot; the pool, not the job, spreads work across CPUs.
 	if b := nreq.Baseline; b != nil {
 		o.Baseline.NoRefine = b.NoRefine
 		if b.CannySigma != 0 || b.CannyHighRatio != 0 {

@@ -3,6 +3,7 @@ package fastvg
 import (
 	"fmt"
 
+	"github.com/fastvg/fastvg/internal/csd"
 	"github.com/fastvg/fastvg/internal/device"
 	"github.com/fastvg/fastvg/internal/noise"
 	"github.com/fastvg/fastvg/internal/virtualgate"
@@ -74,13 +75,11 @@ type SimInstrument struct {
 // Window returns the scan window the simulator was built for.
 func (s *SimInstrument) Window() Window { return s.win }
 
-// AcquireCSD renders the simulator's full scan window through the batched
-// acquisition fast path: the clock-free physics fans out across workers
-// (<= 0 means one per CPU) and the noise replays serially on the virtual
-// clock, so the grid, probe accounting and noise realisation are
-// bit-identical to a scalar raster at any worker count.
-func (s *SimInstrument) AcquireCSD(workers int) (*Grid, error) {
-	return s.AcquireGrid(s.win, workers)
+// AcquireCSD rasters the simulator's full scan window, one CurrentRow per
+// row on the calling goroutine, so the grid, probe accounting and noise
+// realisation are bit-identical to a scalar raster.
+func (s *SimInstrument) AcquireCSD() (*Grid, error) {
+	return csd.Acquire(s.SimInstrument, s.win)
 }
 
 // ProbeMap returns the window pixels measured so far, the sim counterpart of
