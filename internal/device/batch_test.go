@@ -54,10 +54,8 @@ func statsEqual(t *testing.T, context string, a, b Stats) {
 	}
 }
 
-// TestCurrentRowMatchesScalarRaster rasters the full window: scalar
-// per-pixel probes vs CurrentRow row by row, noiseless and noisy, and vs
-// csd.Acquire — grid, Stats and memo — on a noisy device whose memo earlier
-// sparse probing has filled, so the raster hits memoised cells.
+// TestCurrentRowMatchesScalarRaster rasters the full window row by row:
+// scalar per-pixel probes vs CurrentRow, noiseless and noisy.
 func TestCurrentRowMatchesScalarRaster(t *testing.T) {
 	for _, noisy := range []bool{false, true} {
 		scalar, batch, win := buildPair(t, noisy)
@@ -79,35 +77,6 @@ func TestCurrentRowMatchesScalarRaster(t *testing.T) {
 		}
 		if p := batch.Stats().UniqueProbes; p != win.Cols*win.Rows {
 			t.Fatalf("noisy=%v: raster measured %d unique probes, want %d", noisy, p, win.Cols*win.Rows)
-		}
-	}
-
-	scalar, batch, win := buildPair(t, true)
-	for i := 0; i < 50; i++ {
-		v1 := win.V1At(i * 2 % win.Cols)
-		v2 := win.V2At(i * 3 % win.Rows)
-		scalar.GetCurrent(v1, v2)
-		batch.GetCurrent(v1, v2)
-	}
-	want, err := scalarAcquire(scalar, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := csd.Acquire(batch, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("pre-probed: csd.Acquire differs from scalar raster")
-	}
-	statsEqual(t, "acquire", scalar.Stats(), batch.Stats())
-	sc, bc := scalar.ProbedCells(), batch.ProbedCells()
-	if len(sc) != len(bc) {
-		t.Fatalf("pre-probed: probed cells %d != %d", len(bc), len(sc))
-	}
-	for i := range sc {
-		if sc[i] != bc[i] {
-			t.Fatalf("pre-probed: probed cell %d: %v != %v", i, bc[i], sc[i])
 		}
 	}
 }
@@ -141,6 +110,44 @@ func TestProbeManyMatchesScalarSparse(t *testing.T) {
 		if s := batch.Stats(); s.UniqueProbes >= s.RawCalls {
 			t.Fatalf("noisy=%v: sparse schedule produced no memo hits (unique %d, raw %d) — not exercising the hit path",
 				noisy, s.UniqueProbes, s.RawCalls)
+		}
+	}
+}
+
+// TestAcquireGridMatchesScalarAcquire: the full-grid acquisition,
+// csd.Acquire, must reproduce a scalar raster bit for bit — grid, Stats
+// and memo — on a noisy device, including after earlier sparse probing
+// left memoised cells behind.
+func TestAcquireGridMatchesScalarAcquire(t *testing.T) {
+	scalar, batch, win := buildPair(t, true)
+
+	// Pre-probe a sparse set so the raster hits memoised cells.
+	for i := 0; i < 50; i++ {
+		v1 := win.V1At(i * 2 % win.Cols)
+		v2 := win.V2At(i * 3 % win.Rows)
+		scalar.GetCurrent(v1, v2)
+		batch.GetCurrent(v1, v2)
+	}
+
+	want, err := scalarAcquire(scalar, win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := csd.Acquire(batch, win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("csd.Acquire differs from scalar raster")
+	}
+	statsEqual(t, "acquire", scalar.Stats(), batch.Stats())
+	sc, bc := scalar.ProbedCells(), batch.ProbedCells()
+	if len(sc) != len(bc) {
+		t.Fatalf("probed cells %d != %d", len(bc), len(sc))
+	}
+	for i := range sc {
+		if sc[i] != bc[i] {
+			t.Fatalf("probed cell %d: %v != %v", i, bc[i], sc[i])
 		}
 	}
 }
